@@ -233,7 +233,7 @@ def _cmd_sweep(args) -> int:
     spec = sweep_mod.SweepSpec(
         target=args.target, grid=_float_list(args.grid, "--grid"), base=base,
         k_range=(args.k_min, args.k_max), k_step=args.k_step)
-    result = sweep_mod.run_sweep(spec, rounds, workers=args.workers)
+    result = sweep_mod.run_sweep(spec, rounds)
     rows = [(p.value, p.best_k, p.mean_error) for p in result.points]
     _emit(args, ("param_value", "best_K", "mean_error"), rows,
           lambda r: (_cell(r[0], 2), _cell(r[1], 2), _cell(r[2], 4)))
@@ -330,7 +330,6 @@ def _build_parser() -> _Parser:
     sw.add_argument("--k-min", type=float, default=25.0)
     sw.add_argument("--k-max", type=float, default=1500.0)
     sw.add_argument("--k-step", type=float, default=5.0)
-    sw.add_argument("--workers", type=int, default=1)
     common(sw)
     sw.set_defaults(func=_cmd_sweep)
 

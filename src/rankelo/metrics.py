@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, InputError
-from .rating import RoundInput, division_ranks
+# division_ranks is not called here; bench/test_bench.py traces this binding.
+from .rating import _LOG2E, RoundInput, canonical_ranks, division_ranks  # noqa: F401
 from .replay import Observation, ReplayResult
-
-_LOG2E = 1.0 / math.log(2.0)
 
 # Experience rows: (label, lowest round number, highest round number).
 EXPERIENCE_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
@@ -68,6 +66,7 @@ def kendall_tau(predicted: Sequence[float], actual: Sequence[float]) -> float | 
         raise InputError("rankings must be the same length")
     if _degenerate(x) or _degenerate(y):
         return None
+    from scipy import stats   # deferred: importing scipy dominates CLI start-up
     tau = stats.kendalltau(x, y, variant="b").statistic
     return None if math.isnan(tau) else float(tau)
 
@@ -80,6 +79,7 @@ def spearman_rho(predicted: Sequence[float], actual: Sequence[float]) -> float |
         raise InputError("rankings must be the same length")
     if _degenerate(x) or _degenerate(y):
         return None
+    from scipy import stats
     rho = stats.spearmanr(x, y).statistic
     return None if math.isnan(rho) else float(rho)
 
@@ -96,39 +96,53 @@ class RoundMetrics:
     spearman: float | None
 
 
-def division_metrics(round_id: str, division: int, scores: Sequence[float],
-                     ratings: Sequence[float]) -> RoundMetrics:
-    """Evaluate one division given pre-round ratings (from any system)."""
-    scores_arr = np.asarray(scores, dtype=np.float64)
-    ratings_arr = np.asarray(ratings, dtype=np.float64)
-    if scores_arr.size == 0:
-        raise InputError("division is empty")
-    if scores_arr.shape != ratings_arr.shape:
-        raise InputError("ratings are not aligned with scores")
-    actual, expected, _, _ = division_ranks(scores_arr, ratings_arr)
-    errors = np.abs(np.log(expected / actual) * _LOG2E)
+def _round_metrics(round_id: str, division: int, error_sum: float,
+                   scores: Sequence[float], ratings: Sequence[float]) -> RoundMetrics:
     return RoundMetrics(
         round_id=round_id,
         division=division,
-        n=int(scores_arr.size),
-        mean_error=float(errors.mean()),
-        kendall=kendall_tau(ratings_arr, scores_arr),
-        spearman=spearman_rho(ratings_arr, scores_arr),
+        n=len(scores),
+        mean_error=error_sum / len(scores),
+        kendall=kendall_tau(ratings, scores),
+        spearman=spearman_rho(ratings, scores),
     )
+
+
+def division_metrics(round_id: str, division: int, scores: Sequence[float],
+                     ratings: Sequence[float],
+                     player_ids: Sequence[str] | None = None) -> RoundMetrics:
+    """Evaluate one division given pre-round ratings (from any system).
+
+    The errors are the engine's own ``|perf|`` values, ranked in its
+    canonical ``(-score, id)`` order and summed in entry order exactly as
+    ``replay`` sums them, so a timeline of a replay's pre-round ratings
+    reproduces ``evaluate_replay`` bit for bit.  Without ``player_ids``,
+    entry position breaks score ties.
+    """
+    n = len(scores)
+    if n == 0:
+        raise InputError("division is empty")
+    ids = range(n) if player_ids is None else player_ids
+    if len(ratings) != n or len(ids) != n:
+        raise InputError("ratings are not aligned with scores")
+    order, _, _, _, _, perf = canonical_ranks(ids, scores, ratings)
+    error_sum = 0.0
+    for error in np.abs(perf)[np.argsort(order)].tolist():
+        error_sum += error
+    return _round_metrics(round_id, division, error_sum, scores, ratings)
 
 
 def evaluate_replay(result: ReplayResult) -> list[RoundMetrics]:
     """Per-division metrics for a replay run with ``keep_divisions=True``.
 
-    Deliberately re-evaluates through ``division_metrics`` rather than
-    reusing the replay's own error sums: the engine computes in canonical
-    score order, which differs from entry order by an ulp here and there,
-    and system comparisons need both sides on one deterministic route.
+    The mean error reuses the replay's own per-division sum of the
+    engine's ``|perf|`` values; no rank pass runs a second time.
     """
     if result.count and not result.divisions:
         raise InputError("replay was run without keep_divisions=True")
-    return [division_metrics(division.round_id, division.division,
-                             division.scores, division.ratings_before)
+    return [_round_metrics(division.round_id, division.division,
+                           division.error_sum, division.scores,
+                           division.ratings_before)
             for division in result.divisions]
 
 
@@ -140,17 +154,17 @@ def evaluate_timeline(rounds: Iterable[RoundInput],
         for division in round_input.divisions:
             if not division.entries:
                 continue
+            ids, scores = zip(*division.entries)
             ratings = []
-            for player_id, _ in division.entries:
+            for player_id in ids:
                 key = (round_input.round_id, player_id)
                 if key not in timeline:
                     raise InputError(
                         f"timeline has no rating for player {player_id!r} "
                         f"in round {round_input.round_id!r}")
                 ratings.append(timeline[key])
-            scores = [score for _, score in division.entries]
             out.append(division_metrics(round_input.round_id, division.division,
-                                        scores, ratings))
+                                        scores, ratings, player_ids=ids))
     return out
 
 

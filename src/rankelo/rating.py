@@ -36,7 +36,7 @@ _LOG2E = 1.0 / math.log(2.0)
 
 # Keeps win probabilities strictly inside (0, 1) for absurd rating gaps
 # (beyond ~6200 points the curve is flat to double precision anyway).
-_MAX_LOGIT = 36.0
+MAX_LOGIT = 36.0
 
 # Row-block size for the pairwise kernels; bounds memory at a few MB per
 # block while leaving per-row summation order unchanged.
@@ -163,7 +163,7 @@ def win_probability(r_i: float, r_j: float) -> float:
     if not (math.isfinite(r_i) and math.isfinite(r_j)):
         raise DomainError("ratings must be finite")
     s = (r_j - r_i) * ELO_SCALE
-    s = min(max(s, -_MAX_LOGIT), _MAX_LOGIT)
+    s = min(max(s, -MAX_LOGIT), MAX_LOGIT)
     return 1.0 / (1.0 + math.exp(s))
 
 
@@ -247,7 +247,7 @@ def division_ranks(scores: np.ndarray, ratings: np.ndarray):
         stop = min(start + _BLOCK_ROWS, n)
         rows = np.arange(start, stop)
         d = (ratings[rows, None] - ratings[None, :]) * ELO_SCALE
-        np.clip(d, -_MAX_LOGIT, _MAX_LOGIT, out=d)
+        np.clip(d, -MAX_LOGIT, MAX_LOGIT, out=d)
         w = 1.0 / (1.0 + np.exp(d))  # w[i, j] = P(opponent j beats player i)
         tied = scores[rows, None] == scores[None, :]
         local = np.arange(stop - start)
@@ -277,6 +277,23 @@ def rank_and_expected_rank(index: int, division: DivisionResult,
     return actual[index], expected[index], mu[index], var[index]
 
 
+def canonical_ranks(ids: Sequence, scores: Sequence[float],
+                    ratings: Sequence[float]):
+    """``division_ranks`` and ``perf`` computed in the engine's canonical order.
+
+    Entries are sorted by ``(-score, id)``, so the result depends only on
+    the set of entries, never on their order.  Returns ``order`` (the entry
+    index at each canonical position) and the ``actual``, ``expected``,
+    ``mu``, ``var`` and ``perf = log2(expected / actual)`` arrays, all
+    indexed by canonical position.
+    """
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+    actual, expected, mu, var = division_ranks(
+        np.array([scores[i] for i in order]), np.array([ratings[i] for i in order]))
+    perf = np.log(expected / actual) * _LOG2E
+    return order, actual, expected, mu, var, perf
+
+
 def rate_division(division: DivisionResult, players: Mapping[str, PlayerState],
                   params: RatingParams) -> list[PerformanceBreakdown]:
     """Compute breakdowns for one division from pre-round ratings.
@@ -294,19 +311,15 @@ def rate_division(division: DivisionResult, players: Mapping[str, PlayerState],
     missing = [player_id for player_id in ids if player_id not in players]
     if missing:
         raise InputError(f"no state registered for player {missing[0]!r}")
-
-    # Canonical order: the output depends only on the set of entries.
-    order = sorted(range(n), key=lambda i: (-division.entries[i][1], ids[i]))
-    scores = np.array([division.entries[i][1] for i in order])
-    ratings = np.array([players[ids[i]].rating for i in order])
-    rounds = np.array([players[ids[i]].num_rounds for i in order], dtype=np.float64)
-    if not np.isfinite(scores).all():
+    scores = [score for _, score in division.entries]
+    ratings = [players[player_id].rating for player_id in ids]
+    if not all(map(math.isfinite, scores)):
         raise InputError(f"non-finite score in division {division.division}")
-    if not np.isfinite(ratings).all():
+    if not all(map(math.isfinite, ratings)):
         raise DomainError(f"non-finite rating in division {division.division}")
 
-    actual, expected, mu, var = division_ranks(scores, ratings)
-    perf = np.log(expected / actual) * _LOG2E
+    order, actual, expected, mu, var, perf = canonical_ranks(ids, scores, ratings)
+    rounds = np.array([players[ids[i]].num_rounds for i in order], dtype=np.float64)
     sens = var / mu
     boosted = perf + (params.bonus / BITS_TO_RATING) * sens
     capped = boosted * params.perf_cap / (params.perf_cap + np.abs(boosted))

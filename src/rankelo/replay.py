@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParseError
 from .rating import (
@@ -12,9 +12,9 @@ from .rating import (
     PerformanceBreakdown,
     RatingParams,
     RoundInput,
-    get_or_create_player,
     rate_round,
 )
+from .store import open_text
 
 REPLAY_LOG_HEADER = (
     "round_id", "division", "player_id", "n", "nr", "rating_before",
@@ -48,7 +48,6 @@ class DivisionReplay:
     round_index: int
     round_id: str
     division: int
-    player_ids: tuple[str, ...]
     ratings_before: tuple[float, ...]
     scores: tuple[float, ...]
     error_sum: float
@@ -101,13 +100,14 @@ def replay(rounds: Iterable[RoundInput], params: RatingParams,
 
     for offset, round_input in enumerate(rounds):
         round_index = start + offset
-        # Register first so pre-round ratings (new players included) can be
-        # captured before rate_round mutates anything.
+        # Pre-round (rating, rounds) before rate_round mutates anything; a
+        # player not yet registered will be registered by it at r1.
         before: dict[str, tuple[float, int]] = {}
         for division in round_input.divisions:
             for player_id, _ in division.entries:
-                player = get_or_create_player(state.players, player_id, state.r1)
-                before[player_id] = (player.rating, player.num_rounds)
+                player = state.players.get(player_id)
+                before[player_id] = ((state.r1, 0) if player is None
+                                     else (player.rating, player.num_rounds))
 
         breakdowns = rate_round(round_input, state, params)
 
@@ -142,7 +142,6 @@ def replay(rounds: Iterable[RoundInput], params: RatingParams,
                     round_index=round_index,
                     round_id=round_input.round_id,
                     division=division.division,
-                    player_ids=tuple(pid for pid, _ in division.entries),
                     ratings_before=tuple(before[pid][0] for pid, _ in division.entries),
                     scores=tuple(score for _, score in division.entries),
                     error_sum=division_error,
@@ -155,9 +154,7 @@ def replay(rounds: Iterable[RoundInput], params: RatingParams,
 
 def write_replay_log(observations: Sequence[Observation], dest) -> None:
     """Persist observations as CSV; floats use shortest round-trip repr."""
-    stream, owned = (dest, False) if hasattr(dest, "write") else (
-        open(dest, "w", encoding="utf-8", newline=""), True)
-    try:
+    with open_text(dest, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(REPLAY_LOG_HEADER)
         for obs in observations:
@@ -169,17 +166,11 @@ def write_replay_log(observations: Sequence[Observation], dest) -> None:
                 repr(b.weight), repr(b.variance_factor), repr(b.delta_r),
                 repr(b.mu), repr(b.var),
             ])
-    finally:
-        if owned:
-            stream.close()
 
 
 def parse_replay_log(source) -> list[Observation]:
     """Read back a replay log written by ``write_replay_log``."""
-    stream: IO[str]
-    stream, owned = (source, False) if hasattr(source, "read") else (
-        open(source, "r", encoding="utf-8", newline=""), True)
-    try:
+    with open_text(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
@@ -218,6 +209,3 @@ def parse_replay_log(source) -> list[Observation]:
                     var=floats[10]),
             ))
         return observations
-    finally:
-        if owned:
-            stream.close()

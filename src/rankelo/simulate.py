@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .rating import DivisionResult, RoundInput
-from .rating import ELO_SCALE, _MAX_LOGIT
+from .rating import ELO_SCALE, MAX_LOGIT
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def calibration_check(rounds: Iterable[RoundInput],
                 scores[k] = score
             # predicted[i, j] = P(i beats j)
             logit = np.clip((ratings[None, :] - ratings[:, None]) * ELO_SCALE,
-                            -_MAX_LOGIT, _MAX_LOGIT)
+                            -MAX_LOGIT, MAX_LOGIT)
             predicted = 1.0 / (1.0 + np.exp(logit))
             outcome = np.where(scores[:, None] > scores[None, :], 1.0,
                                np.where(scores[:, None] == scores[None, :],

@@ -16,8 +16,9 @@ import csv
 import hashlib
 import math
 import struct
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .errors import ParseError, SnapshotError
 from .rating import DivisionResult, EngineState, PlayerState, RoundInput
@@ -29,10 +30,17 @@ _SNAPSHOT_MAGIC = b"RSNP"
 _SNAPSHOT_VERSION = 1
 
 
-def _open_text(source) -> tuple[IO[str], bool]:
-    if hasattr(source, "read"):
-        return source, False
-    return open(source, "r", encoding="utf-8", newline=""), True
+@contextmanager
+def open_text(target, mode: str = "r") -> Iterator[IO[str]]:
+    """Yield ``target`` if it is already an open stream, else open it as UTF-8.
+
+    Only a file opened here is closed on exit; a caller's stream stays open.
+    """
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+    else:
+        with open(target, mode, encoding="utf-8", newline="") as stream:
+            yield stream
 
 
 def _check_header(row: list[str], expected: tuple[str, ...]) -> None:
@@ -63,8 +71,7 @@ def parse_rounds(source) -> list[RoundInput]:
     line number) on duplicate players, malformed fields, or a round whose
     records are not contiguous.
     """
-    stream, owned = _open_text(source)
-    try:
+    with open_text(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
@@ -117,16 +124,11 @@ def parse_rounds(source) -> list[RoundInput]:
         if current is not None:
             rounds.append(current)
         return rounds
-    finally:
-        if owned:
-            stream.close()
 
 
 def write_rounds(rounds: Iterable[RoundInput], dest) -> None:
     """Serialize rounds back to the CSV format accepted by ``parse_rounds``."""
-    stream, owned = (dest, False) if hasattr(dest, "write") else (
-        open(dest, "w", encoding="utf-8", newline=""), True)
-    try:
+    with open_text(dest, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(ROUNDS_HEADER)
         for round_input in rounds:
@@ -134,9 +136,6 @@ def write_rounds(rounds: Iterable[RoundInput], dest) -> None:
                 for player_id, score in division.entries:
                     writer.writerow(
                         [round_input.round_id, division.division, player_id, repr(score)])
-    finally:
-        if owned:
-            stream.close()
 
 
 def parse_timeline(source) -> dict[tuple[str, str], float]:
@@ -146,8 +145,7 @@ def parse_timeline(source) -> dict[tuple[str, str], float]:
     system assigned to the player just before the round.  Returns a map
     keyed by ``(round_id, player_id)``.
     """
-    stream, owned = _open_text(source)
-    try:
+    with open_text(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
@@ -168,9 +166,6 @@ def parse_timeline(source) -> dict[tuple[str, str], float]:
                     line=line)
             timeline[key] = _parse_float(rating_text, "rating", line)
         return timeline
-    finally:
-        if owned:
-            stream.close()
 
 
 def save_snapshot(state: EngineState, path) -> None:
@@ -233,9 +228,7 @@ def load_snapshot(path) -> EngineState:
 
 def export_snapshot(state: EngineState, dest, fmt: str = "csv") -> None:
     """Write a human-readable view of a snapshot (players sorted by id)."""
-    stream, owned = (dest, False) if hasattr(dest, "write") else (
-        open(dest, "w", encoding="utf-8", newline=""), True)
-    try:
+    with open_text(dest, "w") as stream:
         items = sorted(state.players.items())
         if fmt == "table":
             width = max([len("player_id")] + [len(pid) for pid, _ in items])
@@ -254,6 +247,3 @@ def export_snapshot(state: EngineState, dest, fmt: str = "csv") -> None:
                 writer.writerow([player_id, repr(player.rating), player.num_rounds])
         else:
             raise ValueError(f"unknown export format {fmt!r}")
-    finally:
-        if owned:
-            stream.close()

@@ -12,7 +12,6 @@ engine, so results do not depend on evaluation order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -155,22 +154,14 @@ def _sweep_point(spec: SweepSpec, value: float, objective: Objective) -> SweepPo
 
 
 def run_sweep(spec: SweepSpec, rounds: Sequence[RoundInput],
-              objective: Objective | None = None,
-              workers: int = 1) -> SweepResult:
+              objective: Objective | None = None) -> SweepResult:
     """Evaluate the sweep grid; each point re-optimizes K independently."""
     rounds = list(rounds)
     if objective is None:
         if not rounds:
             raise InputError("history is empty")
         objective = _replay_objective(rounds)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(
-                lambda v: _sweep_point(spec, v, objective), spec.grid))
-    else:
-        points = [_sweep_point(spec, value, objective) for value in spec.grid]
-
+    points = [_sweep_point(spec, value, objective) for value in spec.grid]
     best = min(points, key=lambda p: (p.mean_error, p.value))
     return SweepResult(target=spec.target, points=tuple(points), best=best)
 

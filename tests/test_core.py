@@ -1,6 +1,7 @@
 """Unit tests for the rating kernel: every documented example plus edges."""
 
 import math
+import sys
 
 import pytest
 
@@ -23,6 +24,7 @@ from rankelo import (
     rate_round,
     rating_delta,
     relative_performance,
+    replay,
     sensitivity,
     win_probability,
 )
@@ -362,3 +364,28 @@ class TestGetOrCreatePlayer:
         players = {"x": PlayerState(1777.0, 12)}
         assert get_or_create_player(players, "x", 1200.0) is players["x"]
         assert players["x"] == PlayerState(1777.0, 12)
+
+    def test_replay_registers_each_entry_once(self, monkeypatch):
+        original = get_or_create_player
+        calls = []
+
+        def counting(players, player_id, r1):
+            calls.append(player_id)
+            return original(players, player_id, r1)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "rankelo"
+                    and getattr(module, "get_or_create_player", None) is original):
+                monkeypatch.setattr(module, "get_or_create_player", counting)
+        rounds = [
+            RoundInput("r0", [DivisionResult(1, [("a", 3.0), ("b", 1.0)])]),
+            RoundInput("r1", [DivisionResult(1, [("b", 2.0), ("c", 2.0)]),
+                              DivisionResult(2, [("a", 5.0)])]),
+        ]
+        result = replay(rounds, ELO2)
+        assert sorted(calls) == sorted(obs.player_id for obs in result.observations)
+        assert len(calls) == 5
+        # a player first seen in round two starts at that round's r1
+        newcomer = next(obs for obs in result.observations if obs.player_id == "c")
+        assert newcomer.nr == 1
+        assert newcomer.rating_before == ELO2.initial_rating + ELO2.inflation / 100.0

@@ -1,6 +1,7 @@
 """Evaluation metrics: correlation oracles, bucketing, and system comparison."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rankelo import (
     replay,
     spearman_rho,
 )
+import rankelo.rating
 from rankelo.metrics import BucketRow, BucketedReport
 from oracles import oracle_kendall_tau, oracle_spearman_rho
 
@@ -146,12 +148,14 @@ class TestDivisionMetrics:
     def test_perfectly_predicted_division(self):
         # equal ratings and tied scores: expected rank == actual rank == 2
         metrics = division_metrics("r1", 1, [5.0, 5.0, 5.0],
-                                   [1500.0, 1500.0, 1500.0])
+                                   [1500.0, 1500.0, 1500.0],
+                                   player_ids=["a", "b", "c"])
         assert metrics.mean_error == 0.0
         assert metrics.kendall is None   # both sides fully tied
 
     def test_against_hand_computed_two_player(self):
-        metrics = division_metrics("r1", 2, [10.0, 20.0], [1200.0, 1200.0])
+        metrics = division_metrics("r1", 2, [10.0, 20.0], [1200.0, 1200.0],
+                                   player_ids=["a", "b"])
         # both players: expected 1.5, actual 1 or 2
         want = (abs(math.log2(1.5)) + abs(math.log2(1.5 / 2.0))) / 2.0
         assert metrics.mean_error == pytest.approx(want, abs=1e-12)
@@ -160,26 +164,51 @@ class TestDivisionMetrics:
 
     def test_empty_division_rejected(self):
         with pytest.raises(InputError):
-            division_metrics("r1", 1, [], [])
+            division_metrics("r1", 1, [], [], player_ids=[])
 
 
 class TestEvaluateReplayAndTimeline:
     def test_replay_metrics_match_timeline_reconstruction(self):
         rounds = small_history()
-        result = replay(rounds, ELO, keep_divisions=True)
-        via_replay = evaluate_replay(result)
+        # Shuffled entries put tied scores out of id order, exercising the
+        # (-score, id) ranking.  Six-player divisions seldom turn a ranking
+        # in entry order into an ulp of difference, so several shuffles run.
+        histories = [rounds]
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            histories.append([RoundInput(r.round_id, [
+                DivisionResult(d.division, [d.entries[i] for i in
+                                            rng.permutation(len(d.entries))])
+                for d in r.divisions]) for r in rounds])
+        for history in histories:
+            result = replay(history, ELO, keep_divisions=True)
+            via_replay = evaluate_replay(result)
 
-        timeline = {(obs.round_id, obs.player_id): obs.rating_before
-                    for obs in result.observations}
-        via_timeline = evaluate_timeline(rounds, timeline)
+            timeline = {(obs.round_id, obs.player_id): obs.rating_before
+                        for obs in result.observations}
+            via_timeline = evaluate_timeline(history, timeline)
 
-        assert len(via_replay) == len(via_timeline) == 16
-        for a, b in zip(via_replay, via_timeline):
-            # identical inputs and summation order: bit-for-bit equal
-            assert (a.round_id, a.division, a.n) == (b.round_id, b.division, b.n)
-            assert a.mean_error == b.mean_error
-            assert a.kendall == b.kendall
-            assert a.spearman == b.spearman
+            assert len(via_replay) == len(via_timeline) == 16
+            for a, b in zip(via_replay, via_timeline):
+                # identical inputs and summation order: bit-for-bit equal
+                assert (a.round_id, a.division, a.n) == (b.round_id, b.division, b.n)
+                assert a.mean_error == b.mean_error
+                assert a.kendall == b.kendall
+                assert a.spearman == b.spearman
+
+    def test_replay_metrics_reuse_the_engine_errors(self, monkeypatch):
+        result = replay(small_history(), ELO, keep_divisions=True)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evaluate_replay ran a second rank pass")
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "rankelo" and getattr(
+                    module, "division_ranks", None) is rankelo.rating.division_ranks):
+                monkeypatch.setattr(module, "division_ranks", forbidden)
+        metrics = evaluate_replay(result)
+        for m, division in zip(metrics, result.divisions):
+            assert m.mean_error == division.error_sum / m.n
 
     def test_replay_without_divisions_rejected(self):
         result = replay(small_history(), ELO)

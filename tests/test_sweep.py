@@ -127,15 +127,6 @@ class TestRunSweep:
         fresh = replay(rounds, params, keep_observations=False).mean_error
         assert result.best.mean_error == fresh
 
-    def test_workers_do_not_change_results(self):
-        rounds = history(seed=2, rounds=12)
-        spec = SweepSpec(target="bonus", grid=(0.0, 27.0),
-                         k_range=(100.0, 900.0), k_step=50.0)
-        serial = run_sweep(spec, rounds, workers=1)
-        threaded = run_sweep(spec, rounds, workers=2)
-        assert serial.points == threaded.points
-        assert serial.best == threaded.best
-
 
 def convex_surface(params):
     return (params.inflation - 21.0) ** 2 + (params.bonus - 9.0) ** 2 + 0.5
