@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from contextlib import contextmanager
 from dataclasses import fields, replace
 from typing import IO, Callable, Sequence
 
@@ -26,6 +25,9 @@ from .replay import replay, write_replay_log
 
 _PARAM_FIELDS = tuple(f.name for f in fields(RatingParams))
 
+# Most values a start:stop:step range may expand to.
+_MAX_RANGE_POINTS = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     # Usage problems must exit 1, not argparse's default 2.
@@ -36,16 +38,19 @@ class _Parser(argparse.ArgumentParser):
 def _float_list(text: str, flag: str) -> tuple[float, ...]:
     """Parse '1,2,3' or an inclusive 'start:stop:step' range."""
     try:
-        if ":" in text:
-            start, stop, step = (float(part) for part in text.split(":"))
-            if step <= 0 or stop < start:
-                raise ValueError
-            n = int((stop - start) / step + 1e-9)
-            return tuple(start + i * step for i in range(n + 1))
-        return tuple(float(part) for part in text.split(","))
+        if ":" not in text:
+            return tuple(float(part) for part in text.split(","))
+        start, stop, step = (float(part) for part in text.split(":"))
+        if step <= 0 or stop < start:
+            raise ValueError
+        steps = (stop - start) / step + 1e-9
     except ValueError:
         raise InputError(f"{flag} expects comma-separated numbers or "
                          f"start:stop:step") from None
+    if not steps < _MAX_RANGE_POINTS:   # also rejects inf and nan
+        raise InputError(f"{flag} range {text!r} has more than "
+                         f"{_MAX_RANGE_POINTS} points")
+    return tuple(start + i * step for i in range(int(steps) + 1))
 
 
 def _resolve_params(profile: str, overrides: list[str] | None) -> RatingParams:
@@ -69,13 +74,9 @@ def _resolve_params(profile: str, overrides: list[str] | None) -> RatingParams:
     return replace(params, **values)
 
 
-@contextmanager
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+def _dest(path: str | None):
+    """Where an ``--output``-style flag writes: ``path``, or stdout for None/'-'."""
+    return sys.stdout if path in (None, "-") else path
 
 
 def _read_rounds(path: str | None):
@@ -118,7 +119,7 @@ def _write_table(fh: IO[str], header: Sequence[str],
 
 def _emit(args, header: Sequence[str], rows,
           table_row: Callable[[Sequence], Sequence[str]]) -> None:
-    with _open_out(args.output) as fh:
+    with store.open_text(_dest(args.output), "w") as fh:
         if args.format == "csv":
             _write_csv(fh, header, rows)
         else:
@@ -132,8 +133,7 @@ def _cmd_rate(args) -> int:
     result = replay(rounds, params, state=state,
                     keep_observations=args.output is not None)
     if args.output is not None:
-        with _open_out(args.output) as fh:
-            write_replay_log(result.observations, fh)
+        write_replay_log(result.observations, _dest(args.output))
     if args.snapshot_out:
         store.save_snapshot(result.state, args.snapshot_out)
     error = result.mean_error
@@ -248,10 +248,9 @@ def _cmd_simulate(args) -> int:
         arrival_rate=args.arrival_rate, div1_fraction=args.div1_fraction,
         tie_step=args.tie_step, seed=args.seed)
     result = simulate_mod.generate_history(config)
-    with _open_out(args.output) as fh:
-        store.write_rounds(result.rounds, fh)
+    store.write_rounds(result.rounds, _dest(args.output))
     if args.skills_out:
-        with _open_out(args.skills_out) as fh:
+        with store.open_text(_dest(args.skills_out), "w") as fh:
             _write_csv(fh, ("player_id", "skill"),
                        sorted(result.skills.items()))
     return 0
@@ -259,8 +258,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_export(args) -> int:
     state = store.load_snapshot(args.snapshot_in)
-    with _open_out(args.output) as fh:
-        store.export_snapshot(state, fh, fmt=args.format)
+    store.export_snapshot(state, _dest(args.output), fmt=args.format)
     return 0
 
 

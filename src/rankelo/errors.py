@@ -5,10 +5,6 @@ class RankEloError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DomainError(RankEloError, ValueError):
-    """A mathematical precondition was violated (non-finite value, rank out of range)."""
-
-
 class InputError(RankEloError, ValueError):
     """User-supplied data or configuration is invalid."""
 

@@ -15,9 +15,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import InputError
 # division_ranks is not called here; bench/test_bench.py traces this binding.
-from .rating import _LOG2E, RoundInput, canonical_ranks, division_ranks  # noqa: F401
+from .rating import RoundInput, canonical_ranks, division_ranks  # noqa: F401
 from .replay import Observation, ReplayResult
 
 # Experience rows: (label, lowest round number, highest round number).
@@ -40,13 +40,6 @@ SIZE_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
     ("600-799 players", 600, 799),
     ("800+ players", 800, None),
 )
-
-
-def prediction_error(expected_rank: float, actual_rank: float) -> float:
-    """Absolute log-rank error in bits: ``|log2(expected / actual)|``."""
-    if expected_rank < 1 or actual_rank < 1:
-        raise DomainError("ranks must be >= 1")
-    return abs(math.log(expected_rank / actual_rank) * _LOG2E)
 
 
 def _degenerate(values: np.ndarray) -> bool:

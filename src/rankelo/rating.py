@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import InputError
 
 # Rating units per bit of performance: a 1-bit surplus corresponds to
 # outperforming a 400 * log10(2) ~= 120.41 point rating gap.
@@ -75,6 +75,9 @@ class RatingParams:
                      "inflation", "initial_rating", "weight_exponent"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite")
+        # bounds every |delta_r| (|adjusted_perf| < perf_cap, divisors >= 1)
+        if not math.isfinite(self.k_factor * self.perf_cap):
+            raise InputError("k_factor * perf_cap must be finite")
 
 
 PROFILES: dict[str, RatingParams] = {
@@ -155,77 +158,19 @@ def get_or_create_player(players: dict[str, PlayerState], player_id: str,
     return state
 
 
-def win_probability(r_i: float, r_j: float) -> float:
-    """Probability that a player rated ``r_i`` outperforms one rated ``r_j``.
+def _win_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The logistic win curve for every pair: ``w[i, j] = P(b[j] beats a[i])``.
 
-    Classic logistic curve: 1 / (1 + 10 ** ((r_j - r_i) / 400)).
+    ``1 / (1 + exp(clip((a[i] - b[j]) * ELO_SCALE, -MAX_LOGIT, MAX_LOGIT)))``,
+    evaluated in place in a single ``len(a) x len(b)`` array.
     """
-    if not (math.isfinite(r_i) and math.isfinite(r_j)):
-        raise DomainError("ratings must be finite")
-    s = (r_j - r_i) * ELO_SCALE
-    s = min(max(s, -MAX_LOGIT), MAX_LOGIT)
-    return 1.0 / (1.0 + math.exp(s))
-
-
-def rank_performance(n: float, r: float) -> float:
-    """Wins above the elimination-tournament baseline for rank ``r`` of ``n``.
-
-    Equals ``log2(n / r)``; ``r`` may be half-integral from tie splits.
-    """
-    if not (math.isfinite(n) and math.isfinite(r)) or n < 1:
-        raise DomainError("need a finite player count >= 1")
-    if r < 1 or r > n:
-        raise DomainError(f"rank {r} outside [1, {n}]")
-    return math.log(n / r) * _LOG2E
-
-
-def relative_performance(expected_rank: float, actual_rank: float) -> float:
-    """Bits of over/under-performance: ``log2(expected_rank / actual_rank)``."""
-    if expected_rank < 1 or actual_rank < 1:
-        raise DomainError("ranks must be >= 1")
-    return math.log(expected_rank / actual_rank) * _LOG2E
-
-
-def sensitivity(mu: float, var: float) -> float:
-    """Rate of change of expected performance per rating point, in (0, 1].
-
-    ``mu`` is 1 plus the summed opponent win probabilities, ``var`` is
-    1 plus the summed Bernoulli variances; the ratio tends to 1 for a
-    player expected to win outright and to 1/n for one expected last.
-    """
-    if mu < 1 or var < 1 or var > mu:
-        raise DomainError("need mu >= 1 and 1 <= var <= mu")
-    return var / mu
-
-
-def bonus_adjusted_performance(perf: float, sens: float,
-                               params: RatingParams) -> float:
-    """Add the participation bonus, scaled by sensitivity, to a performance."""
-    return perf + (params.bonus / BITS_TO_RATING) * sens
-
-
-def clamp_performance(perf: float, cap: float) -> float:
-    """Sigmoid-cap a performance at magnitude ``cap``: ``p / (1 + |p|/cap)``.
-
-    Odd, strictly monotone, linear near zero, bounded by ``(-cap, cap)``.
-    """
-    if cap <= 0:
-        raise DomainError("cap must be > 0")
-    return perf * cap / (cap + abs(perf))
-
-
-def rating_delta(adjusted_perf: float, sens: float, round_number: int,
-                 params: RatingParams) -> float:
-    """Rating change for a capped performance at a given experience level.
-
-    ``round_number`` counts the player's rated rounds starting at 1 for
-    their first.
-    """
-    if round_number < 1:
-        raise DomainError("round_number starts at 1")
-    weight = float(round_number) ** params.weight_exponent
-    variance_factor = 1.0 + params.variance_weight * sens
-    return params.k_factor * adjusted_perf / (variance_factor * weight)
+    w = np.subtract.outer(a, b)
+    w *= ELO_SCALE
+    np.clip(w, -MAX_LOGIT, MAX_LOGIT, out=w)
+    np.exp(w, out=w)
+    w += 1.0
+    np.divide(1.0, w, out=w)
+    return w
 
 
 def division_ranks(scores: np.ndarray, ratings: np.ndarray):
@@ -246,9 +191,8 @@ def division_ranks(scores: np.ndarray, ratings: np.ndarray):
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         rows = np.arange(start, stop)
-        d = (ratings[rows, None] - ratings[None, :]) * ELO_SCALE
-        np.clip(d, -MAX_LOGIT, MAX_LOGIT, out=d)
-        w = 1.0 / (1.0 + np.exp(d))  # w[i, j] = P(opponent j beats player i)
+        # w[i, j] = P(opponent j beats player i)
+        w = _win_matrix(ratings[rows], ratings)
         tied = scores[rows, None] == scores[None, :]
         local = np.arange(stop - start)
         w[local, rows] = 0.0
@@ -260,21 +204,6 @@ def division_ranks(scores: np.ndarray, ratings: np.ndarray):
         actual[rows] = 1.0 + beaten_by + 0.5 * ties
         expected[rows] = 1.0 + np.where(tied, 0.0, w).sum(axis=1) + 0.5 * ties
     return actual, expected, mu, var
-
-
-def rank_and_expected_rank(index: int, division: DivisionResult,
-                           ratings: Sequence[float]):
-    """``(actual_rank, expected_rank, mu, var)`` for one entry of a division."""
-    n = len(division.entries)
-    if n == 0:
-        raise InputError("division is empty")
-    if len(ratings) != n:
-        raise InputError("ratings are not aligned with entries")
-    if not 0 <= index < n:
-        raise InputError(f"entry index {index} outside division of {n}")
-    scores = np.array([score for _, score in division.entries])
-    actual, expected, mu, var = division_ranks(scores, np.asarray(ratings, float))
-    return actual[index], expected[index], mu[index], var[index]
 
 
 def canonical_ranks(ids: Sequence, scores: Sequence[float],
@@ -316,7 +245,7 @@ def rate_division(division: DivisionResult, players: Mapping[str, PlayerState],
     if not all(map(math.isfinite, scores)):
         raise InputError(f"non-finite score in division {division.division}")
     if not all(map(math.isfinite, ratings)):
-        raise DomainError(f"non-finite rating in division {division.division}")
+        raise InputError(f"non-finite rating in division {division.division}")
 
     order, actual, expected, mu, var, perf = canonical_ranks(ids, scores, ratings)
     rounds = np.array([players[ids[i]].num_rounds for i in order], dtype=np.float64)

@@ -36,10 +36,6 @@ class Observation:
     rating_before: float
     breakdown: PerformanceBreakdown
 
-    @property
-    def error(self) -> float:
-        return abs(self.breakdown.perf)
-
 
 @dataclass(frozen=True)
 class DivisionReplay:

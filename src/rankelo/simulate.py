@@ -18,8 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InputError
-from .rating import DivisionResult, RoundInput
-from .rating import ELO_SCALE, MAX_LOGIT
+from .rating import DivisionResult, RoundInput, _win_matrix
 
 
 @dataclass(frozen=True)
@@ -165,10 +164,7 @@ def calibration_check(rounds: Iterable[RoundInput],
                         f"in round {round_input.round_id!r}")
                 ratings[k] = timeline[key]
                 scores[k] = score
-            # predicted[i, j] = P(i beats j)
-            logit = np.clip((ratings[None, :] - ratings[:, None]) * ELO_SCALE,
-                            -MAX_LOGIT, MAX_LOGIT)
-            predicted = 1.0 / (1.0 + np.exp(logit))
+            predicted = _win_matrix(ratings, ratings).T   # [i, j] = P(i beats j)
             outcome = np.where(scores[:, None] > scores[None, :], 1.0,
                                np.where(scores[:, None] == scores[None, :],
                                         0.5, 0.0))

@@ -186,7 +186,11 @@ def save_snapshot(state: EngineState, path) -> None:
 
 
 def load_snapshot(path) -> EngineState:
-    """Load a snapshot written by ``save_snapshot``, verifying its checksum."""
+    """Load a snapshot written by ``save_snapshot``.
+
+    Verifies the checksum, that every player id is UTF-8, and that every
+    rating (``r1`` included) is finite; any failure is a ``SnapshotError``.
+    """
     data = Path(path).read_bytes()
     if len(data) < len(_SNAPSHOT_MAGIC) + 1 + 8 + 8 + 8 + 8:
         raise SnapshotError("snapshot truncated")
@@ -204,6 +208,8 @@ def load_snapshot(path) -> EngineState:
     offset += 8
     r1, = struct.unpack_from("<d", payload, offset)
     offset += 8
+    if not math.isfinite(r1):
+        raise SnapshotError(f"non-finite new-player rating {r1!r}")
     count, = struct.unpack_from("<Q", payload, offset)
     offset += 8
     players: dict[str, PlayerState] = {}
@@ -214,12 +220,17 @@ def load_snapshot(path) -> EngineState:
         offset += 4
         if offset + id_len + 16 > len(payload):
             raise SnapshotError("snapshot truncated")
-        player_id = payload[offset:offset + id_len].decode("utf-8")
+        try:
+            player_id = payload[offset:offset + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise SnapshotError("player id is not valid UTF-8") from None
         offset += id_len
         rating, num_rounds = struct.unpack_from("<dQ", payload, offset)
         offset += 16
         if player_id in players:
             raise SnapshotError(f"duplicate player {player_id!r} in snapshot")
+        if not math.isfinite(rating):
+            raise SnapshotError(f"non-finite rating for player {player_id!r}")
         players[player_id] = PlayerState(rating=rating, num_rounds=int(num_rounds))
     if offset != len(payload):
         raise SnapshotError("trailing data after player records")

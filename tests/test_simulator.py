@@ -10,8 +10,8 @@ from rankelo import (
     InputError,
     SimConfig,
     calibration_check,
+    division_ranks,
     generate_history,
-    win_probability,
     write_rounds,
 )
 
@@ -163,7 +163,8 @@ class TestMonteCarloCalibration:
         skill_a = first.skills["p000000"]
         skill_b = first.skills["p000001"]
         delta = skill_a - skill_b
-        predicted = win_probability(skill_a, skill_b)
+        _, _, mu, _ = division_ranks([1.0, 0.0], [skill_a, skill_b])
+        predicted = mu[1] - 1.0     # the engine's P(a beats b)
         noise = delta / (math.sqrt(2.0) * norm.ppf(predicted))
 
         result = generate_history(SimConfig(

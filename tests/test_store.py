@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import struct
 
 import pytest
@@ -11,6 +12,7 @@ from rankelo import (
     EngineState,
     PROFILES,
     ParseError,
+    PlayerState,
     RoundInput,
     SimConfig,
     SnapshotError,
@@ -195,6 +197,14 @@ class TestParseTimeline:
         assert exc.value.line == 2
 
 
+def resign(path, old: bytes, new: bytes) -> None:
+    """Replace the one occurrence of ``old`` in a snapshot and fix its checksum."""
+    payload = path.read_bytes()[:-8]
+    assert payload.count(old) == 1
+    payload = payload.replace(old, new)
+    path.write_bytes(payload + hashlib.blake2b(payload, digest_size=8).digest())
+
+
 def replay_history(seed=5, rounds=20):
     history = generate_history(SimConfig(
         players=12, rounds=rounds, participation=0.9, div1_fraction=0.5,
@@ -298,6 +308,29 @@ class TestSnapshots:
         path = tmp_path / "e.snap"
         path.write_bytes(b"")
         with pytest.raises(SnapshotError, match="truncated"):
+            load_snapshot(path)
+
+    def test_player_id_not_utf8(self, tmp_path):
+        path = tmp_path / "u.snap"
+        save_snapshot(EngineState(players={"pa": PlayerState(1300.0, 2)}), path)
+        resign(path, b"pa", b"p\xff")
+        with pytest.raises(SnapshotError, match="UTF-8"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rating(self, tmp_path, bad):
+        path = tmp_path / "n.snap"
+        save_snapshot(EngineState(players={"pa": PlayerState(1300.0, 2)}), path)
+        resign(path, struct.pack("<d", 1300.0), struct.pack("<d", bad))
+        with pytest.raises(SnapshotError, match="non-finite rating for player 'pa'"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_new_player_rating(self, tmp_path, bad):
+        path = tmp_path / "r.snap"
+        save_snapshot(EngineState(r1=1263.0), path)
+        resign(path, struct.pack("<d", 1263.0), struct.pack("<d", bad))
+        with pytest.raises(SnapshotError, match="non-finite new-player rating"):
             load_snapshot(path)
 
 
