@@ -133,7 +133,7 @@ def _cmd_rate(args) -> int:
     result = replay(rounds, params, state=state,
                     keep_observations=args.output is not None)
     if args.output is not None:
-        write_replay_log(result.observations, _dest(args.output))
+        write_replay_log(result.divisions, _dest(args.output))
     if args.snapshot_out:
         store.save_snapshot(result.state, args.snapshot_out)
     error = result.mean_error
@@ -155,7 +155,7 @@ def _cmd_eval(args) -> int:
 
     params = _resolve_params(args.profile, args.param)
     state = store.load_snapshot(args.snapshot_in) if args.snapshot_in else None
-    result = replay(rounds, params, state=state, keep_divisions=True)
+    result = replay(rounds, params, state=state)
 
     if args.report == "rounds":
         return _emit_round_metrics(args, metrics_mod.evaluate_replay(result))
@@ -168,7 +168,7 @@ def _cmd_eval(args) -> int:
         _emit(args, ("stat", "value"), rows,
               lambda r: (r[0], _cell(r[1], 4)))
         return 0
-    report = metrics_mod.aggregate_error(result.observations)
+    report = metrics_mod.aggregate_error(result.divisions)
     rows = [(row.label, row.count, row.mean_delta_r, row.mean_perf,
              row.mean_error) for row in report.rows]
     _emit(args, ("bucket", "count", "mean_delta_r", "mean_perf", "mean_error"),
@@ -192,16 +192,14 @@ def _emit_round_metrics(args, rows_in) -> int:
 def _cmd_compare(args) -> int:
     rounds = _read_rounds(args.input)
     params_a = _resolve_params(args.profile, args.param)
-    result_a = replay(rounds, params_a, keep_observations=False,
-                      keep_divisions=True)
+    result_a = replay(rounds, params_a)
     metrics_a = metrics_mod.evaluate_replay(result_a)
     if args.vs_timeline is not None:
         metrics_b = metrics_mod.evaluate_timeline(
             rounds, store.parse_timeline(args.vs_timeline))
     else:
         params_b = _resolve_params(args.vs_profile, args.vs_param)
-        result_b = replay(rounds, params_b, keep_observations=False,
-                          keep_divisions=True)
+        result_b = replay(rounds, params_b)
         metrics_b = metrics_mod.evaluate_replay(result_b)
     report = metrics_mod.compare_systems(metrics_a, metrics_b)
     rows = [(row.label, row.rounds, row.kendall, row.spearman, row.error)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 # division_ranks is not called here; bench/test_bench.py traces this binding.
 from .rating import RoundInput, canonical_ranks, division_ranks  # noqa: F401
-from .replay import Observation, ReplayResult
+from .replay import DivisionReplay, ReplayResult
 
 # Experience rows: (label, lowest round number, highest round number).
 EXPERIENCE_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
@@ -118,25 +118,24 @@ def division_metrics(round_id: str, division: int, scores: Sequence[float],
     ids = range(n) if player_ids is None else player_ids
     if len(ratings) != n or len(ids) != n:
         raise InputError("ratings are not aligned with scores")
-    order, _, _, _, _, perf = canonical_ranks(ids, scores, ratings)
+    *_, perf = canonical_ranks(ids, scores, ratings)
     error_sum = 0.0
-    for error in np.abs(perf)[np.argsort(order)].tolist():
+    for error in np.abs(perf).tolist():
         error_sum += error
     return _round_metrics(round_id, division, error_sum, scores, ratings)
 
 
 def evaluate_replay(result: ReplayResult) -> list[RoundMetrics]:
-    """Per-division metrics for a replay run with ``keep_divisions=True``.
+    """Per-division metrics from a replay's kept division records.
 
     The mean error reuses the replay's own per-division sum of the
     engine's ``|perf|`` values; no rank pass runs a second time.
     """
     if result.count and not result.divisions:
-        raise InputError("replay was run without keep_divisions=True")
-    return [_round_metrics(division.round_id, division.division,
-                           division.error_sum, division.scores,
-                           division.ratings_before)
-            for division in result.divisions]
+        raise InputError("replay was run with keep_observations=False")
+    return [_round_metrics(record.round_id, record.division, record.error_sum,
+                           record.scores, record.breakdown.rating_before)
+            for record in result.divisions]
 
 
 def evaluate_timeline(rounds: Iterable[RoundInput],
@@ -195,11 +194,14 @@ class _Accumulator:
         self.perf = 0.0
         self.error = 0.0
 
-    def add(self, obs: Observation) -> None:
-        self.count += 1
-        self.delta += obs.breakdown.delta_r
-        self.perf += obs.breakdown.perf
-        self.error += abs(obs.breakdown.perf)
+    def add(self, delta_r: np.ndarray, perf: np.ndarray) -> None:
+        """Fold in some entries of one division, summing in entry order."""
+        self.count += delta_r.size
+        for delta in delta_r.tolist():
+            self.delta += delta
+        for value in perf.tolist():
+            self.perf += value
+            self.error += abs(value)
 
     def row(self, label: str) -> BucketRow:
         return BucketRow(label=label, count=self.count,
@@ -208,34 +210,45 @@ class _Accumulator:
                          mean_error=self.error / self.count)
 
 
-def aggregate_error(observations: Iterable[Observation],
+def aggregate_error(divisions: Iterable[DivisionReplay],
                     experience_buckets=EXPERIENCE_BUCKETS) -> BucketedReport:
-    """Bucketed means over a stream of observations.
+    """Bucketed means over a stream of division records.
 
     Row layout: an ``All`` row; experience buckets that partition it by
     the player's round number; an ``Existing`` row (second round onward);
     per-division rows and their top/bottom half-rank splits, both covering
     existing players only.  Top half is actual rank <= n/2; a rank exactly
-    at the (n+1)/2 midpoint lands in the bottom half.
+    at the (n+1)/2 midpoint lands in the bottom half.  Every bucket sums
+    its entries in replay order.
     """
     every = _Accumulator()
     experience = {label: _Accumulator() for label, _, _ in experience_buckets}
     existing = _Accumulator()
-    divisions: dict[int, _Accumulator] = {}
+    by_division: dict[int, _Accumulator] = {}
     halves: dict[tuple[int, int], _Accumulator] = {}
 
-    for obs in observations:
-        every.add(obs)
+    for record in divisions:
+        b = record.breakdown
+        nr = b.nr
+        every.add(b.delta_r, b.perf)
+        unbucketed = np.ones(nr.size, dtype=bool)
         for label, lo, hi in experience_buckets:
-            if obs.nr >= lo and (hi is None or obs.nr <= hi):
-                experience[label].add(obs)
-                break
-        if obs.nr < 2:
+            mask = unbucketed & (nr >= lo)
+            if hi is not None:
+                mask &= nr <= hi
+            experience[label].add(b.delta_r[mask], b.perf[mask])
+            unbucketed &= ~mask
+        seasoned = nr >= 2
+        if not seasoned.any():
             continue
-        existing.add(obs)
-        divisions.setdefault(obs.division, _Accumulator()).add(obs)
-        half = 1 if obs.breakdown.actual_rank <= obs.n / 2 else 2
-        halves.setdefault((obs.division, half), _Accumulator()).add(obs)
+        existing.add(b.delta_r[seasoned], b.perf[seasoned])
+        by_division.setdefault(record.division, _Accumulator()).add(
+            b.delta_r[seasoned], b.perf[seasoned])
+        top = b.actual_rank <= nr.size / 2
+        for half, mask in ((1, seasoned & top), (2, seasoned & ~top)):
+            if mask.any():
+                halves.setdefault((record.division, half), _Accumulator()).add(
+                    b.delta_r[mask], b.perf[mask])
 
     if not every.count:
         return BucketedReport(rows=())
@@ -244,8 +257,8 @@ def aggregate_error(observations: Iterable[Observation],
              if experience[label].count]
     if existing.count:
         rows.append(existing.row("Existing"))
-    for division in sorted(divisions):
-        rows.append(divisions[division].row(f"Division {division}"))
+    for division in sorted(by_division):
+        rows.append(by_division[division].row(f"Division {division}"))
         for half in (1, 2):
             acc = halves.get((division, half))
             if acc is not None:

@@ -132,20 +132,26 @@ class EngineState:
         return cls(r1=params.initial_rating)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerformanceBreakdown:
-    """Per-player intermediate values for one rated division."""
+    """Every entry's intermediate values for one rated division.
 
-    actual_rank: float      # 1-based, half-integral under ties
-    expected_rank: float    # 1 + sum of opponent win probabilities, tied pairs at 0.5
-    perf: float             # bits above (+) or below (-) the expected rank
-    sensitivity: float      # var / mu, in (0, 1]
-    adjusted_perf: float    # bonus-boosted then sigmoid-capped perf, |.| < perf_cap
-    weight: float           # experience damping, round_number ** weight_exponent
-    variance_factor: float  # 1 + variance_weight * sensitivity
-    delta_r: float          # applied rating change
-    mu: float               # 1 + sum of opponent win probabilities (ties included)
-    var: float              # 1 + sum of w * (1 - w) over all opponents
+    Each field is an array aligned with ``division.entries``: ``nr`` is
+    int64, the rest float64.  Field order is the replay log's column order.
+    """
+
+    nr: np.ndarray               # the player's round number, completed rounds + 1
+    rating_before: np.ndarray    # pre-round rating
+    actual_rank: np.ndarray      # 1-based, half-integral under ties
+    expected_rank: np.ndarray    # 1 + sum of opponent win probabilities, tied pairs at 0.5
+    perf: np.ndarray             # bits above (+) or below (-) the expected rank
+    sensitivity: np.ndarray      # var / mu, in (0, 1]
+    adjusted_perf: np.ndarray    # bonus-boosted then sigmoid-capped perf, |.| < perf_cap
+    weight: np.ndarray           # experience damping, nr ** weight_exponent
+    variance_factor: np.ndarray  # 1 + variance_weight * sensitivity
+    delta_r: np.ndarray          # applied rating change
+    mu: np.ndarray               # 1 + sum of opponent win probabilities (ties included)
+    var: np.ndarray              # 1 + sum of w * (1 - w) over all opponents
 
 
 def get_or_create_player(players: dict[str, PlayerState], player_id: str,
@@ -164,7 +170,8 @@ def _win_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``1 / (1 + exp(clip((a[i] - b[j]) * ELO_SCALE, -MAX_LOGIT, MAX_LOGIT)))``,
     evaluated in place in a single ``len(a) x len(b)`` array.
     """
-    w = np.subtract.outer(a, b)
+    with np.errstate(over="ignore"):   # a gap past the float range: +-inf, clipped
+        w = np.subtract.outer(a, b)
     w *= ELO_SCALE
     np.clip(w, -MAX_LOGIT, MAX_LOGIT, out=w)
     np.exp(w, out=w)
@@ -208,80 +215,77 @@ def division_ranks(scores: np.ndarray, ratings: np.ndarray):
 
 def canonical_ranks(ids: Sequence, scores: Sequence[float],
                     ratings: Sequence[float]):
-    """``division_ranks`` and ``perf`` computed in the engine's canonical order.
+    """``division_ranks`` and ``perf``, ranked in the engine's canonical order.
 
-    Entries are sorted by ``(-score, id)``, so the result depends only on
-    the set of entries, never on their order.  Returns ``order`` (the entry
-    index at each canonical position) and the ``actual``, ``expected``,
-    ``mu``, ``var`` and ``perf = log2(expected / actual)`` arrays, all
-    indexed by canonical position.
+    Entries are ranked sorted by ``(-score, id)``, so the result depends
+    only on the set of entries, never on their order.  Returns the
+    ``actual``, ``expected``, ``mu``, ``var`` and
+    ``perf = log2(expected / actual)`` arrays, aligned with the inputs.
     """
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    actual, expected, mu, var = division_ranks(
+    ranked = division_ranks(
         np.array([scores[i] for i in order]), np.array([ratings[i] for i in order]))
+    entry = np.argsort(order)   # canonical position of each entry
+    actual, expected, mu, var = (column[entry] for column in ranked)
     perf = np.log(expected / actual) * _LOG2E
-    return order, actual, expected, mu, var, perf
+    return actual, expected, mu, var, perf
 
 
 def rate_division(division: DivisionResult, players: Mapping[str, PlayerState],
-                  params: RatingParams) -> list[PerformanceBreakdown]:
-    """Compute breakdowns for one division from pre-round ratings.
+                  params: RatingParams) -> PerformanceBreakdown:
+    """Compute one division's breakdown from pre-round ratings.
 
     Pure: no state is mutated; the round number used for the experience
-    weight is each player's completed-round count plus one.  Returns one
-    breakdown per entry, aligned with ``division.entries``.
+    weight is each player's completed-round count plus one.  Every column
+    is aligned with ``division.entries``; an empty division gives empty
+    columns.
     """
-    n = len(division.entries)
-    if n == 0:
-        return []
     ids = [player_id for player_id, _ in division.entries]
-    if len(set(ids)) != n:
+    if len(set(ids)) != len(ids):
         raise InputError(f"duplicate player in division {division.division}")
     missing = [player_id for player_id in ids if player_id not in players]
     if missing:
         raise InputError(f"no state registered for player {missing[0]!r}")
     scores = [score for _, score in division.entries]
-    ratings = [players[player_id].rating for player_id in ids]
+    states = [players[player_id] for player_id in ids]
+    ratings = [state.rating for state in states]
     if not all(map(math.isfinite, scores)):
         raise InputError(f"non-finite score in division {division.division}")
     if not all(map(math.isfinite, ratings)):
         raise InputError(f"non-finite rating in division {division.division}")
 
-    order, actual, expected, mu, var, perf = canonical_ranks(ids, scores, ratings)
-    rounds = np.array([players[ids[i]].num_rounds for i in order], dtype=np.float64)
+    actual, expected, mu, var, perf = canonical_ranks(ids, scores, ratings)
+    nr = np.array([state.num_rounds for state in states], dtype=np.int64) + 1
     sens = var / mu
     boosted = perf + (params.bonus / BITS_TO_RATING) * sens
     capped = boosted * params.perf_cap / (params.perf_cap + np.abs(boosted))
-    weight = (rounds + 1.0) ** params.weight_exponent
+    weight = nr.astype(np.float64) ** params.weight_exponent
     variance_factor = 1.0 + params.variance_weight * sens
-    delta = params.k_factor * capped / (variance_factor * weight)
-
-    out: list[PerformanceBreakdown | None] = [None] * n
-    for pos, i in enumerate(order):
-        out[i] = PerformanceBreakdown(
-            actual_rank=float(actual[pos]),
-            expected_rank=float(expected[pos]),
-            perf=float(perf[pos]),
-            sensitivity=float(sens[pos]),
-            adjusted_perf=float(capped[pos]),
-            weight=float(weight[pos]),
-            variance_factor=float(variance_factor[pos]),
-            delta_r=float(delta[pos]),
-            mu=float(mu[pos]),
-            var=float(var[pos]),
-        )
-    return out  # type: ignore[return-value]
+    return PerformanceBreakdown(
+        nr=nr,
+        rating_before=np.array(ratings, dtype=np.float64),
+        actual_rank=actual,
+        expected_rank=expected,
+        perf=perf,
+        sensitivity=sens,
+        adjusted_perf=capped,
+        weight=weight,
+        variance_factor=variance_factor,
+        delta_r=params.k_factor * capped / (variance_factor * weight),
+        mu=mu,
+        var=var,
+    )
 
 
 def rate_round(round_input: RoundInput, state: EngineState,
-               params: RatingParams) -> list[list[PerformanceBreakdown]]:
+               params: RatingParams) -> list[PerformanceBreakdown]:
     """Rate one round and apply it to the engine state.
 
     New participants are registered at the current ``r1`` first.  Every
     division is then rated from the pre-round ratings, all deltas are
     applied simultaneously, each participant's round count increments,
     and ``r1`` advances by ``inflation / 100`` (once per round, not per
-    division).  Returns breakdowns aligned with ``round_input.divisions``.
+    division).  Returns one breakdown per division of ``round_input``.
     """
     seen: set[str] = set()
     for division in round_input.divisions:
@@ -295,11 +299,11 @@ def rate_round(round_input: RoundInput, state: EngineState,
     breakdowns = [rate_division(division, state.players, params)
                   for division in round_input.divisions]
 
-    for division, results in zip(round_input.divisions, breakdowns):
-        for (player_id, _), breakdown in zip(division.entries, results):
+    for division, breakdown in zip(round_input.divisions, breakdowns):
+        for (player_id, _), delta in zip(division.entries, breakdown.delta_r.tolist()):
             player = state.players[player_id]
             player.num_rounds += 1
-            player.rating += breakdown.delta_r
+            player.rating += delta
     state.rounds_processed += 1
     state.r1 = (params.initial_rating
                 + (params.inflation / 100.0) * state.rounds_processed)

@@ -182,16 +182,16 @@ def calibration_check(rounds: Iterable[RoundInput],
     for b in range(bins):
         lo, hi = b / bins, (b + 1) / bins
         if counts[b]:
-            mean_pred = pred_sums[b] / counts[b]
-            empirical = outcome_sums[b] / counts[b]
+            # Python floats, so that every flag is a bool, not a numpy bool
+            mean_pred = float(pred_sums[b] / counts[b])
+            empirical = float(outcome_sums[b] / counts[b])
             deviation = empirical - mean_pred
             flagged = abs(deviation) > flag_threshold
             any_flagged = any_flagged or flagged
             if worst is None or abs(deviation) > worst:
                 worst = abs(deviation)
-            rows.append(CalibrationBin(lo, hi, int(counts[b]), float(mean_pred),
-                                       float(empirical), float(deviation),
-                                       flagged))
+            rows.append(CalibrationBin(lo, hi, int(counts[b]), mean_pred,
+                                       empirical, deviation, flagged))
         else:
             rows.append(CalibrationBin(lo, hi, 0, None, None, None, False))
     return CalibrationReport(bins=tuple(rows), pairs=int(counts.sum()),

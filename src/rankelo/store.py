@@ -28,6 +28,9 @@ TIMELINE_HEADER = ("round_id", "player_id", "rating_before")
 
 _SNAPSHOT_MAGIC = b"RSNP"
 _SNAPSHOT_VERSION = 1
+# Largest per-player round count a snapshot may hold: exact as a float and
+# far inside the engine's int64 round numbers.
+_MAX_ROUNDS = 2 ** 53
 
 
 @contextmanager
@@ -35,12 +38,27 @@ def open_text(target, mode: str = "r") -> Iterator[IO[str]]:
     """Yield ``target`` if it is already an open stream, else open it as UTF-8.
 
     Only a file opened here is closed on exit; a caller's stream stays open.
+    Bytes that do not decode as UTF-8 are a ``ParseError``.
     """
-    if hasattr(target, "read" if mode == "r" else "write"):
-        yield target
-    else:
-        with open(target, mode, encoding="utf-8", newline="") as stream:
-            yield stream
+    try:
+        if hasattr(target, "read" if mode == "r" else "write"):
+            yield target
+        else:
+            with open(target, mode, encoding="utf-8", newline="") as stream:
+                yield stream
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8 (byte {exc.object[exc.start]:#04x}: "
+                         f"{exc.reason})") from None
+
+
+def _require_utf8(line: int, *cells: str) -> None:
+    """Reject the lone surrogates that ``surrogateescape`` decoding (stdin
+    under a C locale) makes of bytes that are not UTF-8."""
+    for cell in cells:
+        try:
+            cell.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"{cell!r} is not valid UTF-8", line=line) from None
 
 
 def _check_header(row: list[str], expected: tuple[str, ...]) -> None:
@@ -93,6 +111,8 @@ def parse_rounds(source) -> list[RoundInput]:
             round_id, division_text, player_id, score_text = (cell.strip() for cell in row)
             if not round_id or not player_id:
                 raise ParseError("round_id and player_id must be non-empty", line=line)
+            if not (round_id.isascii() and player_id.isascii()):
+                _require_utf8(line, round_id, player_id)
             try:
                 division = int(division_text)
             except ValueError:
@@ -159,6 +179,8 @@ def parse_timeline(source) -> dict[tuple[str, str], float]:
             if len(row) != 3:
                 raise ParseError(f"expected 3 fields, got {len(row)}", line=line)
             round_id, player_id, rating_text = (cell.strip() for cell in row)
+            if not (round_id.isascii() and player_id.isascii()):
+                _require_utf8(line, round_id, player_id)
             key = (round_id, player_id)
             if key in timeline:
                 raise ParseError(
@@ -188,8 +210,9 @@ def save_snapshot(state: EngineState, path) -> None:
 def load_snapshot(path) -> EngineState:
     """Load a snapshot written by ``save_snapshot``.
 
-    Verifies the checksum, that every player id is UTF-8, and that every
-    rating (``r1`` included) is finite; any failure is a ``SnapshotError``.
+    Verifies the checksum, that every player id is UTF-8, that every
+    rating (``r1`` included) is finite, and that no round count is above
+    2**53; any failure is a ``SnapshotError``.
     """
     data = Path(path).read_bytes()
     if len(data) < len(_SNAPSHOT_MAGIC) + 1 + 8 + 8 + 8 + 8:
@@ -231,6 +254,9 @@ def load_snapshot(path) -> EngineState:
             raise SnapshotError(f"duplicate player {player_id!r} in snapshot")
         if not math.isfinite(rating):
             raise SnapshotError(f"non-finite rating for player {player_id!r}")
+        if num_rounds > _MAX_ROUNDS:
+            raise SnapshotError(f"round count {num_rounds} for player "
+                                f"{player_id!r} is above 2**53")
         players[player_id] = PlayerState(rating=rating, num_rounds=int(num_rounds))
     if offset != len(payload):
         raise SnapshotError("trailing data after player records")

@@ -91,7 +91,7 @@ def test_division_performance_sum_floor():
                    for i in range(n)}
         division = DivisionResult(1, [(f"p{i}", float(scores[i]))
                                       for i in range(n)])
-        total = sum(b.perf for b in rate_division(division, players, ELO))
+        total = sum(rate_division(division, players, ELO).perf.tolist())
         worst = min(worst, total)
         if len(set(scores.tolist())) < n:
             tied_divisions += 1
@@ -154,9 +154,9 @@ def test_engine_matches_bruteforce_oracle():
         want = oracle_rate_division(
             [float(s) for s in scores], [float(r) for r in ratings],
             [int(x) for x in rounds_played], params)
-        for breakdown, expected in zip(got, want):
-            for name in BREAKDOWN_FIELDS:
-                diff = abs(getattr(breakdown, name) - expected[name])
+        for name in BREAKDOWN_FIELDS:
+            for value, expected in zip(getattr(got, name).tolist(), want):
+                diff = abs(value - expected[name])
                 worst = max(worst, diff)
                 assert diff <= 1e-9, name
     print(f"PASS: engine matches brute-force oracle on 500 divisions, "
@@ -181,14 +181,14 @@ def test_two_player_golden_deltas():
 
     players = {"w": PlayerState(1200.0, 0), "l": PlayerState(1200.0, 0)}
     division = DivisionResult(1, [("w", 10.0), ("l", 5.0)])
-    winner, loser = rate_division(division, players, ELO)
+    winner, loser = rate_division(division, players, ELO).delta_r.tolist()
 
-    assert winner.delta_r == pytest.approx(derived["winner"], abs=1e-9)
-    assert loser.delta_r == pytest.approx(derived["loser"], abs=1e-9)
-    assert winner.delta_r == pytest.approx(74.53, abs=0.01)
-    assert loser.delta_r == pytest.approx(-54.14, abs=0.01)
-    print(f"PASS: golden two-player deltas {winner.delta_r:+.6f} / "
-          f"{loser.delta_r:+.6f} within 0.01 of +74.53 / -54.14")
+    assert winner == pytest.approx(derived["winner"], abs=1e-9)
+    assert loser == pytest.approx(derived["loser"], abs=1e-9)
+    assert winner == pytest.approx(74.53, abs=0.01)
+    assert loser == pytest.approx(-54.14, abs=0.01)
+    print(f"PASS: golden two-player deltas {winner:+.6f} / "
+          f"{loser:+.6f} within 0.01 of +74.53 / -54.14")
 
 
 def test_all_tied_division_is_neutral():
@@ -198,8 +198,8 @@ def test_all_tied_division_is_neutral():
     players = {f"p{i}": PlayerState(float(ratings[i]), i * 20)
                for i in range(7)}
     division = DivisionResult(1, [(f"p{i}", 42.0) for i in range(7)])
-    breakdowns = rate_division(division, players, ELO)
-    assert all(b.delta_r == 0.0 for b in breakdowns)
+    breakdown = rate_division(division, players, ELO)
+    assert breakdown.delta_r.tolist() == [0.0] * 7
 
     state = EngineState(players=dict(players), r1=1200.0, rounds_processed=0)
     rate_round(RoundInput("r1", [division]), state, ELO)

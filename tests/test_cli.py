@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in process via cli.run()."""
 
+import csv
 import hashlib
 import io
 import struct
@@ -13,9 +14,9 @@ from rankelo import (
     PROFILES,
     PlayerState,
     load_snapshot,
-    parse_replay_log,
     save_snapshot,
 )
+from rankelo.replay import REPLAY_LOG_HEADER
 from rankelo.cli import _float_list, run
 
 
@@ -32,6 +33,11 @@ def history_file(tmp_path_factory):
 def read_csv_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def read_replay_log(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestExitCodes:
@@ -89,7 +95,9 @@ class TestExitCodes:
         (b"p000001", b"p00000\xff", "not valid UTF-8"),
         (struct.pack("<d", 1300.0), struct.pack("<d", float("nan")),
          "non-finite rating for player 'p000001'"),
-    ], ids=["player_id_not_utf8", "nan_rating"])
+        (struct.pack("<dQ", 1300.0, 4), struct.pack("<dQ", 1300.0, 2 ** 64 - 1),
+         "round count 18446744073709551615 for player 'p000001'"),
+    ], ids=["player_id_not_utf8", "nan_rating", "round_count"])
     def test_bad_snapshot_values(self, history_file, tmp_path, capsys,
                                  old, new, message):
         path = tmp_path / "bad.snap"
@@ -106,6 +114,34 @@ class TestExitCodes:
         for text in ("0:10000:1", "0:inf:1", "-inf:0:1"):
             with pytest.raises(InputError, match="more than 10000 points"):
                 _float_list(text, "--grid")
+
+    def test_rounds_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"round_id,division,player_id,score\n"
+                        b"r1,1,\xff\xfe,10\nr1,1,b,5\n")
+        assert run(["rate", "--input", str(bad)]) == 1
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_timeline_file_not_utf8(self, tmp_path, capsys):
+        rounds = tmp_path / "r.csv"
+        rounds.write_text("round_id,division,player_id,score\nr1,1,a,10\nr1,1,b,5\n")
+        timeline = tmp_path / "t.csv"
+        timeline.write_bytes(b"round_id,player_id,rating_before\n"
+                             b"r1,a\xff,1200\nr1,b,1300\n")
+        assert run(["eval", "--input", str(rounds), "--timeline", str(timeline),
+                    "--report", "rounds"]) == 1
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_stdin_id(self, tmp_path, capsys, monkeypatch):
+        # stdin decoded with surrogateescape (a C locale) keeps bad bytes as
+        # lone surrogates; they must not reach the snapshot or the log
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "round_id,division,player_id,score\nr1,1,a\udcff,10\nr1,1,b,5\n"))
+        snap = tmp_path / "s.snap"
+        log = tmp_path / "log.csv"
+        assert run(["rate", "--snapshot-out", str(snap), "--output", str(log)]) == 1
+        assert "line 2: 'a\\udcff' is not valid UTF-8" in capsys.readouterr().err
+        assert not snap.exists() and not log.exists()
 
     def test_internal_error_exits_2(self, history_file, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -139,11 +175,13 @@ class TestRate:
         assert run(["rate", "--input", str(history_file), "--profile", "elo2",
                     "--output", str(log)]) == 0
         capsys.readouterr()
-        observations = parse_replay_log(log)
+        rows = read_replay_log(log)
         entries = len(history_file.read_text().splitlines()) - 1
-        assert len(observations) == entries
-        assert observations[0].round_id == "r0000"
-        assert observations[0].rating_before == 1200.0
+        assert len(rows) == entries
+        assert tuple(rows[0]) == REPLAY_LOG_HEADER
+        assert all(None not in row.values() for row in rows)
+        assert rows[0]["round_id"] == "r0000"
+        assert float(rows[0]["rating_before"]) == 1200.0
 
     def test_split_rate_matches_full_rate(self, history_file, tmp_path, capsys):
         full_snap = tmp_path / "full.snap"
@@ -231,6 +269,25 @@ class TestEval:
         assert rows[0][:3] == ["r1", "1", "2"]
         assert rows[0][4] == "-1.0"    # favorite lost
 
+    def test_timeline_ratings_beyond_float_range(self, tmp_path, capsys):
+        # the two ratings differ by more than the largest float
+        rounds = tmp_path / "r.csv"
+        rounds.write_text("round_id,division,player_id,score\n"
+                          "r1,1,a,20\nr1,1,b,10\n")
+        timeline = tmp_path / "t.csv"
+        timeline.write_text("round_id,player_id,rating_before\n"
+                            "r1,a,1.7e308\nr1,b,-1.7e308\n")
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["eval", "--input", str(rounds), "--timeline",
+                        str(timeline), "--report", "rounds", "--output", str(out)])
+        assert code == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv_rows(out)
+        assert rows[0][4] == "1.0"     # favorite won
+
     def test_timeline_rejects_bucket_report(self, tmp_path, capsys):
         rounds = tmp_path / "r.csv"
         rounds.write_text("round_id,division,player_id,score\nr1,1,a,10\n")
@@ -273,8 +330,8 @@ class TestCompare:
         assert run(["rate", "--input", str(history_file),
                     "--output", str(log)]) == 0
         rows = ["round_id,player_id,rating_before"]
-        for obs in parse_replay_log(log):
-            rows.append(f"{obs.round_id},{obs.player_id},{obs.rating_before!r}")
+        for row in read_replay_log(log):
+            rows.append(f"{row['round_id']},{row['player_id']},{row['rating_before']}")
         timeline.write_text("\n".join(rows) + "\n")
         out = tmp_path / "cmp3.txt"
         assert run(["compare", "--input", str(history_file),

@@ -2,8 +2,10 @@
 
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from rankelo import (
@@ -46,16 +48,22 @@ def duel(r_a, r_b):
 
 
 def rate(entries, params, rounds=None):
-    """Breakdowns for one division of ``(player_id, rating, score)`` entries."""
+    """The breakdown of one division of ``(player_id, rating, score)`` entries."""
     players = {pid: PlayerState(rating, (rounds or {}).get(pid, 0))
                for pid, rating, _ in entries}
     division = DivisionResult(1, [(pid, score) for pid, _, score in entries])
     return rate_division(division, players, params)
 
 
+def row(breakdown, i):
+    """Entry ``i`` of a breakdown, each column's value as a Python scalar."""
+    return SimpleNamespace(**{f.name: getattr(breakdown, f.name)[i].item()
+                              for f in fields(breakdown)})
+
+
 def lone_entry(params):
-    """The breakdown of a one-entry division: perf 0, sensitivity 1."""
-    return rate([("a", 1500.0, 10.0)], params)[0]
+    """The only entry of a one-entry division: perf 0, sensitivity 1."""
+    return row(rate([("a", 1500.0, 10.0)], params), 0)
 
 
 class TestWinProbability:
@@ -135,11 +143,10 @@ class TestRelativePerformance:
         assert oracle_relative_performance(3.0, 3.0) == 0.0
         assert oracle_relative_performance(4.0, 8.0) == pytest.approx(-1.0, abs=1e-12)
         # the engine's perf is this log ratio of its own ranks
-        for b in rate([("a", 1100.0, 3.0), ("b", 1500.0, 2.0),
-                       ("c", 1300.0, 3.0)], ELO):
-            assert b.perf == pytest.approx(
-                oracle_relative_performance(b.expected_rank, b.actual_rank),
-                abs=1e-12)
+        b = rate([("a", 1100.0, 3.0), ("b", 1500.0, 2.0), ("c", 1300.0, 3.0)], ELO)
+        for perf, expected, actual in zip(b.perf, b.expected_rank, b.actual_rank):
+            assert perf == pytest.approx(
+                oracle_relative_performance(expected, actual), abs=1e-12)
 
 
 class TestSensitivity:
@@ -147,23 +154,23 @@ class TestSensitivity:
         assert lone_entry(ELO).sensitivity == 1.0
 
     def test_one_even_opponent(self):
-        for b in rate([("a", 1400.0, 2.0), ("b", 1400.0, 1.0)], ELO):
-            assert b.sensitivity == pytest.approx(5.0 / 6.0, abs=1e-12)
+        b = rate([("a", 1400.0, 2.0), ("b", 1400.0, 1.0)], ELO)
+        assert b.sensitivity == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_expected_last_tends_to_one_over_n(self):
         # all opponent win probabilities at 1: mu = n, var = 1
         entries = [("last", -50000.0, 0.0)]
         entries += [(f"p{i:02d}", 50000.0, float(i)) for i in range(49)]
-        assert rate(entries, ELO)[0].sensitivity == pytest.approx(
+        assert rate(entries, ELO).sensitivity[0] == pytest.approx(
             1.0 / 50.0, abs=1e-12)
 
 
 class TestBonusAdjustedPerformance:
     def test_identity_without_bonus(self):
         assert oracle_bonus_performance(0.5, 0.8, ELO.bonus) == 0.5
-        for b in rate([("a", 1100.0, 3.0), ("b", 1500.0, 2.0),
-                       ("c", 1300.0, 1.0)], ELO):
-            assert b.adjusted_perf == oracle_sigmoid_cap(b.perf, ELO.perf_cap)
+        b = rate([("a", 1100.0, 3.0), ("b", 1500.0, 2.0), ("c", 1300.0, 1.0)], ELO)
+        for perf, adjusted in zip(b.perf.tolist(), b.adjusted_perf.tolist()):
+            assert adjusted == oracle_sigmoid_cap(perf, ELO.perf_cap)
 
     def test_pure_bonus(self):
         got = oracle_bonus_performance(0.0, 1.0, ELO2.bonus)
@@ -183,7 +190,7 @@ class TestClampPerformance:
     def test_zero(self):
         assert oracle_sigmoid_cap(0.0, 6.75) == 0.0
         all_tied = rate([("a", 1100.0, 1.0), ("b", 1500.0, 1.0)], ELO)
-        assert [b.adjusted_perf for b in all_tied] == [0.0, 0.0]
+        assert all_tied.adjusted_perf.tolist() == [0.0, 0.0]
 
     def test_at_cap_halves(self):
         assert oracle_sigmoid_cap(6.75, 6.75) == pytest.approx(3.375, abs=1e-12)
@@ -210,18 +217,19 @@ class TestRatingDelta:
 
     def test_fourth_round_halves_first_round_delta(self):
         entries = [("a", 1200.0, 2.0), ("b", 1300.0, 1.0)]
-        first = rate(entries, ELO)[0].delta_r
-        fourth = rate(entries, ELO, rounds={"a": 3})[0].delta_r
+        first = rate(entries, ELO).delta_r[0]
+        fourth = rate(entries, ELO, rounds={"a": 3}).delta_r[0]
         assert fourth == first / 2.0
 
     def test_round_number_starts_at_one(self):
         # num_rounds counts completed rounds, so a first round is round 1
         for exponent in (0.0, 0.5, 1.0):
             params = replace(ELO, weight_exponent=exponent)
-            first, fourth = rate([("a", 1200.0, 2.0), ("b", 1300.0, 1.0)],
-                                 params, rounds={"b": 3})
-            assert first.weight == 1.0
-            assert fourth.weight == 4.0 ** exponent
+            b = rate([("a", 1200.0, 2.0), ("b", 1300.0, 1.0)],
+                     params, rounds={"b": 3})
+            assert b.nr.tolist() == [1, 4]
+            assert b.weight[0] == 1.0
+            assert b.weight[1] == 4.0 ** exponent
 
 
 class TestGoldenTwoPlayerRound:
@@ -229,7 +237,7 @@ class TestGoldenTwoPlayerRound:
 
     def test_winner_breakdown(self):
         division, players = two_player_division()
-        winner = rate_division(division, players, ELO)[0]
+        winner = row(rate_division(division, players, ELO), 0)
         assert winner.actual_rank == 1.0
         assert winner.expected_rank == pytest.approx(1.5, abs=1e-12)
         assert winner.perf == pytest.approx(0.5849625007211562, abs=1e-12)
@@ -242,7 +250,7 @@ class TestGoldenTwoPlayerRound:
 
     def test_loser_breakdown(self):
         division, players = two_player_division()
-        loser = rate_division(division, players, ELO)[1]
+        loser = row(rate_division(division, players, ELO), 1)
         assert loser.actual_rank == 2.0
         assert loser.expected_rank == pytest.approx(1.5, abs=1e-12)
         assert loser.perf == pytest.approx(-0.4150374992788438, abs=1e-12)
@@ -252,28 +260,31 @@ class TestGoldenTwoPlayerRound:
 
     def test_round_gains_rating_on_net(self):
         division, players = two_player_division()
-        results = rate_division(division, players, ELO)
-        assert sum(r.delta_r for r in results) > 0.0
+        deltas = rate_division(division, players, ELO).delta_r.tolist()
+        assert deltas[0] + deltas[1] > 0.0
 
 
 class TestRateDivision:
     def test_empty_division(self):
-        assert rate_division(DivisionResult(1, []), {}, ELO) == []
+        b = rate_division(DivisionResult(1, []), {}, ELO)
+        for f in fields(b):
+            column = getattr(b, f.name)
+            assert column.shape == (0,)
+            assert column.dtype == (np.int64 if f.name == "nr" else np.float64)
 
     def test_all_tied_without_bonus_is_exactly_neutral(self):
         players = {f"p{i}": PlayerState(1000.0 + 250.0 * i, num_rounds=i)
                    for i in range(6)}
         division = DivisionResult(
             division=1, entries=[(f"p{i}", 42.0) for i in range(6)])
-        for breakdown in rate_division(division, players, ELO):
-            assert breakdown.delta_r == 0.0
-            assert breakdown.perf == 0.0
+        b = rate_division(division, players, ELO)
+        assert b.delta_r.tolist() == [0.0] * 6
+        assert b.perf.tolist() == [0.0] * 6
 
     def test_all_tied_with_bonus_still_moves(self):
         players = {"a": PlayerState(1200.0), "b": PlayerState(1200.0)}
         division = DivisionResult(division=1, entries=[("a", 1.0), ("b", 1.0)])
-        for breakdown in rate_division(division, players, ELO2):
-            assert breakdown.delta_r > 0.0
+        assert (rate_division(division, players, ELO2).delta_r > 0.0).all()
 
     def test_duplicate_player_rejected(self):
         players = {"a": PlayerState(1200.0)}
@@ -306,7 +317,8 @@ class TestRateDivision:
         backward = DivisionResult(1, list(reversed(forward.entries)))
         out_f = rate_division(forward, players, ELO)
         out_b = rate_division(backward, players, ELO)
-        assert out_f == list(reversed(out_b))
+        for f in fields(out_f):
+            assert np.array_equal(getattr(out_f, f.name), getattr(out_b, f.name)[::-1])
 
 
 class TestRateRound:
@@ -416,9 +428,12 @@ class TestGetOrCreatePlayer:
                               DivisionResult(2, [("a", 5.0)])]),
         ]
         result = replay(rounds, ELO2)
-        assert sorted(calls) == sorted(obs.player_id for obs in result.observations)
+        assert sorted(calls) == sorted(player_id for record in result.divisions
+                                       for player_id in record.player_ids)
         assert len(calls) == 5
         # a player first seen in round two starts at that round's r1
-        newcomer = next(obs for obs in result.observations if obs.player_id == "c")
-        assert newcomer.nr == 1
-        assert newcomer.rating_before == ELO2.initial_rating + ELO2.inflation / 100.0
+        record = result.divisions[1]
+        assert record.player_ids == ("b", "c")
+        assert record.breakdown.nr.tolist() == [2, 1]
+        assert record.breakdown.rating_before[1] == \
+            ELO2.initial_rating + ELO2.inflation / 100.0

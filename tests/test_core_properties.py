@@ -1,7 +1,7 @@
 """Property-based tests for the rating kernel invariants."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -101,9 +101,10 @@ class TestSigmoidCapProperties:
         assert abs(capped - p) <= p * p / cap + 1e-12
         # the engine's cap, on the performances of a real division
         division, players = case
-        for b in rate_division(division, players, replace(ELO, perf_cap=cap)):
-            assert abs(b.adjusted_perf) < cap or b.perf == 0.0
-            assert abs(b.adjusted_perf - b.perf) <= b.perf * b.perf / cap + 1e-12
+        b = rate_division(division, players, replace(ELO, perf_cap=cap))
+        for perf, adjusted in zip(b.perf.tolist(), b.adjusted_perf.tolist()):
+            assert abs(adjusted) < cap or perf == 0.0
+            assert abs(adjusted - perf) <= perf * perf / cap + 1e-12
 
     def test_strictly_monotone_on_dense_grid(self):
         grid = [x / 50.0 for x in range(-1000, 1001)]
@@ -117,8 +118,8 @@ class TestSigmoidCapProperties:
         players = {f"p{i:03d}": PlayerState(float(ratings[i])) for i in range(n)}
         division = DivisionResult(1, [(f"p{i:03d}", float(s))
                                       for i, s in enumerate(rng.permutation(n))])
-        pairs = sorted((b.perf, b.adjusted_perf)
-                       for b in rate_division(division, players, ELO))
+        b = rate_division(division, players, ELO)
+        pairs = sorted(zip(b.perf.tolist(), b.adjusted_perf.tolist()))
         assert len({perf for perf, _ in pairs}) == n
         assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
         assert all(abs(adjusted) < 6.75 for _, adjusted in pairs)
@@ -130,18 +131,21 @@ class TestDivisionProperties:
     def test_sensitivity_within_bounds(self, case):
         division, players = case
         n = len(division.entries)
-        for breakdown in rate_division(division, players, ELO):
-            assert 1.0 / n - 1e-12 <= breakdown.sensitivity <= 1.0 + 1e-12
+        b = rate_division(division, players, ELO)
+        assert b.sensitivity.size == n
+        assert (1.0 / n - 1e-12 <= b.sensitivity).all()
+        assert (b.sensitivity <= 1.0 + 1e-12).all()
 
     @settings(deadline=None)
     @given(case=division_cases())
     def test_rank_fields_within_bounds(self, case):
         division, players = case
         n = len(division.entries)
-        for breakdown in rate_division(division, players, ELO):
-            assert 1.0 <= breakdown.actual_rank <= n
-            assert 1.0 - 1e-12 <= breakdown.expected_rank <= n + 1e-12
-            assert abs(breakdown.adjusted_perf) < ELO.perf_cap
+        b = rate_division(division, players, ELO)
+        assert ((1.0 <= b.actual_rank) & (b.actual_rank <= n)).all()
+        assert ((1.0 - 1e-12 <= b.expected_rank)
+                & (b.expected_rank <= n + 1e-12)).all()
+        assert (np.abs(b.adjusted_perf) < ELO.perf_cap).all()
 
     @settings(deadline=None)
     @given(n=st.integers(2, 12), data=st.data())
@@ -153,7 +157,7 @@ class TestDivisionProperties:
         players = {f"p{i}": PlayerState(ratings[i]) for i in range(n)}
         division = DivisionResult(
             division=1, entries=[(f"p{i}", scores[i]) for i in range(n)])
-        total = sum(b.perf for b in rate_division(division, players, ELO))
+        total = sum(rate_division(division, players, ELO).perf.tolist())
         assert total >= -1e-9
 
     def test_tie_splitting_admits_small_negative_sums(self):
@@ -165,12 +169,12 @@ class TestDivisionProperties:
                    "p4": PlayerState(0.0)}
         tied = DivisionResult(1, [("p0", 0.0), ("p1", 1.0), ("p2", 2.0),
                                   ("p3", 2.0), ("p4", 2.0)])
-        total = sum(b.perf for b in rate_division(tied, players, ELO))
+        total = sum(rate_division(tied, players, ELO).perf.tolist())
         assert total == pytest.approx(-1.159165525488e-4, abs=1e-12)
         # breaking the tie restores the inequality on the same inputs
         untied = DivisionResult(1, [("p0", 0.0), ("p1", 1.0), ("p2", 2.0),
                                     ("p3", 3.0), ("p4", 4.0)])
-        total = sum(b.perf for b in rate_division(untied, players, ELO))
+        total = sum(rate_division(untied, players, ELO).perf.tolist())
         assert total >= -1e-9
 
     @settings(deadline=None)
@@ -182,8 +186,8 @@ class TestDivisionProperties:
             division=1, entries=[division.entries[i] for i in perm])
         base = rate_division(division, players, ELO)
         out = rate_division(shuffled, players, ELO)
-        for pos, i in enumerate(perm):
-            assert out[pos] == base[i]
+        for f in fields(base):
+            assert np.array_equal(getattr(out, f.name), getattr(base, f.name)[perm])
 
     @settings(deadline=None)
     @given(n=st.integers(1, 20),
@@ -194,20 +198,15 @@ class TestDivisionProperties:
         players = {f"p{i}": PlayerState(ratings[i], i % 7) for i in range(n)}
         division = DivisionResult(
             division=1, entries=[(f"p{i}", score) for i in range(n)])
-        for breakdown in rate_division(division, players, ELO):
-            assert breakdown.perf == 0.0
-            assert breakdown.delta_r == 0.0
-            assert breakdown.actual_rank == breakdown.expected_rank
+        b = rate_division(division, players, ELO)
+        assert b.perf.tolist() == [0.0] * n
+        assert b.delta_r.tolist() == [0.0] * n
+        assert np.array_equal(b.actual_rank, b.expected_rank)
 
     @settings(deadline=None)
     @given(case=division_cases(tie_heavy=False))
     def test_deltas_sorted_against_expectation_gap(self, case):
         # a strictly positive perf never yields a negative delta and vice versa
         division, players = case
-        for breakdown in rate_division(division, players, ELO):
-            if breakdown.perf > 0:
-                assert breakdown.delta_r > 0
-            elif breakdown.perf < 0:
-                assert breakdown.delta_r < 0
-            else:
-                assert breakdown.delta_r == 0.0
+        b = rate_division(division, players, ELO)
+        assert np.array_equal(np.sign(b.delta_r), np.sign(b.perf))

@@ -14,14 +14,17 @@ from rankelo import (
     RoundInput,
     RoundMetrics,
     SIZE_BUCKETS,
+    SimConfig,
     aggregate_error,
     compare_systems,
     division_metrics,
     evaluate_replay,
     evaluate_timeline,
+    generate_history,
     kendall_tau,
     rating_stats,
     replay,
+    save_snapshot,
     spearman_rho,
 )
 import rankelo.rating
@@ -29,6 +32,7 @@ from rankelo.metrics import BucketRow, BucketedReport
 from oracles import oracle_kendall_tau, oracle_relative_performance, oracle_spearman_rho
 
 ELO = PROFILES["elo"]
+ELO2 = PROFILES["elo2"]
 
 
 def small_history(n_rounds=8, n_players=12, seed=3):
@@ -184,11 +188,13 @@ class TestEvaluateReplayAndTimeline:
                                             rng.permutation(len(d.entries))])
                 for d in r.divisions]) for r in rounds])
         for history in histories:
-            result = replay(history, ELO, keep_divisions=True)
+            result = replay(history, ELO)
             via_replay = evaluate_replay(result)
 
-            timeline = {(obs.round_id, obs.player_id): obs.rating_before
-                        for obs in result.observations}
+            timeline = {(record.round_id, player_id): rating
+                        for record in result.divisions
+                        for player_id, rating in zip(
+                            record.player_ids, record.breakdown.rating_before.tolist())}
             via_timeline = evaluate_timeline(history, timeline)
 
             assert len(via_replay) == len(via_timeline) == 16
@@ -200,7 +206,7 @@ class TestEvaluateReplayAndTimeline:
                 assert a.spearman == b.spearman
 
     def test_replay_metrics_reuse_the_engine_errors(self, monkeypatch):
-        result = replay(small_history(), ELO, keep_divisions=True)
+        result = replay(small_history(), ELO)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("evaluate_replay ran a second rank pass")
@@ -214,7 +220,7 @@ class TestEvaluateReplayAndTimeline:
             assert m.mean_error == division.error_sum / m.n
 
     def test_replay_without_divisions_rejected(self):
-        result = replay(small_history(), ELO)
+        result = replay(small_history(), ELO, keep_observations=False)
         with pytest.raises(InputError):
             evaluate_replay(result)
 
@@ -236,7 +242,7 @@ class TestAggregateError:
 
     def test_single_observation(self):
         rounds = [RoundInput("r1", [DivisionResult(1, [("a", 1.0)])])]
-        report = aggregate_error(replay(rounds, ELO).observations)
+        report = aggregate_error(replay(rounds, ELO).divisions)
         assert report.row("All").count == 1
         assert report.row("All").mean_error == 0.0
         assert report.row("First round").count == 1
@@ -250,7 +256,7 @@ class TestAggregateError:
         for t in range(30):
             rounds.append(RoundInput(f"r{t:03d}", [DivisionResult(
                 1, [("old", float(t % 3)), ("older", float((t + 1) % 3))])]))
-        report = aggregate_error(replay(rounds, ELO).observations)
+        report = aggregate_error(replay(rounds, ELO).divisions)
         # rounds 1..30 for each player: 1 first, 6 in 2-7, 17 in 8-24, 6 in 25-74
         assert report.row("First round").count == 2
         assert report.row("2-7 rounds").count == 12
@@ -261,7 +267,7 @@ class TestAggregateError:
 
     def test_experience_buckets_partition_the_all_row(self):
         result = replay(small_history(n_rounds=12), ELO)
-        report = aggregate_error(result.observations)
+        report = aggregate_error(result.divisions)
         total = sum(report.row(label).count
                     for label, _, _ in EXPERIENCE_BUCKETS
                     if any(r.label == label for r in report.rows))
@@ -269,7 +275,7 @@ class TestAggregateError:
 
     def test_division_rows_cover_existing_players_only(self):
         result = replay(small_history(n_rounds=10), ELO)
-        report = aggregate_error(result.observations)
+        report = aggregate_error(result.divisions)
         existing = report.row("Existing").count
         by_division = sum(r.count for r in report.rows
                           if r.label.startswith("Division "))
@@ -286,16 +292,51 @@ class TestAggregateError:
             RoundInput("r1", [DivisionResult(1, [("a", 3.0), ("b", 2.0), ("c", 1.0)])]),
             RoundInput("r2", [DivisionResult(1, [("a", 3.0), ("b", 2.0), ("c", 1.0)])]),
         ]
-        report = aggregate_error(replay(rounds, ELO).observations)
+        report = aggregate_error(replay(rounds, ELO).divisions)
         assert report.row("D1 H1").count == 1  # only the round-2 winner
         assert report.row("D1 H2").count == 2
 
+    def test_every_bucket_sums_in_replay_order(self):
+        # overlapping custom buckets: an entry lands in the first that matches
+        buckets = (("Early", 1, 3), ("Overlap", 2, 5), ("Late", 4, None))
+        result = replay(small_history(n_rounds=10), ELO2)
+        report = aggregate_error(result.divisions, experience_buckets=buckets)
+
+        sums: dict[str, list] = {}
+
+        def add(label, delta, perf):
+            acc = sums.setdefault(label, [0, 0.0, 0.0, 0.0])
+            acc[0] += 1
+            acc[1] += delta
+            acc[2] += perf
+            acc[3] += abs(perf)
+
+        for record in result.divisions:
+            b = record.breakdown
+            n = len(record.player_ids)
+            for nr, delta, perf, actual in zip(b.nr.tolist(), b.delta_r.tolist(),
+                                               b.perf.tolist(), b.actual_rank.tolist()):
+                add("All", delta, perf)
+                label = next(label for label, lo, hi in buckets
+                             if nr >= lo and (hi is None or nr <= hi))
+                add(label, delta, perf)
+                if nr < 2:
+                    continue
+                add("Existing", delta, perf)
+                add(f"Division {record.division}", delta, perf)
+                add(f"D{record.division} H{1 if actual <= n / 2 else 2}", delta, perf)
+        assert sorted(report.labels()) == sorted(sums)
+        for label, (count, delta, perf, error) in sums.items():
+            row = report.row(label)
+            assert (row.count, row.mean_delta_r, row.mean_perf, row.mean_error) == \
+                (count, delta / count, perf / count, error / count)
+
     def test_merge_is_count_weighted(self):
         result = replay(small_history(n_rounds=10), ELO)
-        observations = result.observations
-        even = [o for o in observations if o.round_index % 2 == 0]
-        odd = [o for o in observations if o.round_index % 2 == 1]
-        whole = aggregate_error(observations)
+        records = result.divisions
+        even = [r for r in records if r.round_index % 2 == 0]
+        odd = [r for r in records if r.round_index % 2 == 1]
+        whole = aggregate_error(records)
         part_a = aggregate_error(even)
         part_b = aggregate_error(odd)
         for label in whole.labels():
@@ -308,6 +349,25 @@ class TestAggregateError:
             assert sum(counts) == whole.row(label).count
             assert sum(sums) / sum(counts) == pytest.approx(
                 whole.row(label).mean_error, abs=1e-12)
+
+
+class TestReplayRetention:
+    def test_keep_observations_only_decides_retention(self, tmp_path):
+        rounds = generate_history(SimConfig(
+            players=80, rounds=25, participation=0.6, div1_fraction=0.3,
+            tie_step=50.0, arrival_rate=2.0, seed=8)).rounds
+        kept = replay(rounds, ELO2)
+        lean = replay(rounds, ELO2, keep_observations=False)
+        for name, result in (("kept", kept), ("lean", lean)):
+            save_snapshot(result.state, tmp_path / f"{name}.snap")
+        assert (tmp_path / "kept.snap").read_bytes() == \
+            (tmp_path / "lean.snap").read_bytes()
+        assert kept.state == lean.state
+        for name in ("mean_error", "delta_mean", "delta_std", "delta_max",
+                     "round_errors", "count"):
+            assert getattr(kept, name) == getattr(lean, name), name
+        assert lean.divisions == []
+        assert sum(len(r.player_ids) for r in kept.divisions) == kept.count > 0
 
 
 def metrics_row(round_id, division, n, err, tau, rho):
@@ -383,7 +443,7 @@ class TestRatingStats:
         rounds = [RoundInput("r1", [DivisionResult(1, [("a", 2.0), ("b", 1.0)])])]
         result = replay(rounds, ELO)
         stats = rating_stats(result)
-        deltas = [obs.breakdown.delta_r for obs in result.observations]
+        deltas = result.divisions[0].breakdown.delta_r.tolist()
         assert stats.count == 2
         assert stats.delta_mean == pytest.approx(sum(deltas) / 2.0, abs=1e-12)
         assert stats.delta_max == pytest.approx(max(deltas), abs=1e-12)
@@ -406,8 +466,10 @@ class TestRatingStats:
     def test_matches_one_pass_oracle_recomputation(self):
         result = replay(small_history(n_rounds=10), ELO)
         stats = rating_stats(result)
-        deltas = [obs.breakdown.delta_r for obs in result.observations]
-        errors = [abs(obs.breakdown.perf) for obs in result.observations]
+        deltas = [delta for record in result.divisions
+                  for delta in record.breakdown.delta_r.tolist()]
+        errors = [abs(perf) for record in result.divisions
+                  for perf in record.breakdown.perf.tolist()]
         mean = sum(deltas) / len(deltas)
         sigma = math.sqrt(sum((d - mean) ** 2 for d in deltas) / len(deltas))
         assert stats.mean_error == pytest.approx(

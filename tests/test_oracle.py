@@ -44,10 +44,9 @@ def assert_matches_oracle(scores, ratings, rounds_played, params, tol=1e-9):
     want = oracle_rate_division([float(s) for s in scores],
                                 [float(r) for r in ratings],
                                 [int(x) for x in rounds_played], params)
-    for breakdown, expected in zip(got, want):
-        for name in BREAKDOWN_FIELDS:
-            assert getattr(breakdown, name) == pytest.approx(
-                expected[name], abs=tol), name
+    for name in BREAKDOWN_FIELDS:
+        assert getattr(got, name).tolist() == pytest.approx(
+            [expected[name] for expected in want], abs=tol), name
 
 
 def test_win_probability_matches_oracle():

@@ -217,6 +217,21 @@ class TestCalibrationCheck:
         assert report.flagged
         assert report.max_abs_deviation > 0.1
 
+    def test_flags_are_bools(self):
+        result = generate_history(SimConfig(
+            players=40, rounds=20, noise_std=200.0, seed=17))
+        timeline = skill_timeline(result)
+        inverted = {key: 3000.0 - rating for key, rating in timeline.items()}
+        for ratings in (timeline, inverted):
+            report = calibration_check(result.rounds, ratings)
+            assert type(report.flagged) is bool
+            assert type(report.max_abs_deviation) is float
+            for b in report.bins:
+                assert type(b.flagged) is bool
+                if b.count:
+                    assert type(b.deviation) is float
+        assert report.flagged
+
     def test_empty_history(self):
         report = calibration_check([], {})
         assert report.pairs == 0

@@ -37,6 +37,18 @@ class TestParseRounds:
     def test_empty_file(self):
         assert rounds_csv("") == []
 
+    def test_bytes_not_utf8(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"round_id,division,player_id,score\nr1,1,\xff\xfe,10\n")
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            parse_rounds(path)
+
+    def test_surrogate_escaped_id(self):
+        with pytest.raises(ParseError, match="not valid UTF-8") as exc:
+            rounds_csv("round_id,division,player_id,score\n"
+                       "r1,1,a,10\nr1,1,b\udcff,5\n")
+        assert exc.value.line == 3
+
     def test_header_only(self):
         assert rounds_csv("round_id,division,player_id,score\n") == []
 
@@ -178,6 +190,18 @@ class TestParseTimeline:
 
     def test_empty(self):
         assert parse_timeline(io.StringIO("")) == {}
+
+    def test_bytes_not_utf8(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"round_id,player_id,rating_before\nr1,a\xff,1200\n")
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            parse_timeline(path)
+
+    def test_surrogate_escaped_round_id(self):
+        with pytest.raises(ParseError, match="not valid UTF-8") as exc:
+            parse_timeline(io.StringIO(
+                "round_id,player_id,rating_before\nr\udcff,a,1200\n"))
+        assert exc.value.line == 2
 
     def test_duplicate_entry(self):
         with pytest.raises(ParseError, match="duplicate rating"):
@@ -323,6 +347,15 @@ class TestSnapshots:
         save_snapshot(EngineState(players={"pa": PlayerState(1300.0, 2)}), path)
         resign(path, struct.pack("<d", 1300.0), struct.pack("<d", bad))
         with pytest.raises(SnapshotError, match="non-finite rating for player 'pa'"):
+            load_snapshot(path)
+
+    def test_round_count_above_2_53(self, tmp_path):
+        path = tmp_path / "k.snap"
+        save_snapshot(EngineState(players={"pa": PlayerState(1300.0, 2 ** 53)}), path)
+        assert load_snapshot(path).players["pa"].num_rounds == 2 ** 53
+        save_snapshot(EngineState(players={"pa": PlayerState(1300.0, 2 ** 53 + 1)}),
+                      path)
+        with pytest.raises(SnapshotError, match="round count 9007199254740993"):
             load_snapshot(path)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
