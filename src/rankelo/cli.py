@@ -53,8 +53,8 @@ def _float_list(text: str, flag: str) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(int(steps) + 1))
 
 
-def _resolve_params(profile: str, overrides: list[str] | None) -> RatingParams:
-    params = PROFILES.get(profile, RatingParams())
+def _resolve_params(profile: str | None, overrides: list[str] | None) -> RatingParams:
+    params = PROFILES.get(profile or "elo", RatingParams())
     if not overrides:
         return params
     values = {}
@@ -77,6 +77,17 @@ def _resolve_params(profile: str, overrides: list[str] | None) -> RatingParams:
 def _dest(path: str | None):
     """Where an ``--output``-style flag writes: ``path``, or stdout for None/'-'."""
     return sys.stdout if path in (None, "-") else path
+
+
+def _refuse_with_timeline(timeline: str | None, timeline_flag: str,
+                          given: dict) -> None:
+    """Reject rating flags given with a timeline, which supplies the ratings."""
+    if timeline is None:
+        return
+    for flag, value in given.items():
+        if value is not None:
+            raise InputError(f"{flag} has no effect with {timeline_flag}: "
+                             f"the timeline supplies the ratings")
 
 
 def _read_rounds(path: str | None):
@@ -144,6 +155,9 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _refuse_with_timeline(args.timeline, "--timeline",
+                          {"--profile": args.profile, "--param": args.param,
+                           "--snapshot-in": args.snapshot_in})
     rounds = _read_rounds(args.input)
     if args.timeline is not None:
         if args.report != "rounds":
@@ -190,6 +204,9 @@ def _emit_round_metrics(args, rows_in) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _refuse_with_timeline(args.vs_timeline, "--vs-timeline",
+                          {"--vs-profile": args.vs_profile,
+                           "--vs-param": args.vs_param})
     rounds = _read_rounds(args.input)
     params_a = _resolve_params(args.profile, args.param)
     result_a = replay(rounds, params_a)
@@ -263,9 +280,8 @@ def _cmd_export(args) -> int:
 def _add_profile_flags(parser, prefix: str = "") -> None:
     flag = f"--{prefix}profile" if prefix else "--profile"
     parser.add_argument(flag, choices=("elo", "elo2", "custom"),
-                        default="elo",
-                        help="parameter profile (custom = defaults plus "
-                             "overrides)")
+                        help="parameter profile (default elo; custom = "
+                             "defaults plus overrides)")
     parser.add_argument(f"--{prefix}param" if prefix else "--param",
                         action="append", metavar="KEY=VALUE",
                         help="override one rating parameter")

@@ -5,6 +5,14 @@ The primary accuracy metric is the mean absolute log-rank error
 every rated round.  Rank correlations are the tie-corrected Kendall tau-b
 and the mid-rank (average-rank) Spearman rho; scores tie often enough in
 contest data that the untied variants degenerate.
+
+Both correlations are plain numpy.  Tau-b counts tied and discordant
+pairs exactly, as integers, in O(n log n): a sort for the ties and a
+bottom-up merge count for the discordant pairs (Knight 1966), then takes
+``(tot - xtie - ytie + ntie - 2 dis) / sqrt(tot - xtie) / sqrt(tot - ytie)``.
+Rho is ``np.corrcoef`` of the two mid-rank columns.  These are the steps
+and final expressions of ``scipy.stats.kendalltau`` and ``spearmanr``,
+so the results carry the same bits.
 """
 
 from __future__ import annotations
@@ -42,8 +50,58 @@ SIZE_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
 )
 
 
-def _degenerate(values: np.ndarray) -> bool:
-    return values.size < 2 or bool((values == values[0]).all())
+def _aligned(predicted: Sequence[float],
+             actual: Sequence[float]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Both orderings as float64 arrays, or None when no correlation is
+    defined: fewer than two players, a NaN, or one side entirely tied."""
+    x = np.asarray(predicted, dtype=np.float64)
+    y = np.asarray(actual, dtype=np.float64)
+    if x.shape != y.shape:
+        raise InputError("rankings must be the same length")
+    for values in (x, y):
+        # min and max are both NaN when any value is
+        if values.size < 2 or not values.min() < values.max():
+            return None
+    return x, y
+
+
+def _run_lengths(steps: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal sorted values; ``steps[i]`` marks a new
+    value between sorted positions ``i`` and ``i + 1``."""
+    return np.diff(np.flatnonzero(np.concatenate(([True], steps, [True]))))
+
+
+def _tied_pairs(steps: np.ndarray) -> int:
+    counts = _run_lengths(steps)
+    return int(counts @ (counts - 1)) // 2
+
+
+def _discordant_pairs(ranks: np.ndarray) -> int:
+    """Pairs ``i < j`` with ``ranks[i] > ranks[j]``, counted exactly.
+
+    Bottom-up merge sort (Knight 1966): padded to a power of two with a
+    value above every rank, each level holds sorted runs of ``width``
+    entries, and one ``searchsorted`` of every right run into its left
+    partner counts the left entries greater than each right entry.  Keys
+    are offset by pair so that all left runs form one sorted array.
+    """
+    span = int(ranks.max()) + 2
+    size = 1 << (ranks.size - 1).bit_length()
+    runs = np.full(size, span - 1, dtype=np.int64)
+    runs[:ranks.size] = ranks
+    offsets = np.arange(0, size // 2 * span, span)[:, None, None]
+    discordant = 0
+    width = 1
+    while width < size:
+        pairs = size // (2 * width)
+        keyed = runs.reshape(pairs, 2, width) + offsets[:pairs]
+        # A right entry of pair p lands after p * width + (left entries <= it)
+        # left keys; (p + 1) * width minus that is its count of greater ones.
+        landed = np.searchsorted(keyed[:, 0].ravel(), keyed[:, 1], side="right")
+        discordant += width * width * pairs * (pairs + 1) // 2 - int(landed.sum())
+        runs = np.sort(runs.reshape(pairs, 2 * width), axis=1)
+        width *= 2
+    return discordant
 
 
 def kendall_tau(predicted: Sequence[float], actual: Sequence[float]) -> float | None:
@@ -51,30 +109,51 @@ def kendall_tau(predicted: Sequence[float], actual: Sequence[float]) -> float | 
 
     Both arguments are aligned per-player values where higher means
     better (pre-round ratings against scores, typically).  Returns None
-    when undefined: fewer than two players, or one side entirely tied.
+    when undefined: fewer than two players, a NaN, or one side entirely
+    tied.
     """
-    x = np.asarray(predicted, dtype=np.float64)
-    y = np.asarray(actual, dtype=np.float64)
-    if x.shape != y.shape:
-        raise InputError("rankings must be the same length")
-    if _degenerate(x) or _degenerate(y):
+    aligned = _aligned(predicted, actual)
+    if aligned is None:
         return None
-    from scipy import stats   # deferred: importing scipy dominates CLI start-up
-    tau = stats.kendalltau(x, y, variant="b").statistic
-    return None if math.isnan(tau) else float(tau)
+    x, y = aligned
+    # Dense-rank y, then stable-sort by x: tied (x, y) pairs end up adjacent.
+    order = np.argsort(y, kind="stable")
+    x, y = x[order], y[order]
+    y_steps = y[1:] != y[:-1]
+    y_ranks = np.concatenate(([0], np.cumsum(y_steps)))
+    order = np.argsort(x, kind="stable")
+    x, y_ranks = x[order], y_ranks[order]
+    x_steps = x[1:] != x[:-1]
+    joint_steps = x_steps | (y_ranks[1:] != y_ranks[:-1])
+
+    tot = x.size * (x.size - 1) // 2
+    x_ties = _tied_pairs(x_steps)
+    y_ties = _tied_pairs(y_steps)
+    both_ties = _tied_pairs(joint_steps)
+    con_minus_dis = (tot - x_ties - y_ties + both_ties
+                     - 2 * _discordant_pairs(y_ranks))
+    tau = con_minus_dis / math.sqrt(tot - x_ties) / math.sqrt(tot - y_ties)
+    return min(1.0, max(-1.0, tau))
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing the mean of their positions."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    counts = _run_lengths(ordered[1:] != ordered[:-1])
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(np.cumsum(counts) - (counts - 1) / 2, counts)
+    return ranks
 
 
 def spearman_rho(predicted: Sequence[float], actual: Sequence[float]) -> float | None:
     """Spearman rho with average ranks for ties; None when undefined."""
-    x = np.asarray(predicted, dtype=np.float64)
-    y = np.asarray(actual, dtype=np.float64)
-    if x.shape != y.shape:
-        raise InputError("rankings must be the same length")
-    if _degenerate(x) or _degenerate(y):
+    aligned = _aligned(predicted, actual)
+    if aligned is None:
         return None
-    from scipy import stats
-    rho = stats.spearmanr(x, y).statistic
-    return None if math.isnan(rho) else float(rho)
+    x, y = aligned
+    ranks = np.column_stack((_midranks(x), _midranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import csv
+import re
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,6 +20,8 @@ from .store import open_text
 
 _LOG_COLUMNS = tuple(f.name for f in fields(PerformanceBreakdown))
 REPLAY_LOG_HEADER = ("round_id", "division", "player_id", "n") + _LOG_COLUMNS
+# Characters that make a CSV cell need quotes.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -113,14 +116,29 @@ def replay(rounds: Iterable[RoundInput], params: RatingParams,
     return result
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell under ``csv.QUOTE_MINIMAL`` rules.
+
+    A carriage return is quoted as well, as Python 3.13's ``csv`` does:
+    older versions leave it bare, and ``csv.reader`` then splits the row.
+    """
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def write_replay_log(divisions: Sequence[DivisionReplay], dest) -> None:
     """Persist every entry of every record as CSV; floats use shortest round-trip repr."""
     with open_text(dest, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(REPLAY_LOG_HEADER)
+        stream.write(",".join(REPLAY_LOG_HEADER) + "\n")
         for record in divisions:
-            n = len(record.player_ids)
+            ids = record.player_ids
+            if not ids:
+                continue
+            if _NEEDS_QUOTES.search("".join(ids)) is not None:
+                ids = map(_csv_cell, ids)
             columns = [map(repr, getattr(record.breakdown, name).tolist())
                        for name in _LOG_COLUMNS]
-            writer.writerows((record.round_id, record.division, player_id, n, *cells)
-                             for player_id, *cells in zip(record.player_ids, *columns))
+            rows = zip(repeat(_csv_cell(record.round_id)), repeat(str(record.division)),
+                       ids, repeat(str(len(record.player_ids))), *columns)
+            stream.write("\n".join(map(",".join, rows)) + "\n")

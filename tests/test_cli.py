@@ -3,11 +3,16 @@
 import csv
 import hashlib
 import io
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import rankelo
 from rankelo import (
     EngineState,
     InputError,
@@ -38,6 +43,16 @@ def read_csv_rows(path):
 def read_replay_log(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def write_quoted_history(path, round_ids, player_ids):
+    """A rounds file with every cell quoted, so any character survives."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(("round_id", "division", "player_id", "score"))
+        for k, round_id in enumerate(round_ids):
+            for i, player_id in enumerate(player_ids):
+                writer.writerow((round_id, 1, player_id, (3 * i + k) % 4))
 
 
 class TestExitCodes:
@@ -183,6 +198,41 @@ class TestRate:
         assert rows[0]["round_id"] == "r0000"
         assert float(rows[0]["rating_before"]) == 1200.0
 
+    def test_replay_log_quotes_ids_like_csv_writer(self, tmp_path, capsys):
+        round_ids = ["r,1", 'r"2"', "r\n3"]
+        player_ids = ["a,b", 'say "hi"', "two\nlines", "ütf-8 名前", "plain"]
+        history = tmp_path / "odd.csv"
+        write_quoted_history(history, round_ids, player_ids)
+        log = tmp_path / "log.csv"
+        assert run(["rate", "--input", str(history), "--output", str(log)]) == 0
+        capsys.readouterr()
+        with open(log, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [tuple(row[:3]) for row in rows[1:]] == [
+            (r, "1", p) for r in round_ids for p in player_ids]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert log.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_replay_log_quotes_carriage_returns(self, tmp_path, capsys):
+        # csv.writer before Python 3.13 leaves a bare \r, which csv.reader
+        # then takes for the end of the row
+        round_ids = ["r\r1"]
+        player_ids = ["cr\rid", "crlf\r\nid", "plain"]
+        history = tmp_path / "cr.csv"
+        write_quoted_history(history, round_ids, player_ids)
+        log = tmp_path / "log.csv"
+        assert run(["rate", "--input", str(history), "--output", str(log)]) == 0
+        capsys.readouterr()
+        with open(log, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [tuple(row[:3]) for row in rows[1:]] == [
+            ("r\r1", "1", p) for p in player_ids]
+        assert all(len(row) == len(REPLAY_LOG_HEADER) for row in rows)
+        assert log.read_bytes().startswith(
+            b",".join(name.encode() for name in REPLAY_LOG_HEADER)
+            + b'\n"r\r1",1,"cr\rid",3,')
+
     def test_split_rate_matches_full_rate(self, history_file, tmp_path, capsys):
         full_snap = tmp_path / "full.snap"
         assert run(["rate", "--input", str(history_file), "--profile", "elo2",
@@ -288,6 +338,23 @@ class TestEval:
         _, rows = read_csv_rows(out)
         assert rows[0][4] == "1.0"     # favorite won
 
+    @pytest.mark.parametrize("flags", [
+        ["--snapshot-in", "no-such-file.snap"],
+        ["--param", "k_factor=10"],
+        ["--profile", "elo2"],
+    ], ids=["snapshot_in", "param", "profile"])
+    def test_timeline_refuses_rating_flags(self, tmp_path, capsys, flags):
+        rounds = tmp_path / "r.csv"
+        rounds.write_text("round_id,division,player_id,score\n"
+                          "r1,1,a,10\nr1,1,b,20\n")
+        timeline = tmp_path / "t.csv"
+        timeline.write_text("round_id,player_id,rating_before\n"
+                            "r1,a,1400\nr1,b,1300\n")
+        assert run(["eval", "--input", str(rounds), "--timeline", str(timeline),
+                    "--report", "rounds", *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"{flags[0]} has no effect with --timeline" in err
+
     def test_timeline_rejects_bucket_report(self, tmp_path, capsys):
         rounds = tmp_path / "r.csv"
         rounds.write_text("round_id,division,player_id,score\nr1,1,a,10\n")
@@ -342,6 +409,20 @@ class TestCompare:
         assert lines[0].split() == ["bucket", "rounds", "kendall_win",
                                     "spearman_win", "error_win"]
         assert lines[2].startswith("All") and lines[2].endswith("50.0%")
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--vs-param", "bonus=27"],
+        ["--vs-profile", "elo2"],
+    ], ids=["vs_param", "vs_profile"])
+    def test_timeline_refuses_rating_flags(self, history_file, tmp_path,
+                                           capsys, flags):
+        timeline = tmp_path / "t.csv"
+        timeline.write_text("round_id,player_id,rating_before\n")
+        assert run(["compare", "--input", str(history_file),
+                    "--vs-timeline", str(timeline), *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"{flags[0]} has no effect with --vs-timeline" in err
 
 
 class TestSweep:
@@ -442,3 +523,25 @@ class TestSimulateAndExport:
     def test_simulate_rejects_bad_config(self, capsys):
         assert run(["simulate", "--players", "-3", "--rounds", "1"]) == 1
         assert "players" in capsys.readouterr().err
+
+
+def test_evaluation_does_not_import_scipy(history_file, tmp_path):
+    """eval and compare run on numpy alone; a fresh interpreter proves that
+    no deferred import brings scipy back."""
+    out = tmp_path / "out.csv"
+    code = "\n".join([
+        "import sys",
+        "from rankelo.cli import run",
+        f"assert run(['eval', '--input', {str(history_file)!r}, "
+        f"'--report', 'rounds', '--output', {str(out)!r}]) == 0",
+        f"assert run(['compare', '--input', {str(history_file)!r}, "
+        f"'--output', {str(out)!r}]) == 0",
+        "print('scipy' in sys.modules)",
+    ])
+    src = str(Path(rankelo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

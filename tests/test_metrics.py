@@ -151,6 +151,37 @@ class TestSpearmanRho:
                 assert got == pytest.approx(want, abs=1e-12)
 
 
+# Sizes around the merge count's power-of-two levels, up to a real division.
+MERGE_SIZES = (2, 3, 63, 64, 65, 255, 256, 257, 700)
+
+
+def division_like(n, tied, seed):
+    """Ratings and scores of one division: scores on a 25-point grid
+    (tie-heavy) or distinct (tie-free)."""
+    rng = np.random.default_rng(seed)
+    ratings = rng.normal(1500.0, 300.0, n)
+    if tied:
+        scores = 25.0 * np.round(rng.normal(ratings / 25.0, 8.0))
+        ratings = np.round(ratings / 50.0) * 50.0
+    else:
+        scores = rng.permutation(n).astype(float)
+    return ratings.tolist(), scores.tolist()
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["tie_heavy", "tie_free"])
+@pytest.mark.parametrize("n", MERGE_SIZES)
+def test_correlations_match_oracles_across_merge_levels(n, tied):
+    x, y = division_like(n, tied, seed=n)
+    for impl, oracle in ((kendall_tau, oracle_kendall_tau),
+                         (spearman_rho, oracle_spearman_rho)):
+        want = oracle(x, y)
+        got = impl(x, y)
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, abs=1e-12)
+
+
 class TestDivisionMetrics:
     def test_perfectly_predicted_division(self):
         # equal ratings and tied scores: expected rank == actual rank == 2

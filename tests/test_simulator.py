@@ -2,9 +2,9 @@
 
 import io
 import math
+from statistics import NormalDist
 
 import pytest
-from scipy.stats import norm
 
 from rankelo import (
     InputError,
@@ -165,7 +165,7 @@ class TestMonteCarloCalibration:
         delta = skill_a - skill_b
         _, _, mu, _ = division_ranks([1.0, 0.0], [skill_a, skill_b])
         predicted = mu[1] - 1.0     # the engine's P(a beats b)
-        noise = delta / (math.sqrt(2.0) * norm.ppf(predicted))
+        noise = delta / (math.sqrt(2.0) * NormalDist().inv_cdf(predicted))
 
         result = generate_history(SimConfig(
             players=2, rounds=100_000, noise_std=noise, seed=23))
