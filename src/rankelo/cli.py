@@ -10,7 +10,6 @@ bytes, so ``--format csv`` doubles as the plotting data contract.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields, replace
 from typing import IO, Callable, Sequence
@@ -106,15 +105,6 @@ def _cell(value, decimals: int | None = None, percent: bool = False) -> str:
     return str(value)
 
 
-def _write_csv(fh: IO[str], header: Sequence[str], rows) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else
-                         (repr(v) if isinstance(v, float) else v)
-                         for v in row])
-
-
 def _write_table(fh: IO[str], header: Sequence[str],
                  rows: Sequence[Sequence[str]]) -> None:
     table = [list(header)] + [list(row) for row in rows]
@@ -132,7 +122,7 @@ def _emit(args, header: Sequence[str], rows,
           table_row: Callable[[Sequence], Sequence[str]]) -> None:
     with store.open_text(_dest(args.output), "w") as fh:
         if args.format == "csv":
-            _write_csv(fh, header, rows)
+            store.write_csv(fh, header, rows)
         else:
             _write_table(fh, header, [table_row(r) for r in rows])
 
@@ -266,8 +256,8 @@ def _cmd_simulate(args) -> int:
     store.write_rounds(result.rounds, _dest(args.output))
     if args.skills_out:
         with store.open_text(_dest(args.skills_out), "w") as fh:
-            _write_csv(fh, ("player_id", "skill"),
-                       sorted(result.skills.items()))
+            store.write_csv(fh, ("player_id", "skill"),
+                            sorted(result.skills.items()))
     return 0
 
 

@@ -27,6 +27,7 @@ from .errors import InputError
 # division_ranks is not called here; bench/test_bench.py traces this binding.
 from .rating import RoundInput, canonical_ranks, division_ranks  # noqa: F401
 from .replay import DivisionReplay, ReplayResult
+from .store import timeline_ratings
 
 # Experience rows: (label, lowest round number, highest round number).
 EXPERIENCE_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
@@ -226,14 +227,7 @@ def evaluate_timeline(rounds: Iterable[RoundInput],
             if not division.entries:
                 continue
             ids, scores = zip(*division.entries)
-            ratings = []
-            for player_id in ids:
-                key = (round_input.round_id, player_id)
-                if key not in timeline:
-                    raise InputError(
-                        f"timeline has no rating for player {player_id!r} "
-                        f"in round {round_input.round_id!r}")
-                ratings.append(timeline[key])
+            ratings = timeline_ratings(timeline, round_input.round_id, ids)
             out.append(division_metrics(round_input.round_id, division.division,
                                         scores, ratings, player_ids=ids))
     return out

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -16,12 +15,10 @@ from .rating import (
     RoundInput,
     rate_round,
 )
-from .store import open_text
+from .store import csv_cell, open_text
 
 _LOG_COLUMNS = tuple(f.name for f in fields(PerformanceBreakdown))
 REPLAY_LOG_HEADER = ("round_id", "division", "player_id", "n") + _LOG_COLUMNS
-# Characters that make a CSV cell need quotes.
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -116,17 +113,6 @@ def replay(rounds: Iterable[RoundInput], params: RatingParams,
     return result
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as one CSV cell under ``csv.QUOTE_MINIMAL`` rules.
-
-    A carriage return is quoted as well, as Python 3.13's ``csv`` does:
-    older versions leave it bare, and ``csv.reader`` then splits the row.
-    """
-    if _NEEDS_QUOTES.search(text) is None:
-        return text
-    return '"' + text.replace('"', '""') + '"'
-
-
 def write_replay_log(divisions: Sequence[DivisionReplay], dest) -> None:
     """Persist every entry of every record as CSV; floats use shortest round-trip repr."""
     with open_text(dest, "w") as stream:
@@ -135,10 +121,11 @@ def write_replay_log(divisions: Sequence[DivisionReplay], dest) -> None:
             ids = record.player_ids
             if not ids:
                 continue
-            if _NEEDS_QUOTES.search("".join(ids)) is not None:
-                ids = map(_csv_cell, ids)
+            joined = "".join(ids)
+            if csv_cell(joined) != joined:   # some id needs quotes
+                ids = map(csv_cell, ids)
             columns = [map(repr, getattr(record.breakdown, name).tolist())
                        for name in _LOG_COLUMNS]
-            rows = zip(repeat(_csv_cell(record.round_id)), repeat(str(record.division)),
+            rows = zip(repeat(csv_cell(record.round_id)), repeat(str(record.division)),
                        ids, repeat(str(len(record.player_ids))), *columns)
             stream.write("\n".join(map(",".join, rows)) + "\n")

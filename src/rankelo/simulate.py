@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .rating import DivisionResult, RoundInput, _win_matrix
+from .store import timeline_ratings
 
 
 @dataclass(frozen=True)
@@ -154,16 +155,9 @@ def calibration_check(rounds: Iterable[RoundInput],
             n = len(division.entries)
             if n < 2:
                 continue
-            ratings = np.empty(n)
-            scores = np.empty(n)
-            for k, (player_id, score) in enumerate(division.entries):
-                key = (round_input.round_id, player_id)
-                if key not in timeline:
-                    raise InputError(
-                        f"timeline has no rating for player {player_id!r} "
-                        f"in round {round_input.round_id!r}")
-                ratings[k] = timeline[key]
-                scores[k] = score
+            ids, scores = zip(*division.entries)
+            ratings = np.array(timeline_ratings(timeline, round_input.round_id, ids), float)
+            scores = np.array(scores, float)
             predicted = _win_matrix(ratings, ratings).T   # [i, j] = P(i beats j)
             outcome = np.where(scores[:, None] > scores[None, :], 1.0,
                                np.where(scores[:, None] == scores[None, :],

@@ -1,4 +1,5 @@
-"""Round-file parsing, rating timelines, and engine snapshots.
+"""Round-file parsing, rating timelines, engine snapshots, and the one CSV
+dialect: every CSV the package reads or writes goes through this module.
 
 Round files are UTF-8 CSV with header ``round_id,division,player_id,score``.
 Records of one round must be contiguous; scores are stored as 64-bit floats
@@ -15,21 +16,25 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import re
 import struct
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ParseError, SnapshotError
+from .errors import InputError, ParseError, SnapshotError
 from .rating import DivisionResult, EngineState, PlayerState, RoundInput
 
 ROUNDS_HEADER = ("round_id", "division", "player_id", "score")
 TIMELINE_HEADER = ("round_id", "player_id", "rating_before")
+# Characters that make a CSV cell need quotes.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 _SNAPSHOT_MAGIC = b"RSNP"
 _SNAPSHOT_VERSION = 1
-# Largest per-player round count a snapshot may hold: exact as a float and
-# far inside the engine's int64 round numbers.
+# Largest round count a snapshot may hold, per player and in all: exact as a
+# float and far inside the engine's int64 round numbers.
 _MAX_ROUNDS = 2 ** 53
 
 
@@ -61,16 +66,6 @@ def _require_utf8(line: int, *cells: str) -> None:
             raise ParseError(f"{cell!r} is not valid UTF-8", line=line) from None
 
 
-def _check_header(row: list[str], expected: tuple[str, ...]) -> None:
-    got = tuple(cell.strip() for cell in row)
-    if got != expected:
-        unknown = [cell for cell in got if cell not in expected]
-        if unknown:
-            raise ParseError(f"unknown field {unknown[0]!r} in header", line=1)
-        raise ParseError(
-            f"header must be {','.join(expected)!r}, got {','.join(got)!r}", line=1)
-
-
 def _parse_float(text: str, what: str, line: int) -> float:
     try:
         value = float(text)
@@ -81,6 +76,39 @@ def _parse_float(text: str, what: str, line: int) -> float:
     return value
 
 
+def _csv_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, stripped cells)`` for each non-blank row of a CSV file
+    (a path or an open text stream) whose first row is ``header``.
+
+    A wrong header or field count, an empty ``round_id`` or ``player_id``,
+    or text that is not UTF-8 is a ``ParseError``.
+    """
+    with open_text(source) as stream:
+        reader = csv.reader(stream)
+        got = tuple(cell.strip() for cell in next(reader, header))  # empty: no rows
+        if got != header:
+            unknown = [cell for cell in got if cell not in header]
+            if unknown:
+                raise ParseError(f"unknown field {unknown[0]!r} in header", line=1)
+            raise ParseError(
+                f"header must be {','.join(header)!r}, got {','.join(got)!r}", line=1)
+        width = len(header)
+        player_column = header.index("player_id")
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}", line=line)
+            cells = [cell.strip() for cell in row]
+            round_id, player_id = cells[0], cells[player_column]
+            if not round_id or not player_id:
+                raise ParseError("round_id and player_id must be non-empty", line=line)
+            if not (round_id.isascii() and player_id.isascii()):
+                _require_utf8(line, round_id, player_id)
+            yield line, cells
+
+
 def parse_rounds(source) -> list[RoundInput]:
     """Parse a round file into rounds, in file order.
 
@@ -89,73 +117,75 @@ def parse_rounds(source) -> list[RoundInput]:
     line number) on duplicate players, malformed fields, or a round whose
     records are not contiguous.
     """
-    with open_text(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            return []
-        _check_header(header, ROUNDS_HEADER)
+    rounds: list[RoundInput] = []
+    finished: set[str] = set()
+    current: RoundInput | None = None
+    current_divisions: dict[int, DivisionResult] = {}
+    current_players: set[str] = set()
 
-        rounds: list[RoundInput] = []
-        finished: set[str] = set()
-        current: RoundInput | None = None
-        current_divisions: dict[int, DivisionResult] = {}
-        current_players: set[str] = set()
+    for line, (round_id, division_text, player_id, score_text) in _csv_rows(
+            source, ROUNDS_HEADER):
+        try:
+            division = int(division_text)
+        except ValueError:
+            raise ParseError(f"malformed division {division_text!r}", line=line) from None
+        score = _parse_float(score_text, "score", line)
 
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", line=line)
-            round_id, division_text, player_id, score_text = (cell.strip() for cell in row)
-            if not round_id or not player_id:
-                raise ParseError("round_id and player_id must be non-empty", line=line)
-            if not (round_id.isascii() and player_id.isascii()):
-                _require_utf8(line, round_id, player_id)
-            try:
-                division = int(division_text)
-            except ValueError:
-                raise ParseError(f"malformed division {division_text!r}", line=line) from None
-            score = _parse_float(score_text, "score", line)
-
-            if current is None or round_id != current.round_id:
-                if round_id in finished:
-                    raise ParseError(
-                        f"records for round {round_id!r} are not contiguous", line=line)
-                if current is not None:
-                    rounds.append(current)
-                    finished.add(current.round_id)
-                current = RoundInput(round_id=round_id, divisions=[])
-                current_divisions = {}
-                current_players = set()
-            if player_id in current_players:
+        if current is None or round_id != current.round_id:
+            if round_id in finished:
                 raise ParseError(
-                    f"duplicate player {player_id!r} in round {round_id!r}", line=line)
-            current_players.add(player_id)
+                    f"records for round {round_id!r} are not contiguous", line=line)
+            if current is not None:
+                rounds.append(current)
+                finished.add(current.round_id)
+            current = RoundInput(round_id=round_id, divisions=[])
+            current_divisions = {}
+            current_players = set()
+        if player_id in current_players:
+            raise ParseError(
+                f"duplicate player {player_id!r} in round {round_id!r}", line=line)
+        current_players.add(player_id)
 
-            bucket = current_divisions.get(division)
-            if bucket is None:
-                bucket = DivisionResult(division=division, entries=[])
-                current_divisions[division] = bucket
-                current.divisions.append(bucket)
-            bucket.entries.append((player_id, score))
+        bucket = current_divisions.get(division)
+        if bucket is None:
+            bucket = DivisionResult(division=division, entries=[])
+            current_divisions[division] = bucket
+            current.divisions.append(bucket)
+        bucket.entries.append((player_id, score))
 
-        if current is not None:
-            rounds.append(current)
-        return rounds
+    if current is not None:
+        rounds.append(current)
+    return rounds
+
+
+def csv_cell(value) -> str:
+    """``value`` as one CSV cell: a float as its ``repr``, None as an empty cell.
+
+    Quoting is ``csv.QUOTE_MINIMAL``'s, plus a carriage return, as Python
+    3.13's ``csv`` does: older versions leave it bare, which ends the row.
+    """
+    if value is None:
+        return ""
+    text = repr(value) if isinstance(value, float) else str(value)
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` to ``stream`` as CSV lines ending in ``\\n``."""
+    for row in chain([header], rows):
+        stream.write(",".join(map(csv_cell, row)) + "\n")
 
 
 def write_rounds(rounds: Iterable[RoundInput], dest) -> None:
     """Serialize rounds back to the CSV format accepted by ``parse_rounds``."""
     with open_text(dest, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(ROUNDS_HEADER)
-        for round_input in rounds:
-            for division in round_input.divisions:
-                for player_id, score in division.entries:
-                    writer.writerow(
-                        [round_input.round_id, division.division, player_id, repr(score)])
+        write_csv(stream, ROUNDS_HEADER,
+                  ((round_input.round_id, division.division, player_id, score)
+                   for round_input in rounds
+                   for division in round_input.divisions
+                   for player_id, score in division.entries))
 
 
 def parse_timeline(source) -> dict[tuple[str, str], float]:
@@ -165,29 +195,27 @@ def parse_timeline(source) -> dict[tuple[str, str], float]:
     system assigned to the player just before the round.  Returns a map
     keyed by ``(round_id, player_id)``.
     """
-    with open_text(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            return {}
-        _check_header(header, TIMELINE_HEADER)
-        timeline: dict[tuple[str, str], float] = {}
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line=line)
-            round_id, player_id, rating_text = (cell.strip() for cell in row)
-            if not (round_id.isascii() and player_id.isascii()):
-                _require_utf8(line, round_id, player_id)
-            key = (round_id, player_id)
-            if key in timeline:
-                raise ParseError(
-                    f"duplicate rating for player {player_id!r} in round {round_id!r}",
-                    line=line)
-            timeline[key] = _parse_float(rating_text, "rating", line)
-        return timeline
+    timeline: dict[tuple[str, str], float] = {}
+    for line, (round_id, player_id, rating_text) in _csv_rows(source, TIMELINE_HEADER):
+        key = (round_id, player_id)
+        if key in timeline:
+            raise ParseError(
+                f"duplicate rating for player {player_id!r} in round {round_id!r}",
+                line=line)
+        timeline[key] = _parse_float(rating_text, "rating", line)
+    return timeline
+
+
+def timeline_ratings(timeline: Mapping[tuple[str, str], float], round_id: str,
+                     player_ids: Iterable[str]) -> list[float]:
+    """The ratings ``timeline`` gives ``player_ids`` before round ``round_id``."""
+    ratings = []
+    for player_id in player_ids:
+        if (round_id, player_id) not in timeline:
+            raise InputError(f"timeline has no rating for player {player_id!r} "
+                             f"in round {round_id!r}")
+        ratings.append(timeline[round_id, player_id])
+    return ratings
 
 
 def save_snapshot(state: EngineState, path) -> None:
@@ -211,8 +239,9 @@ def load_snapshot(path) -> EngineState:
     """Load a snapshot written by ``save_snapshot``.
 
     Verifies the checksum, that every player id is UTF-8, that every
-    rating (``r1`` included) is finite, and that no round count is above
-    2**53; any failure is a ``SnapshotError``.
+    rating (``r1`` included) is finite, and that no round count (the
+    engine's ``rounds_processed`` included) is above 2**53; any failure is
+    a ``SnapshotError``.
     """
     data = Path(path).read_bytes()
     if len(data) < len(_SNAPSHOT_MAGIC) + 1 + 8 + 8 + 8 + 8:
@@ -229,6 +258,8 @@ def load_snapshot(path) -> EngineState:
     offset = 5
     rounds_processed, = struct.unpack_from("<Q", payload, offset)
     offset += 8
+    if rounds_processed > _MAX_ROUNDS:
+        raise SnapshotError(f"rounds_processed {rounds_processed} is above 2**53")
     r1, = struct.unpack_from("<d", payload, offset)
     offset += 8
     if not math.isfinite(r1):
@@ -265,22 +296,21 @@ def load_snapshot(path) -> EngineState:
 
 def export_snapshot(state: EngineState, dest, fmt: str = "csv") -> None:
     """Write a human-readable view of a snapshot (players sorted by id)."""
+    if fmt not in ("csv", "table"):
+        raise InputError(f"unknown export format {fmt!r}")
+    items = sorted(state.players.items())
     with open_text(dest, "w") as stream:
-        items = sorted(state.players.items())
-        if fmt == "table":
-            width = max([len("player_id")] + [len(pid) for pid, _ in items])
-            stream.write(f"rounds_processed: {state.rounds_processed}\n")
-            stream.write(f"r1: {state.r1!r}\n")
-            stream.write(f"{'player_id'.ljust(width)}  {'rating':>12}  num_rounds\n")
-            for player_id, player in items:
-                stream.write(
-                    f"{player_id.ljust(width)}  {player.rating:>12.2f}  {player.num_rounds}\n")
-        elif fmt == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(["rounds_processed", "r1"])
-            writer.writerow([state.rounds_processed, repr(state.r1)])
-            writer.writerow(["player_id", "rating", "num_rounds"])
-            for player_id, player in items:
-                writer.writerow([player_id, repr(player.rating), player.num_rounds])
-        else:
-            raise ValueError(f"unknown export format {fmt!r}")
+        if fmt == "csv":
+            write_csv(stream, ("rounds_processed", "r1"),
+                      [(state.rounds_processed, state.r1)])
+            write_csv(stream, ("player_id", "rating", "num_rounds"),
+                      ((player_id, player.rating, player.num_rounds)
+                       for player_id, player in items))
+            return
+        width = max([len("player_id")] + [len(pid) for pid, _ in items])
+        stream.write(f"rounds_processed: {state.rounds_processed}\n")
+        stream.write(f"r1: {state.r1!r}\n")
+        stream.write(f"{'player_id'.ljust(width)}  {'rating':>12}  num_rounds\n")
+        for player_id, player in items:
+            stream.write(
+                f"{player_id.ljust(width)}  {player.rating:>12.2f}  {player.num_rounds}\n")

@@ -19,7 +19,9 @@ from rankelo import (
     PROFILES,
     PlayerState,
     load_snapshot,
+    parse_rounds,
     save_snapshot,
+    write_rounds,
 )
 from rankelo.replay import REPLAY_LOG_HEADER
 from rankelo.cli import _float_list, run
@@ -43,6 +45,30 @@ def read_csv_rows(path):
 def read_replay_log(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+# Ids holding every character that needs quoting, in the interior since
+# cells are stripped.
+ODD_ROUND_IDS = ["r,1", 'r"2"', "r\n3", "r\r4", "r\r\n5"]
+ODD_PLAYER_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\rid", "crlf\r\nid",
+                  "ütf-8 名前", "plain"]
+
+
+def csv_line(row):
+    """``row`` as ``csv.writer`` quotes it with a carriage return quoted too,
+    ended by a line feed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(row)
+    return buf.getvalue()[:-2] + "\n"
+
+
+def read_back(path):
+    """The rows of a CSV file, after checking that its bytes are exactly the
+    quoting rule's rendering of them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert path.read_bytes() == "".join(map(csv_line, rows)).encode("utf-8")
+    return rows
 
 
 def write_quoted_history(path, round_ids, player_ids):
@@ -108,11 +134,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("old,new,message", [
         (b"p000001", b"p00000\xff", "not valid UTF-8"),
+        (b"RSNP\x01" + struct.pack("<Q", 0), b"RSNP\x01" + struct.pack("<Q", 2 ** 64 - 1),
+         "rounds_processed 18446744073709551615 is above 2**53"),
         (struct.pack("<d", 1300.0), struct.pack("<d", float("nan")),
          "non-finite rating for player 'p000001'"),
         (struct.pack("<dQ", 1300.0, 4), struct.pack("<dQ", 1300.0, 2 ** 64 - 1),
          "round count 18446744073709551615 for player 'p000001'"),
-    ], ids=["player_id_not_utf8", "nan_rating", "round_count"])
+    ], ids=["player_id_not_utf8", "rounds_processed", "nan_rating", "round_count"])
     def test_bad_snapshot_values(self, history_file, tmp_path, capsys,
                                  old, new, message):
         path = tmp_path / "bad.snap"
@@ -199,20 +227,15 @@ class TestRate:
         assert float(rows[0]["rating_before"]) == 1200.0
 
     def test_replay_log_quotes_ids_like_csv_writer(self, tmp_path, capsys):
-        round_ids = ["r,1", 'r"2"', "r\n3"]
-        player_ids = ["a,b", 'say "hi"', "two\nlines", "ütf-8 名前", "plain"]
         history = tmp_path / "odd.csv"
-        write_quoted_history(history, round_ids, player_ids)
+        write_quoted_history(history, ODD_ROUND_IDS, ODD_PLAYER_IDS)
         log = tmp_path / "log.csv"
         assert run(["rate", "--input", str(history), "--output", str(log)]) == 0
         capsys.readouterr()
-        with open(log, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        rows = read_back(log)
         assert [tuple(row[:3]) for row in rows[1:]] == [
-            (r, "1", p) for r in round_ids for p in player_ids]
-        expected = io.StringIO()
-        csv.writer(expected, lineterminator="\n").writerows(rows)
-        assert log.read_bytes() == expected.getvalue().encode("utf-8")
+            (r, "1", p) for r in ODD_ROUND_IDS for p in ODD_PLAYER_IDS]
+        assert all(len(row) == len(REPLAY_LOG_HEADER) for row in rows)
 
     def test_replay_log_quotes_carriage_returns(self, tmp_path, capsys):
         # csv.writer before Python 3.13 leaves a bare \r, which csv.reader
@@ -354,6 +377,17 @@ class TestEval:
                     "--report", "rounds", *flags]) == 1
         err = capsys.readouterr().err
         assert f"{flags[0]} has no effect with --timeline" in err
+
+    def test_timeline_empty_id(self, tmp_path, capsys):
+        rounds = tmp_path / "r.csv"
+        rounds.write_text("round_id,division,player_id,score\nr1,1,a,10\nr1,1,b,5\n")
+        timeline = tmp_path / "t.csv"
+        timeline.write_text("round_id,player_id,rating_before\n"
+                            "r1,a,1200\nr1,b,1300\nr1, ,1250\n")
+        assert run(["eval", "--input", str(rounds), "--timeline", str(timeline),
+                    "--report", "rounds"]) == 1
+        assert "line 4: round_id and player_id must be non-empty" in \
+            capsys.readouterr().err
 
     def test_timeline_rejects_bucket_report(self, tmp_path, capsys):
         rounds = tmp_path / "r.csv"
@@ -523,6 +557,46 @@ class TestSimulateAndExport:
     def test_simulate_rejects_bad_config(self, capsys):
         assert run(["simulate", "--players", "-3", "--rounds", "1"]) == 1
         assert "players" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("writer", ["write_rounds", "export", "eval_rounds", "compare"])
+def test_csv_output_reads_back(tmp_path, capsys, writer):
+    """Every CSV writer quotes a cell holding ``,``, ``"``, a line feed or a
+    carriage return, so that ``csv.reader`` reads each cell back."""
+    history = tmp_path / "odd.csv"
+    write_quoted_history(history, ODD_ROUND_IDS, ODD_PLAYER_IDS)
+    out = tmp_path / "out.csv"
+    if writer == "write_rounds":
+        rounds = parse_rounds(history)
+        write_rounds(rounds, out)
+        assert parse_rounds(out) == rounds
+        expected = [["round_id", "division", "player_id"]] + [
+            [r, "1", p] for r in ODD_ROUND_IDS for p in ODD_PLAYER_IDS]
+        rows = read_back(out)
+        assert [row[:3] for row in rows] == expected
+    elif writer == "export":
+        snap = tmp_path / "state.snap"
+        assert run(["rate", "--input", str(history), "--snapshot-out", str(snap)]) == 0
+        assert run(["export", "--snapshot-in", str(snap), "--output", str(out)]) == 0
+        expected = [["player_id", "num_rounds"]] + [
+            [p, str(len(ODD_ROUND_IDS))] for p in sorted(ODD_PLAYER_IDS)]
+        rows = read_back(out)[2:]
+        assert [[row[0], row[2]] for row in rows] == expected
+    elif writer == "eval_rounds":
+        assert run(["eval", "--input", str(history), "--report", "rounds",
+                    "--output", str(out)]) == 0
+        expected = [["round_id", "division", "n"]] + [
+            [r, "1", str(len(ODD_PLAYER_IDS))] for r in ODD_ROUND_IDS]
+        rows = read_back(out)
+        assert [row[:3] for row in rows] == expected
+    else:
+        assert run(["compare", "--input", str(history), "--profile", "elo2",
+                    "--vs-profile", "elo", "--output", str(out)]) == 0
+        rows = read_back(out)
+        assert [row[0] for row in rows] == ["bucket", "All", "Division 1",
+                                            "2-16 players"]
+    capsys.readouterr()
+    assert len({len(row) for row in rows}) == 1
 
 
 def test_evaluation_does_not_import_scipy(history_file, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from rankelo import (
     DivisionResult,
     EngineState,
+    InputError,
     PROFILES,
     ParseError,
     PlayerState,
@@ -203,6 +204,13 @@ class TestParseTimeline:
                 "round_id,player_id,rating_before\nr\udcff,a,1200\n"))
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("row", ["r1,,1200", ",a,1200", " , ,1200"],
+                             ids=["player_id", "round_id", "both_blank"])
+    def test_empty_ids(self, row):
+        with pytest.raises(ParseError, match="non-empty") as exc:
+            parse_timeline(io.StringIO(f"round_id,player_id,rating_before\n{row}\n"))
+        assert exc.value.line == 2
+
     def test_duplicate_entry(self):
         with pytest.raises(ParseError, match="duplicate rating"):
             parse_timeline(io.StringIO(
@@ -358,6 +366,14 @@ class TestSnapshots:
         with pytest.raises(SnapshotError, match="round count 9007199254740993"):
             load_snapshot(path)
 
+    def test_rounds_processed_above_2_53(self, tmp_path):
+        path = tmp_path / "p.snap"
+        save_snapshot(EngineState(rounds_processed=2 ** 53), path)
+        assert load_snapshot(path).rounds_processed == 2 ** 53
+        save_snapshot(EngineState(rounds_processed=2 ** 53 + 1), path)
+        with pytest.raises(SnapshotError, match="rounds_processed 9007199254740993"):
+            load_snapshot(path)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_new_player_rating(self, tmp_path, bad):
         path = tmp_path / "r.snap"
@@ -397,6 +413,8 @@ class TestExportSnapshot:
         assert "player_id" in text and "num_rounds" in text
         assert text.index("al ") < text.index("bob")
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError, match="unknown export format"):
-            export_snapshot(self.state, io.StringIO(), fmt="json")
+    def test_unknown_format(self, tmp_path):
+        path = tmp_path / "state.json"
+        with pytest.raises(InputError, match="unknown export format 'json'"):
+            export_snapshot(self.state, path, fmt="json")
+        assert not path.exists()
