@@ -187,30 +187,40 @@ def division_ranks(scores: np.ndarray, ratings: np.ndarray):
     contributes 0.5 to both the actual and the expected rank, while
     ``mu``/``var`` accumulate the win probabilities of all opponents,
     tied or not.  Arrays are aligned with the inputs.
+
+    One ``exp`` per entry gives every ``P(j beats i) = x[j] / (x[i] + x[j])``,
+    ``x = exp(ELO_SCALE * r)``; a rating spread past the ``MAX_LOGIT`` clip
+    (~6,254 points) takes the clipped ``_win_matrix`` instead.
     """
     scores = np.ascontiguousarray(scores, dtype=np.float64)
     ratings = np.ascontiguousarray(ratings, dtype=np.float64)
     n = scores.size
-    actual = np.empty(n)
-    expected = np.empty(n)
-    mu = np.empty(n)
-    var = np.empty(n)
+    ordered = np.sort(scores)
+    at_most = np.searchsorted(ordered, scores, side="right")   # self included
+    ties = at_most - np.searchsorted(ordered, scores, side="left") - 1
+    lo, hi = (ratings.min(), ratings.max()) if n else (0.0, 0.0)
+    with np.errstate(over="ignore"):   # a spread past the float range: inf
+        separable = (hi - lo) * ELO_SCALE <= MAX_LOGIT
+    if separable:   # centred: every exponent is within +-MAX_LOGIT / 2
+        x = np.exp(ELO_SCALE * (ratings - (lo + 0.5 * (hi - lo))))
+    has_ties = ties.any()
+    expected, mu, var = np.empty((3, n))
     for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        rows = np.arange(start, stop)
+        rows = slice(start, start + _BLOCK_ROWS)
         # w[i, j] = P(opponent j beats player i)
-        w = _win_matrix(ratings[rows], ratings)
-        tied = scores[rows, None] == scores[None, :]
-        local = np.arange(stop - start)
-        w[local, rows] = 0.0
-        tied[local, rows] = False
-        beaten_by = (scores[None, :] > scores[rows, None]).sum(axis=1)
-        ties = tied.sum(axis=1)
+        if separable:
+            w = np.add.outer(x[rows], x)
+            np.divide(x, w, out=w)
+        else:
+            w = _win_matrix(ratings[rows], ratings)
+        np.fill_diagonal(w[:, start:], 0.0)   # no player opposes itself
         mu[rows] = 1.0 + w.sum(axis=1)
         var[rows] = 1.0 + (w * (1.0 - w)).sum(axis=1)
-        actual[rows] = 1.0 + beaten_by + 0.5 * ties
-        expected[rows] = 1.0 + np.where(tied, 0.0, w).sum(axis=1) + 0.5 * ties
-    return actual, expected, mu, var
+        if has_ties:   # tied pairs count 0.5 each, not w
+            np.copyto(w, 0.0, where=scores[rows, None] == scores)
+            expected[rows] = 1.0 + w.sum(axis=1) + 0.5 * ties[rows]
+    actual = 1.0 + (n - at_most) + 0.5 * ties
+    return actual, expected if has_ties else mu.copy(), mu, var   # tie-free: expected = mu
 
 
 def canonical_ranks(ids: Sequence, scores: Sequence[float],

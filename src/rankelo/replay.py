@@ -15,7 +15,7 @@ from .rating import (
     RoundInput,
     rate_round,
 )
-from .store import csv_cell, open_text
+from .store import open_text, write_divisions
 
 _LOG_COLUMNS = tuple(f.name for f in fields(PerformanceBreakdown))
 REPLAY_LOG_HEADER = ("round_id", "division", "player_id", "n") + _LOG_COLUMNS
@@ -116,16 +116,9 @@ def replay(rounds: Iterable[RoundInput], params: RatingParams,
 def write_replay_log(divisions: Sequence[DivisionReplay], dest) -> None:
     """Persist every entry of every record as CSV; floats use shortest round-trip repr."""
     with open_text(dest, "w") as stream:
-        stream.write(",".join(REPLAY_LOG_HEADER) + "\n")
-        for record in divisions:
-            ids = record.player_ids
-            if not ids:
-                continue
-            joined = "".join(ids)
-            if csv_cell(joined) != joined:   # some id needs quotes
-                ids = map(csv_cell, ids)
-            columns = [map(repr, getattr(record.breakdown, name).tolist())
-                       for name in _LOG_COLUMNS]
-            rows = zip(repeat(csv_cell(record.round_id)), repeat(str(record.division)),
-                       ids, repeat(str(len(record.player_ids))), *columns)
-            stream.write("\n".join(map(",".join, rows)) + "\n")
+        write_divisions(stream, REPLAY_LOG_HEADER, (
+            (record.round_id, record.division, record.player_ids,
+             repeat(str(len(record.player_ids))),
+             *(map(repr, getattr(record.breakdown, name).tolist())
+               for name in _LOG_COLUMNS))
+            for record in divisions))

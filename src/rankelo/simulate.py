@@ -47,6 +47,8 @@ class SimConfig:
                 raise InputError(f"{name} must be finite and >= 0")
         if not math.isfinite(self.skill_mean):
             raise InputError("skill_mean must be finite")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         for name in ("participation", "div1_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -79,11 +81,15 @@ def generate_history(config: SimConfig) -> SimResult:
         noise = rng.normal(0.0, config.noise_std, size=n)
         drift = rng.normal(0.0, config.drift_std, size=n)
 
-        scores = skills + noise
-        if config.tie_step > 0:
-            scores = np.round(scores / config.tie_step) * config.tie_step
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            scores = skills + noise
+            if config.tie_step > 0:
+                scores = np.round(scores / config.tie_step) * config.tie_step
 
         participants = np.flatnonzero(playing)
+        if not np.isfinite(scores[participants]).all():
+            raise InputError(f"a simulated score in round r{t:04d} is not finite "
+                             f"(tie_step {config.tie_step!r} too small?)")
         if participants.size:
             rounds.append(RoundInput(
                 round_id=f"r{t:04d}",

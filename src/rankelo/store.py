@@ -19,7 +19,7 @@ import math
 import re
 import struct
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -178,14 +178,26 @@ def write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence]) 
         stream.write(",".join(map(csv_cell, row)) + "\n")
 
 
+def write_divisions(stream: IO[str], header: Sequence[str],
+                    divisions: Iterable[tuple]) -> None:
+    """Write ``header``, then each ``(round_id, division, ids, *columns)`` as one
+    string: per id, a line ``round_id,division,id`` and its cell of each column.
+    Ids are quoted one by one only when some id of the division needs it."""
+    stream.write(",".join(header) + "\n")
+    for round_id, division, ids, *columns in divisions:
+        if ids:
+            cells = map(csv_cell, ids) if _NEEDS_QUOTES.search("".join(ids)) else ids
+            rows = zip(repeat(csv_cell(round_id)), repeat(str(division)), cells, *columns)
+            stream.write("\n".join(map(",".join, rows)) + "\n")
+
+
 def write_rounds(rounds: Iterable[RoundInput], dest) -> None:
     """Serialize rounds back to the CSV format accepted by ``parse_rounds``."""
     with open_text(dest, "w") as stream:
-        write_csv(stream, ROUNDS_HEADER,
-                  ((round_input.round_id, division.division, player_id, score)
-                   for round_input in rounds
-                   for division in round_input.divisions
-                   for player_id, score in division.entries))
+        write_divisions(stream, ROUNDS_HEADER, (
+            (round_input.round_id, division.division, [p for p, _ in division.entries],
+             [repr(score) for _, score in division.entries])
+            for round_input in rounds for division in round_input.divisions))
 
 
 def parse_timeline(source) -> dict[tuple[str, str], float]:

@@ -558,6 +558,18 @@ class TestSimulateAndExport:
         assert run(["simulate", "--players", "-3", "--rounds", "1"]) == 1
         assert "players" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--tie-step", "1e-320"], "not finite"),
+    ])
+    def test_simulate_rejects_unusable_draws(self, capsys, flags, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", "--players", "5", "--rounds", "2"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 @pytest.mark.parametrize("writer", ["write_rounds", "export", "eval_rounds", "compare"])
 def test_csv_output_reads_back(tmp_path, capsys, writer):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rankelo.rating as rating
 from rankelo import (
     DivisionResult,
     EngineState,
@@ -115,3 +116,50 @@ def test_round_driver_matches_straight_line_oracle(profile):
             assert state.players[player_id].num_rounds == played
             assert state.players[player_id].rating == pytest.approx(
                 rating, abs=1e-9)
+
+
+@pytest.mark.parametrize("tie_heavy", [False, True])
+def test_three_row_block_division_matches_oracle(tie_heavy):
+    """n = 1100 spans three row blocks of the pairwise kernel."""
+    rng = np.random.default_rng(53)
+    n = 1100
+    ratings = rng.uniform(0.0, 3000.0, n)
+    scores = (rng.integers(0, 100, n).astype(float) if tie_heavy
+              else rng.uniform(0.0, 1000.0, n))
+    assert_matches_oracle(scores, ratings, rng.integers(0, 300, n), PROFILES["elo2"])
+
+
+@pytest.mark.parametrize("tie_heavy", [False, True])
+def test_shuffled_division_gives_shuffled_outputs(tie_heavy):
+    rng = np.random.default_rng(61)
+    n = 1100
+    ratings = rng.uniform(0.0, 3000.0, n)
+    scores = (rng.integers(0, 100, n).astype(float) if tie_heavy
+              else rng.uniform(0.0, 1000.0, n))
+    perm = rng.permutation(n)
+    want = division_ranks(scores, ratings)
+    got = division_ranks(scores[perm], ratings[perm])
+    for got_column, want_column in zip(got, want):
+        assert got_column.tolist() == pytest.approx(
+            want_column[perm].tolist(), abs=1e-12)
+
+
+@pytest.mark.parametrize("margin,clipped", [(-1e-6, False), (1e-6, True)])
+def test_only_a_spread_past_the_clip_takes_the_clipped_curve(monkeypatch, margin,
+                                                             clipped):
+    calls = []
+    win_matrix = rating._win_matrix
+
+    def counting_win_matrix(a, b):
+        calls.append(len(a))
+        return win_matrix(a, b)
+
+    monkeypatch.setattr(rating, "_win_matrix", counting_win_matrix)
+    spread = rating.MAX_LOGIT / rating.ELO_SCALE + margin
+    ratings = [1000.0, 1000.0 + spread / 3.0, 1000.0 + spread]
+    _, _, mu, _ = division_ranks([3.0, 2.0, 1.0], ratings)
+    for i in range(3):
+        want = sum(oracle_win_probability(ratings[j], ratings[i])
+                   for j in range(3) if j != i)
+        assert mu[i] - 1.0 == pytest.approx(want, abs=1e-12)
+    assert calls == ([3] if clipped else [])

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 from statistics import NormalDist
 
 import pytest
@@ -41,6 +42,7 @@ class TestSimConfig:
         (dict(players=1, rounds=1, participation=-0.1), "participation"),
         (dict(players=1, rounds=1, div1_fraction=2.0), "div1_fraction"),
         (dict(players=1, rounds=1, skill_mean=math.inf), "skill_mean"),
+        (dict(players=1, rounds=1, seed=-1), "seed"),
     ])
     def test_validation(self, kwargs, message):
         with pytest.raises(InputError, match=message):
@@ -112,6 +114,13 @@ class TestGenerateHistory:
                 assert all(score % 400.0 == 0.0 for score in scores)
                 tied += len(scores) - len(set(scores))
         assert tied > 0
+
+    def test_non_finite_scores_rejected(self):
+        # score / tie_step overflows to inf, and so does the snapped score
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="not finite"):
+                generate_history(SimConfig(players=5, rounds=2, tie_step=1e-320))
 
     def test_arrivals_grow_the_pool(self):
         result = generate_history(SimConfig(
