@@ -19,7 +19,7 @@ from . import simulate as simulate_mod
 from . import store
 from . import sweep as sweep_mod
 from .errors import InputError
-from .rating import PROFILES, RatingParams
+from .rating import PROFILES, EngineState, RatingParams
 from .replay import replay, write_replay_log
 
 _PARAM_FIELDS = tuple(f.name for f in fields(RatingParams))
@@ -127,10 +127,31 @@ def _emit(args, header: Sequence[str], rows,
             _write_table(fh, header, [table_row(r) for r in rows])
 
 
+def _resume(path: str | None, params: RatingParams, rounds) -> EngineState | None:
+    """The engine state to start from: the snapshot at ``path``, or None (a
+    fresh engine).  A snapshot rated under other parameters, or one that
+    already applied a round of ``rounds``, is refused: either would rate
+    on from a state these rounds and parameters cannot produce."""
+    if path is None:
+        return None
+    state = store.load_snapshot(path)
+    if state.params is not None:
+        for name in _PARAM_FIELDS:
+            had, has = getattr(state.params, name), getattr(params, name)
+            if had != has:
+                raise InputError(f"snapshot was rated with {name}={had!r}, this run "
+                                 f"uses {name}={has!r}; to rate under other "
+                                 f"parameters, replay the rounds from scratch")
+    if any(round_input.round_id == state.last_round_id for round_input in rounds):
+        raise InputError(f"round {state.last_round_id!r} is already applied in "
+                         f"the snapshot; resume with the rounds after it")
+    return state
+
+
 def _cmd_rate(args) -> int:
     params = _resolve_params(args.profile, args.param)
     rounds = _read_rounds(args.input)
-    state = store.load_snapshot(args.snapshot_in) if args.snapshot_in else None
+    state = _resume(args.snapshot_in, params, rounds)
     result = replay(rounds, params, state=state,
                     keep_observations=args.output is not None)
     if args.output is not None:
@@ -139,7 +160,7 @@ def _cmd_rate(args) -> int:
         store.save_snapshot(result.state, args.snapshot_out)
     error = result.mean_error
     print(f"rated {len(result.round_errors)} rounds, "
-          f"{len(result.state.players)} players, mean error "
+          f"{len(result.state.ids)} players, mean error "
           f"{'n/a' if error is None else repr(error)}")
     return 0
 
@@ -158,8 +179,7 @@ def _cmd_eval(args) -> int:
         return _emit_round_metrics(args, rows)
 
     params = _resolve_params(args.profile, args.param)
-    state = store.load_snapshot(args.snapshot_in) if args.snapshot_in else None
-    result = replay(rounds, params, state=state)
+    result = replay(rounds, params, state=_resume(args.snapshot_in, params, rounds))
 
     if args.report == "rounds":
         return _emit_round_metrics(args, metrics_mod.evaluate_replay(result))

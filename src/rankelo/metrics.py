@@ -449,11 +449,11 @@ class RatingStats:
 
 def rating_stats(result: ReplayResult) -> RatingStats:
     """Summarize a full replay; empty history yields an all-None summary."""
-    if not result.count and not result.state.players:
+    ratings = result.state.rating
+    if not result.count and not ratings.size:
         return RatingStats(count=0, mean_error=None, delta_mean=None,
                            delta_std=None, delta_max=None, initial_rating=None,
                            rating_median=None, rating_max=None)
-    ratings = [player.rating for player in result.state.players.values()]
     return RatingStats(
         count=result.count,
         mean_error=result.mean_error,
@@ -461,6 +461,6 @@ def rating_stats(result: ReplayResult) -> RatingStats:
         delta_std=result.delta_std,
         delta_max=result.delta_max,
         initial_rating=result.state.r1,
-        rating_median=float(np.median(ratings)) if ratings else None,
-        rating_max=max(ratings) if ratings else None,
+        rating_median=float(np.median(ratings)) if ratings.size else None,
+        rating_max=float(ratings.max()) if ratings.size else None,
     )

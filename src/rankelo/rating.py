@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,7 +88,8 @@ PROFILES: dict[str, RatingParams] = {
 
 @dataclass
 class PlayerState:
-    """Persistent per-player state: current rating and completed rated rounds."""
+    """One player's rating and completed rated rounds, as ``EngineState.players``
+    lists them; the engine keeps these as columns of ``EngineState``."""
 
     rating: float
     num_rounds: int = 0
@@ -113,23 +114,63 @@ class RoundInput:
     divisions: list[DivisionResult]
 
 
-@dataclass
+@dataclass(eq=False)
 class EngineState:
-    """Player registry plus round-level bookkeeping.
+    """Player registry, as columns, plus round-level bookkeeping.
 
-    ``r1`` is the inflation-adjusted rating assigned to newly registered
-    players.  It is recomputed after every round as
+    Player ``i`` is ``ids[i]`` (registration order), with rating
+    ``rating[i]`` and ``num_rounds[i]`` completed rated rounds;
+    ``index`` maps each id back to ``i``.  ``r1`` is the
+    inflation-adjusted rating assigned to newly registered players.  It is
+    recomputed after every round as
     ``initial_rating + inflation/100 * rounds_processed`` (rather than
-    accumulated) so the stored value is exactly reproducible.
+    accumulated) so the stored value is exactly reproducible.  ``params``
+    and ``last_round_id`` are the parameters and the id of the last round
+    applied (None when unknown: a state loaded from a version 1 snapshot,
+    or one never rated).
     """
 
-    players: dict[str, PlayerState] = field(default_factory=dict)
+    ids: list[str] = field(default_factory=list)
+    rating: np.ndarray = field(default_factory=lambda: np.empty(0))
+    num_rounds: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     r1: float = 1200.0
     rounds_processed: int = 0
+    params: RatingParams | None = None
+    last_round_id: str | None = None
+    index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.ids = list(self.ids)
+        self.rating = np.array(self.rating, dtype=np.float64)
+        self.num_rounds = np.array(self.num_rounds, dtype=np.int64)
+        self.index = dict(zip(self.ids, range(len(self.ids))))
+        if not len(self.index) == self.rating.size == self.num_rounds.size == len(self.ids):
+            raise InputError("ids must be distinct and match the rating and "
+                             "num_rounds columns in length")
+
+    def __eq__(self, other):
+        """The same players in the same order, with equal columns and bookkeeping."""
+        if not isinstance(other, EngineState):
+            return NotImplemented
+        return ((self.ids, self.r1, self.rounds_processed, self.params, self.last_round_id)
+                == (other.ids, other.r1, other.rounds_processed, other.params,
+                    other.last_round_id)
+                and np.array_equal(self.rating, other.rating)
+                and np.array_equal(self.num_rounds, other.num_rounds))
 
     @classmethod
     def fresh(cls, params: RatingParams) -> "EngineState":
-        return cls(r1=params.initial_rating)
+        return cls(r1=params.initial_rating, params=params)
+
+    @property
+    def players(self) -> dict[str, PlayerState]:
+        """A copy of the registry as ``{id: PlayerState}``, in registration order.
+
+        Built on every access, for readers of the dict view (the benchmark's
+        snapshot check); the engine itself reads only the columns.
+        """
+        return dict(zip(self.ids, map(PlayerState, self.rating.tolist(),
+                                      self.num_rounds.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,14 +195,17 @@ class PerformanceBreakdown:
     var: np.ndarray              # 1 + sum of w * (1 - w) over all opponents
 
 
-def get_or_create_player(players: dict[str, PlayerState], player_id: str,
-                         r1: float) -> PlayerState:
-    """Return the registered state for ``player_id``, registering at ``r1`` if new."""
-    state = players.get(player_id)
-    if state is None:
-        state = PlayerState(rating=r1, num_rounds=0)
-        players[player_id] = state
-    return state
+def get_or_create_player(state: EngineState, player_id: str) -> int:
+    """Return ``player_id``'s index in ``state``, appending the id if it is new.
+
+    Only ``ids`` and ``index`` grow here: ``rate_round`` extends the rating
+    columns for every new id at once, at its ``r1``.
+    """
+    index = state.index.get(player_id)
+    if index is None:
+        index = state.index[player_id] = len(state.ids)
+        state.ids.append(player_id)
+    return index
 
 
 def _win_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,17 +277,17 @@ def canonical_ranks(ids: Sequence, scores: Sequence[float],
     ``perf = log2(expected / actual)`` arrays, aligned with the inputs.
     """
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    ranked = division_ranks(
-        np.array([scores[i] for i in order]), np.array([ratings[i] for i in order]))
+    ranked = division_ranks(np.asarray(scores, dtype=np.float64)[order],
+                            np.asarray(ratings, dtype=np.float64)[order])
     entry = np.argsort(order)   # canonical position of each entry
     actual, expected, mu, var = (column[entry] for column in ranked)
     perf = np.log(expected / actual) * _LOG2E
     return actual, expected, mu, var, perf
 
 
-def rate_division(division: DivisionResult, players: Mapping[str, PlayerState],
+def rate_division(division: DivisionResult, state: EngineState,
                   params: RatingParams) -> PerformanceBreakdown:
-    """Compute one division's breakdown from pre-round ratings.
+    """Compute one division's breakdown from the pre-round ratings in ``state``.
 
     Pure: no state is mutated; the round number used for the experience
     weight is each player's completed-round count plus one.  Every column
@@ -253,19 +297,19 @@ def rate_division(division: DivisionResult, players: Mapping[str, PlayerState],
     ids = [player_id for player_id, _ in division.entries]
     if len(set(ids)) != len(ids):
         raise InputError(f"duplicate player in division {division.division}")
-    missing = [player_id for player_id in ids if player_id not in players]
-    if missing:
-        raise InputError(f"no state registered for player {missing[0]!r}")
+    try:
+        idx = np.fromiter(map(state.index.__getitem__, ids), np.int64, len(ids))
+    except KeyError as exc:
+        raise InputError(f"no state registered for player {exc.args[0]!r}") from None
     scores = [score for _, score in division.entries]
-    states = [players[player_id] for player_id in ids]
-    ratings = [state.rating for state in states]
-    if not all(map(math.isfinite, scores)):
+    ratings = state.rating[idx]
+    if not np.isfinite(scores).all():
         raise InputError(f"non-finite score in division {division.division}")
-    if not all(map(math.isfinite, ratings)):
+    if not np.isfinite(ratings).all():
         raise InputError(f"non-finite rating in division {division.division}")
 
     actual, expected, mu, var, perf = canonical_ranks(ids, scores, ratings)
-    nr = np.array([state.num_rounds for state in states], dtype=np.int64) + 1
+    nr = state.num_rounds[idx] + 1
     sens = var / mu
     boosted = perf + (params.bonus / BITS_TO_RATING) * sens
     capped = boosted * params.perf_cap / (params.perf_cap + np.abs(boosted))
@@ -273,7 +317,7 @@ def rate_division(division: DivisionResult, players: Mapping[str, PlayerState],
     variance_factor = 1.0 + params.variance_weight * sens
     return PerformanceBreakdown(
         nr=nr,
-        rating_before=np.array(ratings, dtype=np.float64),
+        rating_before=ratings,
         actual_rank=actual,
         expected_rank=expected,
         perf=perf,
@@ -297,24 +341,28 @@ def rate_round(round_input: RoundInput, state: EngineState,
     and ``r1`` advances by ``inflation / 100`` (once per round, not per
     division).  Returns one breakdown per division of ``round_input``.
     """
-    seen: set[str] = set()
-    for division in round_input.divisions:
-        for player_id, _ in division.entries:
-            if player_id in seen:
-                raise InputError(
-                    f"player {player_id!r} appears twice in round {round_input.round_id!r}")
-            seen.add(player_id)
-            get_or_create_player(state.players, player_id, state.r1)
+    entries = np.fromiter((get_or_create_player(state, player_id)
+                           for division in round_input.divisions
+                           for player_id, _ in division.entries), np.int64)
+    new = len(state.ids) - state.rating.size   # ids registered since the columns grew
+    if new:
+        state.rating = np.concatenate((state.rating, np.full(new, state.r1)))
+        state.num_rounds = np.concatenate((state.num_rounds, np.zeros(new, np.int64)))
+    _, first = np.unique(entries, return_index=True)
+    if first.size != entries.size:   # the earliest entry whose player came before
+        again = np.setdiff1d(np.arange(entries.size), first)[0]
+        raise InputError(f"player {state.ids[entries[again]]!r} appears twice "
+                         f"in round {round_input.round_id!r}")
 
-    breakdowns = [rate_division(division, state.players, params)
+    breakdowns = [rate_division(division, state, params)
                   for division in round_input.divisions]
 
-    for division, breakdown in zip(round_input.divisions, breakdowns):
-        for (player_id, _), delta in zip(division.entries, breakdown.delta_r.tolist()):
-            player = state.players[player_id]
-            player.num_rounds += 1
-            player.rating += delta
+    if breakdowns:   # one IEEE add per player: a player is in one division
+        state.rating[entries] += np.concatenate([b.delta_r for b in breakdowns])
+        state.num_rounds[entries] += 1
     state.rounds_processed += 1
     state.r1 = (params.initial_rating
                 + (params.inflation / 100.0) * state.rounds_processed)
+    state.params = params
+    state.last_round_id = round_input.round_id
     return breakdowns

@@ -6,9 +6,11 @@ Records of one round must be contiguous; scores are stored as 64-bit floats
 after a canonical decimal parse, so equally written scores (``250.00`` vs
 ``250.0``) compare equal and tie.
 
-Snapshots are length-prefixed binary with a version byte and a trailing
+Snapshots are binary, columnar (version 2: id offsets, an id blob, a
+rating column and a round-count column) with a version byte and a trailing
 64-bit checksum; reloading one and continuing a replay is bit-identical to
-never having stopped.
+never having stopped.  Version 1 snapshots (one record per player) still
+load.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ import math
 import re
 import struct
 from contextlib import contextmanager
+from dataclasses import astuple
 from itertools import chain, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError, ParseError, SnapshotError
-from .rating import DivisionResult, EngineState, PlayerState, RoundInput
+from .rating import DivisionResult, EngineState, RatingParams, RoundInput
 
 ROUNDS_HEADER = ("round_id", "division", "player_id", "score")
 TIMELINE_HEADER = ("round_id", "player_id", "rating_before")
@@ -32,7 +37,12 @@ TIMELINE_HEADER = ("round_id", "player_id", "rating_before")
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 _SNAPSHOT_MAGIC = b"RSNP"
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
+# After the magic and the version byte: rounds_processed, r1, player count.
+_HEADER = struct.Struct("<QdQ")
+# Version 2 only, next: the seven RatingParams fields in declaration order
+# (all NaN when unknown) and the byte length of the last round id (0: none).
+_V2_HEADER = struct.Struct("<7dI")
 # Largest round count a snapshot may hold, per player and in all: exact as a
 # float and far inside the engine's int64 round numbers.
 _MAX_ROUNDS = 2 ** 53
@@ -231,98 +241,153 @@ def timeline_ratings(timeline: Mapping[tuple[str, str], float], round_id: str,
 
 
 def save_snapshot(state: EngineState, path) -> None:
-    """Write the engine state as a checksummed binary snapshot."""
-    buf = bytearray()
-    buf += _SNAPSHOT_MAGIC
-    buf.append(_SNAPSHOT_VERSION)
-    buf += struct.pack("<Q", state.rounds_processed)
-    buf += struct.pack("<d", state.r1)
-    buf += struct.pack("<Q", len(state.players))
-    for player_id, player in state.players.items():
-        raw = player_id.encode("utf-8")
-        buf += struct.pack("<I", len(raw))
-        buf += raw
-        buf += struct.pack("<dQ", player.rating, player.num_rounds)
-    digest = hashlib.blake2b(bytes(buf), digest_size=8).digest()
-    Path(path).write_bytes(bytes(buf) + digest)
+    """Write the engine state as a checksummed, columnar (version 2) snapshot."""
+    raw = [player_id.encode("utf-8") for player_id in state.ids]
+    ends = np.cumsum(np.fromiter(map(len, raw), np.uint64, len(raw)), dtype="<u8")
+    params = (math.nan,) * 7 if state.params is None else astuple(state.params)
+    last = (state.last_round_id or "").encode("utf-8")
+    payload = b"".join((
+        _SNAPSHOT_MAGIC, bytes([_SNAPSHOT_VERSION]),
+        _HEADER.pack(state.rounds_processed, state.r1, len(raw)),
+        _V2_HEADER.pack(*params, len(last)), last,
+        ends.tobytes(), b"".join(raw),
+        state.rating.astype("<f8").tobytes(), state.num_rounds.astype("<u8").tobytes()))
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    Path(path).write_bytes(payload + digest)
+
+
+def _truncated_unless(ok: bool) -> None:
+    if not ok:
+        raise SnapshotError("snapshot truncated")
+
+
+def _decode_ids(payload: bytes, starts: list[int], ends: list[int]) -> list[str]:
+    try:
+        return [payload[start:end].decode("utf-8") for start, end in zip(starts, ends)]
+    except UnicodeDecodeError:
+        raise SnapshotError("player id is not valid UTF-8") from None
+
+
+def _v1_columns(payload: bytes, offset: int, count: int):
+    """Version 1 body: per player, a u32 id length, the id, a rating and a count."""
+    starts, ends, ratings, rounds = [], [], [], []
+    for _ in range(count):
+        _truncated_unless(offset + 4 <= len(payload))
+        id_len, = struct.unpack_from("<I", payload, offset)
+        offset += 4
+        _truncated_unless(offset + id_len + 16 <= len(payload))
+        starts.append(offset)
+        offset += id_len
+        ends.append(offset)
+        rating, num_rounds = struct.unpack_from("<dQ", payload, offset)
+        ratings.append(rating)
+        rounds.append(num_rounds)
+        offset += 16
+    if offset != len(payload):
+        raise SnapshotError("trailing data after player records")
+    return (_decode_ids(payload, starts, ends), np.array(ratings, dtype=np.float64),
+            np.array(rounds, dtype=np.uint64), None, None)
+
+
+def _v2_columns(payload: bytes, offset: int, count: int):
+    """Version 2 body: the run's parameters and last round id, then columns:
+    u64 id end-offsets, the UTF-8 id blob, ``<f8`` ratings, ``<u8`` counts."""
+    _truncated_unless(offset + _V2_HEADER.size <= len(payload))
+    *values, id_len = _V2_HEADER.unpack_from(payload, offset)
+    offset += _V2_HEADER.size
+    params = None
+    if not all(map(math.isnan, values)):   # all NaN: parameters unknown
+        try:
+            params = RatingParams(*values)
+        except InputError as exc:
+            raise SnapshotError(f"invalid rating parameters: {exc}") from None
+    _truncated_unless(offset + id_len + 8 * count <= len(payload))
+    try:
+        last_round_id = payload[offset:offset + id_len].decode("utf-8") or None
+    except UnicodeDecodeError:
+        raise SnapshotError("last round id is not valid UTF-8") from None
+    offset += id_len
+    ends = np.frombuffer(payload, "<u8", count, offset)
+    offset += 8 * count
+    if count and (ends[1:] < ends[:-1]).any():
+        raise SnapshotError("player id offsets are not ascending")
+    blob_end = offset + (int(ends[-1]) if count else 0)
+    _truncated_unless(blob_end + 16 * count <= len(payload))
+    if blob_end + 16 * count != len(payload):
+        raise SnapshotError("trailing data after player records")
+    bounds = (ends + offset).tolist()
+    return (_decode_ids(payload, [offset] + bounds[:-1], bounds),
+            np.frombuffer(payload, "<f8", count, blob_end),
+            np.frombuffer(payload, "<u8", count, blob_end + 8 * count),
+            params, last_round_id)
 
 
 def load_snapshot(path) -> EngineState:
-    """Load a snapshot written by ``save_snapshot``.
+    """Load a snapshot written by ``save_snapshot``, of version 2 or 1.
 
-    Verifies the checksum, that every player id is UTF-8, that every
-    rating (``r1`` included) is finite, and that no round count (the
+    Verifies the checksum, that every player id is UTF-8 and distinct, that
+    every rating (``r1`` included) is finite, and that no round count (the
     engine's ``rounds_processed`` included) is above 2**53; any failure is
-    a ``SnapshotError``.
+    a ``SnapshotError``.  A version 1 snapshot does not record the
+    parameters or the last round id, which load as None.
     """
     data = Path(path).read_bytes()
-    if len(data) < len(_SNAPSHOT_MAGIC) + 1 + 8 + 8 + 8 + 8:
+    if len(data) < len(_SNAPSHOT_MAGIC) + 1 + _HEADER.size + 8:
         raise SnapshotError("snapshot truncated")
     payload, digest = data[:-8], data[-8:]
     if payload[:4] != _SNAPSHOT_MAGIC:
         raise SnapshotError("not a snapshot file")
     version = payload[4]
-    if version != _SNAPSHOT_VERSION:
+    if version not in (1, 2):
         raise SnapshotError(f"unsupported snapshot version {version}")
     if hashlib.blake2b(payload, digest_size=8).digest() != digest:
         raise SnapshotError("checksum mismatch (corrupt or truncated snapshot)")
 
-    offset = 5
-    rounds_processed, = struct.unpack_from("<Q", payload, offset)
-    offset += 8
+    rounds_processed, r1, count = _HEADER.unpack_from(payload, 5)
     if rounds_processed > _MAX_ROUNDS:
         raise SnapshotError(f"rounds_processed {rounds_processed} is above 2**53")
-    r1, = struct.unpack_from("<d", payload, offset)
-    offset += 8
     if not math.isfinite(r1):
         raise SnapshotError(f"non-finite new-player rating {r1!r}")
-    count, = struct.unpack_from("<Q", payload, offset)
-    offset += 8
-    players: dict[str, PlayerState] = {}
-    for _ in range(count):
-        if offset + 4 > len(payload):
-            raise SnapshotError("snapshot truncated")
-        id_len, = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        if offset + id_len + 16 > len(payload):
-            raise SnapshotError("snapshot truncated")
-        try:
-            player_id = payload[offset:offset + id_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise SnapshotError("player id is not valid UTF-8") from None
-        offset += id_len
-        rating, num_rounds = struct.unpack_from("<dQ", payload, offset)
-        offset += 16
-        if player_id in players:
-            raise SnapshotError(f"duplicate player {player_id!r} in snapshot")
-        if not math.isfinite(rating):
-            raise SnapshotError(f"non-finite rating for player {player_id!r}")
-        if num_rounds > _MAX_ROUNDS:
-            raise SnapshotError(f"round count {num_rounds} for player "
-                                f"{player_id!r} is above 2**53")
-        players[player_id] = PlayerState(rating=rating, num_rounds=int(num_rounds))
-    if offset != len(payload):
-        raise SnapshotError("trailing data after player records")
-    return EngineState(players=players, r1=r1, rounds_processed=int(rounds_processed))
+    read = _v1_columns if version == 1 else _v2_columns
+    ids, rating, num_rounds, params, last_round_id = read(
+        payload, 5 + _HEADER.size, count)
+    bad = np.flatnonzero(~np.isfinite(rating))
+    if bad.size:
+        raise SnapshotError(f"non-finite rating for player {ids[bad[0]]!r}")
+    bad = np.flatnonzero(num_rounds > _MAX_ROUNDS)
+    if bad.size:
+        raise SnapshotError(f"round count {int(num_rounds[bad[0]])} for player "
+                            f"{ids[bad[0]]!r} is above 2**53")
+    try:
+        return EngineState(ids=ids, rating=rating, num_rounds=num_rounds, r1=r1,
+                           rounds_processed=rounds_processed, params=params,
+                           last_round_id=last_round_id)
+    except InputError:   # the only column defect left: an id twice
+        seen: set[str] = set()
+        for player_id in ids:
+            if player_id in seen:
+                raise SnapshotError(
+                    f"duplicate player {player_id!r} in snapshot") from None
+            seen.add(player_id)
+        raise
 
 
 def export_snapshot(state: EngineState, dest, fmt: str = "csv") -> None:
     """Write a human-readable view of a snapshot (players sorted by id)."""
     if fmt not in ("csv", "table"):
         raise InputError(f"unknown export format {fmt!r}")
-    items = sorted(state.players.items())
+    order = sorted(range(len(state.ids)), key=state.ids.__getitem__)
+    rows = list(zip([state.ids[i] for i in order], state.rating[order].tolist(),
+                    state.num_rounds[order].tolist()))
     with open_text(dest, "w") as stream:
         if fmt == "csv":
             write_csv(stream, ("rounds_processed", "r1"),
                       [(state.rounds_processed, state.r1)])
-            write_csv(stream, ("player_id", "rating", "num_rounds"),
-                      ((player_id, player.rating, player.num_rounds)
-                       for player_id, player in items))
+            write_csv(stream, ("player_id", "rating", "num_rounds"), rows)
             return
-        width = max([len("player_id")] + [len(pid) for pid, _ in items])
+        width = max([len("player_id")] + [len(row[0]) for row in rows])
         stream.write(f"rounds_processed: {state.rounds_processed}\n")
         stream.write(f"r1: {state.r1!r}\n")
         stream.write(f"{'player_id'.ljust(width)}  {'rating':>12}  num_rounds\n")
-        for player_id, player in items:
-            stream.write(
-                f"{player_id.ljust(width)}  {player.rating:>12.2f}  {player.num_rounds}\n")
+        for player_id, rating, num_rounds in rows:
+            stream.write(f"{player_id.ljust(width)}  {rating:>12.2f}  {num_rounds}\n")

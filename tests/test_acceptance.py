@@ -17,7 +17,6 @@ from rankelo import (
     DivisionResult,
     EngineState,
     PROFILES,
-    PlayerState,
     RoundInput,
     SimConfig,
     SweepSpec,
@@ -87,11 +86,11 @@ def test_division_performance_sum_floor():
         n = int(rng.integers(2, 201))
         ratings = rng.uniform(0.0, 3500.0, n)
         scores = np.round((ratings + rng.normal(0.0, 400.0, n)) / 100.0) * 100.0
-        players = {f"p{i}": PlayerState(float(ratings[i]), 0)
-                   for i in range(n)}
+        state = EngineState(ids=[f"p{i}" for i in range(n)], rating=ratings,
+                            num_rounds=[0] * n)
         division = DivisionResult(1, [(f"p{i}", float(scores[i]))
                                       for i in range(n)])
-        total = sum(rate_division(division, players, ELO).perf.tolist())
+        total = sum(rate_division(division, state, ELO).perf.tolist())
         worst = min(worst, total)
         if len(set(scores.tolist())) < n:
             tied_divisions += 1
@@ -145,12 +144,11 @@ def test_engine_matches_bruteforce_oracle():
             scores = np.full(n, float(rng.integers(0, 5)))
         rounds_played = rng.integers(0, 300, n)
 
-        players = {f"p{i:03d}": PlayerState(float(ratings[i]),
-                                            int(rounds_played[i]))
-                   for i in range(n)}
+        state = EngineState(ids=[f"p{i:03d}" for i in range(n)], rating=ratings,
+                            num_rounds=rounds_played)
         division = DivisionResult(1, [(f"p{i:03d}", float(scores[i]))
                                       for i in range(n)])
-        got = rate_division(division, players, params)
+        got = rate_division(division, state, params)
         want = oracle_rate_division(
             [float(s) for s in scores], [float(r) for r in ratings],
             [int(x) for x in rounds_played], params)
@@ -179,9 +177,9 @@ def test_two_player_golden_deltas():
         capped = perf * ELO.perf_cap / (ELO.perf_cap + abs(perf))
         derived[label] = ELO.k_factor * capped / factor    # new player: W = 1
 
-    players = {"w": PlayerState(1200.0, 0), "l": PlayerState(1200.0, 0)}
+    state = EngineState(ids=["w", "l"], rating=[1200.0, 1200.0], num_rounds=[0, 0])
     division = DivisionResult(1, [("w", 10.0), ("l", 5.0)])
-    winner, loser = rate_division(division, players, ELO).delta_r.tolist()
+    winner, loser = rate_division(division, state, ELO).delta_r.tolist()
 
     assert winner == pytest.approx(derived["winner"], abs=1e-9)
     assert loser == pytest.approx(derived["loser"], abs=1e-9)
@@ -195,13 +193,13 @@ def test_all_tied_division_is_neutral():
     """With no performance bonus, a division where everyone ties changes
     no rating at all, exactly."""
     ratings = np.linspace(900.0, 2700.0, 7)
-    players = {f"p{i}": PlayerState(float(ratings[i]), i * 20)
-               for i in range(7)}
+    state = EngineState(ids=[f"p{i}" for i in range(7)], rating=ratings,
+                        num_rounds=[i * 20 for i in range(7)], r1=1200.0,
+                        rounds_processed=0)
     division = DivisionResult(1, [(f"p{i}", 42.0) for i in range(7)])
-    breakdown = rate_division(division, players, ELO)
+    breakdown = rate_division(division, state, ELO)
     assert breakdown.delta_r.tolist() == [0.0] * 7
 
-    state = EngineState(players=dict(players), r1=1200.0, rounds_processed=0)
     rate_round(RoundInput("r1", [division]), state, ELO)
     assert all(state.players[f"p{i}"].rating == float(ratings[i])
                for i in range(7))

@@ -17,7 +17,6 @@ from rankelo import (
     EngineState,
     InputError,
     PROFILES,
-    PlayerState,
     load_snapshot,
     parse_rounds,
     save_snapshot,
@@ -134,7 +133,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("old,new,message", [
         (b"p000001", b"p00000\xff", "not valid UTF-8"),
-        (b"RSNP\x01" + struct.pack("<Q", 0), b"RSNP\x01" + struct.pack("<Q", 2 ** 64 - 1),
+        (b"RSNP\x02" + struct.pack("<Q", 0), b"RSNP\x02" + struct.pack("<Q", 2 ** 64 - 1),
          "rounds_processed 18446744073709551615 is above 2**53"),
         (struct.pack("<d", 1300.0), struct.pack("<d", float("nan")),
          "non-finite rating for player 'p000001'"),
@@ -144,7 +143,7 @@ class TestExitCodes:
     def test_bad_snapshot_values(self, history_file, tmp_path, capsys,
                                  old, new, message):
         path = tmp_path / "bad.snap"
-        save_snapshot(EngineState(players={"p000001": PlayerState(1300.0, 4)}),
+        save_snapshot(EngineState(ids=["p000001"], rating=[1300.0], num_rounds=[4]),
                       path)
         payload = path.read_bytes()[:-8].replace(old, new)
         path.write_bytes(payload + hashlib.blake2b(payload, digest_size=8).digest())
@@ -261,14 +260,7 @@ class TestRate:
         assert run(["rate", "--input", str(history_file), "--profile", "elo2",
                     "--snapshot-out", str(full_snap)]) == 0
 
-        head = tmp_path / "head.csv"
-        tail = tmp_path / "tail.csv"
-        lines = history_file.read_text().splitlines()
-        cut = next(i for i, line in enumerate(lines)
-                   if line.startswith("r0006"))
-        head.write_text("\n".join(lines[:cut]) + "\n")
-        tail.write_text(lines[0] + "\n" + "\n".join(lines[cut:]) + "\n")
-
+        head, tail = split_history(history_file, tmp_path)
         mid_snap = tmp_path / "mid.snap"
         split_snap = tmp_path / "split.snap"
         assert run(["rate", "--input", str(head), "--profile", "elo2",
@@ -278,6 +270,68 @@ class TestRate:
                     "--snapshot-out", str(split_snap)]) == 0
         capsys.readouterr()
         assert split_snap.read_bytes() == full_snap.read_bytes()
+
+
+def split_history(history_file, tmp_path, first="r0006"):
+    """The history cut before round ``first``: (head path, tail path)."""
+    head, tail = tmp_path / "head.csv", tmp_path / "tail.csv"
+    lines = history_file.read_text().splitlines()
+    cut = next(i for i, line in enumerate(lines) if line.startswith(first))
+    head.write_text("\n".join(lines[:cut]) + "\n")
+    tail.write_text(lines[0] + "\n" + "\n".join(lines[cut:]) + "\n")
+    return head, tail
+
+
+class TestResume:
+    """A snapshot resumes only under its own parameters and after its rounds."""
+
+    @pytest.fixture
+    def head_snapshot(self, history_file, tmp_path, capsys):
+        head, tail = split_history(history_file, tmp_path)
+        snap = tmp_path / "head.snap"
+        assert run(["rate", "--profile", "elo2", "--input", str(head),
+                    "--snapshot-out", str(snap)]) == 0
+        capsys.readouterr()
+        return head, tail, snap
+
+    @pytest.mark.parametrize("command", ["rate", "eval"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--profile", "elo"], "snapshot was rated with bonus=27.0, this run "
+                               "uses bonus=0.0"),
+        (["--profile", "elo2", "--param", "k_factor=500"],
+         "snapshot was rated with k_factor=600.0, this run uses k_factor=500.0"),
+        (["--profile", "custom", "--param", "bonus=27", "--param", "inflation=63",
+          "--param", "weight_exponent=0.25"], "weight_exponent=0.5"),
+    ], ids=["profile", "param", "last_field"])
+    def test_other_parameters_are_refused(self, head_snapshot, tmp_path, capsys,
+                                          command, flags, message):
+        _, tail, snap = head_snapshot
+        out = tmp_path / "out"
+        assert run([command, *flags, "--input", str(tail), "--snapshot-in", str(snap),
+                    "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rate", "eval"])
+    @pytest.mark.parametrize("rounds", ["head", "history"])
+    def test_applied_round_is_refused(self, head_snapshot, history_file, tmp_path,
+                                      capsys, command, rounds):
+        head, _, snap = head_snapshot
+        again = head if rounds == "head" else history_file
+        out = tmp_path / "out"
+        assert run([command, "--profile", "elo2", "--input", str(again),
+                    "--snapshot-in", str(snap), "--output", str(out)]) == 1
+        assert "round 'r0005' is already applied in the snapshot" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_same_parameters_after_the_last_round_resume(self, head_snapshot,
+                                                         tmp_path, capsys):
+        _, tail, snap = head_snapshot
+        assert run(["eval", "--profile", "custom", "--param", "bonus=27",
+                    "--param", "inflation=63", "--input", str(tail),
+                    "--snapshot-in", str(snap), "--report", "stats",
+                    "--output", str(tmp_path / "stats.csv")]) == 0
 
 
 class TestEval:

@@ -36,9 +36,9 @@ ELO2 = PROFILES["elo2"]
 
 
 def two_player_division(score_a=100.0, score_b=50.0):
-    players = {"a": PlayerState(1200.0), "b": PlayerState(1200.0)}
+    state = EngineState(ids=["a", "b"], rating=[1200.0, 1200.0], num_rounds=[0, 0])
     division = DivisionResult(division=1, entries=[("a", score_a), ("b", score_b)])
-    return division, players
+    return division, state
 
 
 def duel(r_a, r_b):
@@ -49,10 +49,11 @@ def duel(r_a, r_b):
 
 def rate(entries, params, rounds=None):
     """The breakdown of one division of ``(player_id, rating, score)`` entries."""
-    players = {pid: PlayerState(rating, (rounds or {}).get(pid, 0))
-               for pid, rating, _ in entries}
+    state = EngineState(ids=[pid for pid, _, _ in entries],
+                        rating=[rating for _, rating, _ in entries],
+                        num_rounds=[(rounds or {}).get(pid, 0) for pid, _, _ in entries])
     division = DivisionResult(1, [(pid, score) for pid, _, score in entries])
-    return rate_division(division, players, params)
+    return rate_division(division, state, params)
 
 
 def row(breakdown, i):
@@ -236,8 +237,8 @@ class TestGoldenTwoPlayerRound:
     """Hand-derived chain for two fresh 1200-rated players, 'elo' profile."""
 
     def test_winner_breakdown(self):
-        division, players = two_player_division()
-        winner = row(rate_division(division, players, ELO), 0)
+        division, state = two_player_division()
+        winner = row(rate_division(division, state, ELO), 0)
         assert winner.actual_rank == 1.0
         assert winner.expected_rank == pytest.approx(1.5, abs=1e-12)
         assert winner.perf == pytest.approx(0.5849625007211562, abs=1e-12)
@@ -249,8 +250,8 @@ class TestGoldenTwoPlayerRound:
         assert winner.delta_r == pytest.approx(74.53, abs=0.01)
 
     def test_loser_breakdown(self):
-        division, players = two_player_division()
-        loser = row(rate_division(division, players, ELO), 1)
+        division, state = two_player_division()
+        loser = row(rate_division(division, state, ELO), 1)
         assert loser.actual_rank == 2.0
         assert loser.expected_rank == pytest.approx(1.5, abs=1e-12)
         assert loser.perf == pytest.approx(-0.4150374992788438, abs=1e-12)
@@ -259,66 +260,88 @@ class TestGoldenTwoPlayerRound:
         assert loser.delta_r == pytest.approx(-54.14, abs=0.01)
 
     def test_round_gains_rating_on_net(self):
-        division, players = two_player_division()
-        deltas = rate_division(division, players, ELO).delta_r.tolist()
+        division, state = two_player_division()
+        deltas = rate_division(division, state, ELO).delta_r.tolist()
         assert deltas[0] + deltas[1] > 0.0
 
 
 class TestRateDivision:
     def test_empty_division(self):
-        b = rate_division(DivisionResult(1, []), {}, ELO)
+        b = rate_division(DivisionResult(1, []), EngineState(), ELO)
         for f in fields(b):
             column = getattr(b, f.name)
             assert column.shape == (0,)
             assert column.dtype == (np.int64 if f.name == "nr" else np.float64)
 
     def test_all_tied_without_bonus_is_exactly_neutral(self):
-        players = {f"p{i}": PlayerState(1000.0 + 250.0 * i, num_rounds=i)
-                   for i in range(6)}
+        state = EngineState(ids=[f"p{i}" for i in range(6)],
+                            rating=[1000.0 + 250.0 * i for i in range(6)],
+                            num_rounds=range(6))
         division = DivisionResult(
             division=1, entries=[(f"p{i}", 42.0) for i in range(6)])
-        b = rate_division(division, players, ELO)
+        b = rate_division(division, state, ELO)
         assert b.delta_r.tolist() == [0.0] * 6
         assert b.perf.tolist() == [0.0] * 6
 
     def test_all_tied_with_bonus_still_moves(self):
-        players = {"a": PlayerState(1200.0), "b": PlayerState(1200.0)}
-        division = DivisionResult(division=1, entries=[("a", 1.0), ("b", 1.0)])
-        assert (rate_division(division, players, ELO2).delta_r > 0.0).all()
+        division, state = two_player_division(1.0, 1.0)
+        assert (rate_division(division, state, ELO2).delta_r > 0.0).all()
 
     def test_duplicate_player_rejected(self):
-        players = {"a": PlayerState(1200.0)}
+        state = EngineState(ids=["a"], rating=[1200.0], num_rounds=[0])
         division = DivisionResult(division=1, entries=[("a", 1.0), ("a", 2.0)])
         with pytest.raises(InputError):
-            rate_division(division, players, ELO)
+            rate_division(division, state, ELO)
 
     def test_unregistered_player_rejected(self):
-        division, players = two_player_division()
-        del players["b"]
+        division, _ = two_player_division()
+        state = EngineState(ids=["a"], rating=[1200.0], num_rounds=[0])
         with pytest.raises(InputError):
-            rate_division(division, players, ELO)
+            rate_division(division, state, ELO)
 
     def test_non_finite_score_rejected(self):
-        players = {"a": PlayerState(1200.0), "b": PlayerState(1200.0)}
-        division = DivisionResult(division=1, entries=[("a", math.nan), ("b", 2.0)])
+        division, state = two_player_division(math.nan, 2.0)
         with pytest.raises(InputError):
-            rate_division(division, players, ELO)
+            rate_division(division, state, ELO)
 
     def test_pure_no_state_mutation(self):
-        division, players = two_player_division()
-        rate_division(division, players, ELO)
-        assert players["a"] == PlayerState(1200.0, 0)
-        assert players["b"] == PlayerState(1200.0, 0)
+        division, state = two_player_division()
+        rate_division(division, state, ELO)
+        assert state.players == {"a": PlayerState(1200.0, 0), "b": PlayerState(1200.0, 0)}
 
     def test_entry_order_never_matters(self):
-        players = {"a": PlayerState(1100.0, 3), "b": PlayerState(1300.0, 7),
-                   "c": PlayerState(1500.0, 1)}
+        state = EngineState(ids=["a", "b", "c"], rating=[1100.0, 1300.0, 1500.0],
+                            num_rounds=[3, 7, 1])
         forward = DivisionResult(1, [("a", 3.0), ("b", 2.0), ("c", 3.0)])
         backward = DivisionResult(1, list(reversed(forward.entries)))
-        out_f = rate_division(forward, players, ELO)
-        out_b = rate_division(backward, players, ELO)
+        out_f = rate_division(forward, state, ELO)
+        out_b = rate_division(backward, state, ELO)
         for f in fields(out_f):
             assert np.array_equal(getattr(out_f, f.name), getattr(out_b, f.name)[::-1])
+
+
+class TestEngineState:
+    @pytest.mark.parametrize("ids,rating,num_rounds", [
+        (["a", "a"], [1.0, 2.0], [0, 0]),
+        (["a", "b"], [1.0], [0, 0]),
+        (["a"], [1.0], [0, 1]),
+    ], ids=["repeated_id", "short_rating", "long_num_rounds"])
+    def test_columns_must_match_distinct_ids(self, ids, rating, num_rounds):
+        with pytest.raises(InputError, match="ids must be distinct"):
+            EngineState(ids=ids, rating=rating, num_rounds=num_rounds)
+
+    def test_round_scatters_deltas_onto_the_columns(self):
+        state = EngineState(ids=["z", "a", "idle"], rating=[1300.0, 1100.0, 1500.0],
+                            num_rounds=[4, 0, 9], r1=1250.0)
+        division = DivisionResult(1, [("new", 2.0), ("a", 3.0), ("z", 1.0)])
+        breakdown, = rate_round(RoundInput("r1", [division]), state, ELO)
+        assert state.ids == ["z", "a", "idle", "new"]
+        assert breakdown.rating_before.tolist() == [1250.0, 1100.0, 1300.0]
+        assert state.rating.tolist() == [
+            1300.0 + breakdown.delta_r[2], 1100.0 + breakdown.delta_r[1], 1500.0,
+            1250.0 + breakdown.delta_r[0]]
+        assert state.num_rounds.tolist() == [5, 1, 9, 1]
+        assert (state.params, state.last_round_id) == (ELO, "r1")
 
 
 class TestRateRound:
@@ -348,9 +371,9 @@ class TestRateRound:
 
     def test_player_in_two_divisions_rejected(self):
         state = EngineState.fresh(ELO)
-        round_input = RoundInput("r1", [DivisionResult(1, [("a", 1.0)]),
-                                        DivisionResult(2, [("a", 2.0)])])
-        with pytest.raises(InputError):
+        round_input = RoundInput("r1", [DivisionResult(1, [("a", 1.0), ("b", 3.0)]),
+                                        DivisionResult(2, [("b", 2.0), ("a", 2.0)])])
+        with pytest.raises(InputError, match="player 'b' appears twice in round 'r1'"):
             rate_round(round_input, state, ELO)
 
     def test_inflation_advances_once_per_round_not_per_division(self):
@@ -395,28 +418,37 @@ class TestParamsAndProfiles:
 
 class TestGetOrCreatePlayer:
     def test_new_player_at_base_rating(self):
-        players = {}
-        assert get_or_create_player(players, "x", 1200.0).rating == 1200.0
+        state = EngineState.fresh(ELO)
+        assert get_or_create_player(state, "x") == 0
+        assert (state.ids, state.index) == (["x"], {"x": 0})
+        breakdown, = rate_round(RoundInput("r0", [DivisionResult(1, [("x", 1.0)])]),
+                                state, ELO)
+        assert breakdown.rating_before.tolist() == [1200.0]
+        assert state.players == {"x": PlayerState(1200.0, 1)}
 
     def test_new_player_after_hundred_inflated_rounds(self):
         state = EngineState.fresh(ELO2)
         for n in range(100):
             rate_round(RoundInput(f"r{n}", [DivisionResult(1, [])]), state, ELO2)
         assert state.r1 == 1263.0
-        assert get_or_create_player(state.players, "x", state.r1).rating == 1263.0
+        breakdown, = rate_round(RoundInput("r100", [DivisionResult(1, [("x", 1.0)])]),
+                                state, ELO2)
+        assert breakdown.rating_before.tolist() == [1263.0]
+        assert state.players["x"].num_rounds == 1
 
     def test_existing_player_untouched(self):
-        players = {"x": PlayerState(1777.0, 12)}
-        assert get_or_create_player(players, "x", 1200.0) is players["x"]
-        assert players["x"] == PlayerState(1777.0, 12)
+        state = EngineState(ids=["x"], rating=[1777.0], num_rounds=[12])
+        assert get_or_create_player(state, "x") == 0
+        assert state.ids == ["x"]
+        assert state.players == {"x": PlayerState(1777.0, 12)}
 
     def test_replay_registers_each_entry_once(self, monkeypatch):
         original = get_or_create_player
         calls = []
 
-        def counting(players, player_id, r1):
+        def counting(state, player_id):
             calls.append(player_id)
-            return original(players, player_id, r1)
+            return original(state, player_id)
 
         for name, module in list(sys.modules.items()):
             if (name.split(".")[0] == "rankelo"

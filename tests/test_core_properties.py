@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from rankelo import (
     DivisionResult,
+    EngineState,
     PROFILES,
-    PlayerState,
     division_ranks,
     rate_division,
 )
@@ -38,10 +38,11 @@ def division_cases(draw, min_n=1, max_n=12, tie_heavy=True):
     else:
         scores = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
     rounds = draw(st.lists(st.integers(0, 400), min_size=n, max_size=n))
-    players = {f"p{i}": PlayerState(ratings[i], rounds[i]) for i in range(n)}
+    state = EngineState(ids=[f"p{i}" for i in range(n)], rating=ratings,
+                        num_rounds=rounds)
     division = DivisionResult(
         division=1, entries=[(f"p{i}", scores[i]) for i in range(n)])
-    return division, players
+    return division, state
 
 
 class TestWinCurveProperties:
@@ -100,8 +101,8 @@ class TestSigmoidCapProperties:
         assert abs(capped) < cap or p == 0.0
         assert abs(capped - p) <= p * p / cap + 1e-12
         # the engine's cap, on the performances of a real division
-        division, players = case
-        b = rate_division(division, players, replace(ELO, perf_cap=cap))
+        division, state = case
+        b = rate_division(division, state, replace(ELO, perf_cap=cap))
         for perf, adjusted in zip(b.perf.tolist(), b.adjusted_perf.tolist()):
             assert abs(adjusted) < cap or perf == 0.0
             assert abs(adjusted - perf) <= perf * perf / cap + 1e-12
@@ -115,10 +116,11 @@ class TestSigmoidCapProperties:
         rng = np.random.default_rng(11)
         n = 300
         ratings = rng.uniform(0.0, 3500.0, n)
-        players = {f"p{i:03d}": PlayerState(float(ratings[i])) for i in range(n)}
+        state = EngineState(ids=[f"p{i:03d}" for i in range(n)], rating=ratings,
+                            num_rounds=[0] * n)
         division = DivisionResult(1, [(f"p{i:03d}", float(s))
                                       for i, s in enumerate(rng.permutation(n))])
-        b = rate_division(division, players, ELO)
+        b = rate_division(division, state, ELO)
         pairs = sorted(zip(b.perf.tolist(), b.adjusted_perf.tolist()))
         assert len({perf for perf, _ in pairs}) == n
         assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
@@ -129,9 +131,9 @@ class TestDivisionProperties:
     @settings(deadline=None)
     @given(case=division_cases())
     def test_sensitivity_within_bounds(self, case):
-        division, players = case
+        division, state = case
         n = len(division.entries)
-        b = rate_division(division, players, ELO)
+        b = rate_division(division, state, ELO)
         assert b.sensitivity.size == n
         assert (1.0 / n - 1e-12 <= b.sensitivity).all()
         assert (b.sensitivity <= 1.0 + 1e-12).all()
@@ -139,9 +141,9 @@ class TestDivisionProperties:
     @settings(deadline=None)
     @given(case=division_cases())
     def test_rank_fields_within_bounds(self, case):
-        division, players = case
+        division, state = case
         n = len(division.entries)
-        b = rate_division(division, players, ELO)
+        b = rate_division(division, state, ELO)
         assert ((1.0 <= b.actual_rank) & (b.actual_rank <= n)).all()
         assert ((1.0 - 1e-12 <= b.expected_rank)
                 & (b.expected_rank <= n + 1e-12)).all()
@@ -154,38 +156,38 @@ class TestDivisionProperties:
         ratings = data.draw(st.lists(ratings_st, min_size=n, max_size=n))
         scores = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n,
                                     max_size=n, unique=True))
-        players = {f"p{i}": PlayerState(ratings[i]) for i in range(n)}
+        state = EngineState(ids=[f"p{i}" for i in range(n)], rating=ratings,
+                            num_rounds=[0] * n)
         division = DivisionResult(
             division=1, entries=[(f"p{i}", scores[i]) for i in range(n)])
-        total = sum(rate_division(division, players, ELO).perf.tolist())
+        total = sum(rate_division(division, state, ELO).perf.tolist())
         assert total >= -1e-9
 
     def test_tie_splitting_admits_small_negative_sums(self):
         # The no-ties inequality does not survive the half-split tie
         # convention in full generality: a tie group spanning a large
         # rating gap can push the round total slightly below zero.
-        players = {"p0": PlayerState(0.0), "p1": PlayerState(644.0),
-                   "p2": PlayerState(0.0), "p3": PlayerState(0.0),
-                   "p4": PlayerState(0.0)}
+        state = EngineState(ids=["p0", "p1", "p2", "p3", "p4"],
+                            rating=[0.0, 644.0, 0.0, 0.0, 0.0], num_rounds=[0] * 5)
         tied = DivisionResult(1, [("p0", 0.0), ("p1", 1.0), ("p2", 2.0),
                                   ("p3", 2.0), ("p4", 2.0)])
-        total = sum(rate_division(tied, players, ELO).perf.tolist())
+        total = sum(rate_division(tied, state, ELO).perf.tolist())
         assert total == pytest.approx(-1.159165525488e-4, abs=1e-12)
         # breaking the tie restores the inequality on the same inputs
         untied = DivisionResult(1, [("p0", 0.0), ("p1", 1.0), ("p2", 2.0),
                                     ("p3", 3.0), ("p4", 4.0)])
-        total = sum(rate_division(untied, players, ELO).perf.tolist())
+        total = sum(rate_division(untied, state, ELO).perf.tolist())
         assert total >= -1e-9
 
     @settings(deadline=None)
     @given(case=division_cases(), data=st.data())
     def test_permutation_equivariance_is_bitwise(self, case, data):
-        division, players = case
+        division, state = case
         perm = data.draw(st.permutations(range(len(division.entries))))
         shuffled = DivisionResult(
             division=1, entries=[division.entries[i] for i in perm])
-        base = rate_division(division, players, ELO)
-        out = rate_division(shuffled, players, ELO)
+        base = rate_division(division, state, ELO)
+        out = rate_division(shuffled, state, ELO)
         for f in fields(base):
             assert np.array_equal(getattr(out, f.name), getattr(base, f.name)[perm])
 
@@ -195,10 +197,11 @@ class TestDivisionProperties:
            data=st.data())
     def test_all_tied_division_is_exactly_neutral(self, n, score, data):
         ratings = data.draw(st.lists(ratings_st, min_size=n, max_size=n))
-        players = {f"p{i}": PlayerState(ratings[i], i % 7) for i in range(n)}
+        state = EngineState(ids=[f"p{i}" for i in range(n)], rating=ratings,
+                            num_rounds=[i % 7 for i in range(n)])
         division = DivisionResult(
             division=1, entries=[(f"p{i}", score) for i in range(n)])
-        b = rate_division(division, players, ELO)
+        b = rate_division(division, state, ELO)
         assert b.perf.tolist() == [0.0] * n
         assert b.delta_r.tolist() == [0.0] * n
         assert np.array_equal(b.actual_rank, b.expected_rank)
@@ -207,6 +210,6 @@ class TestDivisionProperties:
     @given(case=division_cases(tie_heavy=False))
     def test_deltas_sorted_against_expectation_gap(self, case):
         # a strictly positive perf never yields a negative delta and vice versa
-        division, players = case
-        b = rate_division(division, players, ELO)
+        division, state = case
+        b = rate_division(division, state, ELO)
         assert np.array_equal(np.sign(b.delta_r), np.sign(b.perf))

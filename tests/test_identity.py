@@ -1,0 +1,82 @@
+"""Byte-identity pin: the CLI's deterministic outputs on one fixed history.
+
+Every digest below was frozen from the output of the commit before the
+engine state became columnar.  A refactor that keeps the maths must keep
+every one of them; a change that moves output bits on purpose updates the
+digest here and declares the change.  Snapshot bytes are not pinned: their
+layout is versioned separately (see ``tests/test_store.py``).
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from rankelo.cli import run
+
+# (name, argv): each command writes ``--output`` to its own file; ``{h}`` is
+# the history and ``{s}`` the snapshot that ``rate`` writes.
+COMMANDS = (
+    ("simulate", ["simulate", "--players", "40", "--rounds", "14",
+                  "--participation", "0.7", "--arrival-rate", "2",
+                  "--div1-fraction", "0.4", "--tie-step", "50",
+                  "--seed", "11"]),
+    ("rate", ["rate", "--profile", "elo2", "--input", "{h}",
+              "--snapshot-out", "{s}"]),
+    ("eval_buckets", ["eval", "--profile", "elo2", "--input", "{h}",
+                      "--report", "buckets"]),
+    ("eval_buckets_table", ["eval", "--profile", "elo2", "--input", "{h}",
+                            "--report", "buckets", "--format", "table"]),
+    ("eval_rounds", ["eval", "--profile", "elo2", "--input", "{h}",
+                     "--report", "rounds"]),
+    ("eval_stats", ["eval", "--input", "{h}", "--report", "stats"]),
+    ("compare", ["compare", "--profile", "elo2", "--vs-profile", "elo",
+                 "--input", "{h}"]),
+    ("sweep", ["sweep", "--profile", "elo2", "--target", "bonus",
+               "--grid", "0,27", "--k-min", "100", "--k-max", "900",
+               "--input", "{h}"]),
+    ("export_csv", ["export", "--snapshot-in", "{s}"]),
+    ("export_table", ["export", "--snapshot-in", "{s}", "--format", "table"]),
+)
+
+FROZEN = {
+    "simulate": "35b7fa9c961ac36d4b187781fddd4e5c531a9eeeb1858273928a365d640d19fa",
+    "rate": "0ac287d43bee517e64e94d589ea3d808b0a0e5dd88de546480dfc0eff6084e21",
+    "rate_summary": "5d3d483619c3ac4540ed7aeb3169ec3b798a3d4ba2d30c1a4fd12367c9d24206",
+    "eval_buckets": "238d144494342a3449b60e544689a75b21eeb5e346f06bbc10d0f58898405c90",
+    "eval_buckets_table": "2df843842fad5a843a317b4293794eb0fb60ce6c423abd806ab5be96a452071a",
+    "eval_rounds": "efd37590effa8ec39a5b6a1de9115db9c78d8747493693e6825e0de4da80757b",
+    "eval_stats": "9e35c45b4f83940213b9dd0e895c58bcb65d75fa6367d8fb82d2bbb1037e4bce",
+    "compare": "973b3dea8ce15c50ed23841c8c247ceac073f78281e3ce75090cdc295e5f19ac",
+    "sweep": "09d43daae5aec7e4a98bb919601be0958c2c239693ddb687d4ec2c947dda16f7",
+    "export_csv": "3679cad7dabd3cd63fa13b22c864cd8e0f383efd224b8d15c57a12a3864220f3",
+    "export_table": "c43e17765699055a83c80006f45fe3fb421080f6305dae3963977d433bdf6858",
+}
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    """SHA-256 of each command's ``--output`` file, plus ``rate``'s summary line."""
+    root = tmp_path_factory.mktemp("identity")
+    paths = {"h": str(root / "simulate.out"), "s": str(root / "state.snap")}
+    out = {}
+    for name, argv in COMMANDS:
+        dest = root / f"{name}.out"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert run([arg.format(**paths) for arg in argv]
+                       + ["--output", str(dest)]) == 0, name
+        out[name] = hashlib.sha256(dest.read_bytes()).hexdigest()
+        if name == "rate":
+            out["rate_summary"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_output_bytes_are_frozen(digests, name):
+    assert digests[name] == FROZEN[name]
+
+
+def test_every_output_is_pinned(digests):
+    assert sorted(digests) == sorted(FROZEN)

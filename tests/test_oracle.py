@@ -8,7 +8,6 @@ from rankelo import (
     DivisionResult,
     EngineState,
     PROFILES,
-    PlayerState,
     RoundInput,
     division_ranks,
     rate_division,
@@ -36,12 +35,12 @@ def random_division(rng, max_n=50):
 
 
 def assert_matches_oracle(scores, ratings, rounds_played, params, tol=1e-9):
-    players = {f"p{i:03d}": PlayerState(float(ratings[i]), int(rounds_played[i]))
-               for i in range(len(scores))}
+    state = EngineState(ids=[f"p{i:03d}" for i in range(len(scores))],
+                        rating=ratings, num_rounds=rounds_played)
     division = DivisionResult(
         division=1,
         entries=[(f"p{i:03d}", float(scores[i])) for i in range(len(scores))])
-    got = rate_division(division, players, params)
+    got = rate_division(division, state, params)
     want = oracle_rate_division([float(s) for s in scores],
                                 [float(r) for r in ratings],
                                 [int(x) for x in rounds_played], params)

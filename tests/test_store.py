@@ -6,6 +6,7 @@ import math
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankelo import (
     DivisionResult,
@@ -26,6 +27,7 @@ from rankelo import (
     save_snapshot,
     write_rounds,
 )
+from rankelo.cli import run
 
 ELO2 = PROFILES["elo2"]
 
@@ -245,14 +247,25 @@ def replay_history(seed=5, rounds=20):
 
 
 def states_equal(a: EngineState, b: EngineState) -> bool:
-    if (a.r1, a.rounds_processed) != (b.r1, b.rounds_processed):
-        return False
-    if set(a.players) != set(b.players):
-        return False
-    return all(
-        (a.players[pid].rating, a.players[pid].num_rounds)
-        == (b.players[pid].rating, b.players[pid].num_rounds)
-        for pid in a.players)
+    """Same players in the same order, with bit-identical columns."""
+    return ((a.r1, a.rounds_processed, a.ids) == (b.r1, b.rounds_processed, b.ids)
+            and a.rating.tobytes() == b.rating.tobytes()
+            and a.num_rounds.tobytes() == b.num_rounds.tobytes())
+
+
+def v1_snapshot(state: EngineState) -> bytes:
+    """``state`` in the version 1 layout: a record per player, then the checksum."""
+    payload = (b"RSNP" + bytes([1])
+               + struct.pack("<QdQ", state.rounds_processed, state.r1, len(state.ids)))
+    for player_id, rating, num_rounds in zip(state.ids, state.rating.tolist(),
+                                             state.num_rounds.tolist()):
+        raw = player_id.encode("utf-8")
+        payload += struct.pack("<I", len(raw)) + raw + struct.pack("<dQ", rating, num_rounds)
+    return payload + hashlib.blake2b(payload, digest_size=8).digest()
+
+
+def one_player(rating=1300.0, num_rounds=2, player_id="pa"):
+    return EngineState(ids=[player_id], rating=[rating], num_rounds=[num_rounds])
 
 
 class TestSnapshots:
@@ -344,7 +357,7 @@ class TestSnapshots:
 
     def test_player_id_not_utf8(self, tmp_path):
         path = tmp_path / "u.snap"
-        save_snapshot(EngineState(players={"pa": PlayerState(1300.0, 2)}), path)
+        save_snapshot(one_player(), path)
         resign(path, b"pa", b"p\xff")
         with pytest.raises(SnapshotError, match="UTF-8"):
             load_snapshot(path)
@@ -352,17 +365,16 @@ class TestSnapshots:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rating(self, tmp_path, bad):
         path = tmp_path / "n.snap"
-        save_snapshot(EngineState(players={"pa": PlayerState(1300.0, 2)}), path)
+        save_snapshot(one_player(), path)
         resign(path, struct.pack("<d", 1300.0), struct.pack("<d", bad))
         with pytest.raises(SnapshotError, match="non-finite rating for player 'pa'"):
             load_snapshot(path)
 
     def test_round_count_above_2_53(self, tmp_path):
         path = tmp_path / "k.snap"
-        save_snapshot(EngineState(players={"pa": PlayerState(1300.0, 2 ** 53)}), path)
-        assert load_snapshot(path).players["pa"].num_rounds == 2 ** 53
-        save_snapshot(EngineState(players={"pa": PlayerState(1300.0, 2 ** 53 + 1)}),
-                      path)
+        save_snapshot(one_player(num_rounds=2 ** 53), path)
+        assert load_snapshot(path).num_rounds.tolist() == [2 ** 53]
+        save_snapshot(one_player(num_rounds=2 ** 53 + 1), path)
         with pytest.raises(SnapshotError, match="round count 9007199254740993"):
             load_snapshot(path)
 
@@ -381,6 +393,217 @@ class TestSnapshots:
         resign(path, struct.pack("<d", 1263.0), struct.pack("<d", bad))
         with pytest.raises(SnapshotError, match="non-finite new-player rating"):
             load_snapshot(path)
+
+
+class TestSnapshotVersions:
+    def test_v2_layout(self, tmp_path):
+        state = EngineState(ids=["b", "ä", ""], rating=[1300.5, -2.0, 1e300],
+                            num_rounds=[3, 0, 2 ** 40], r1=1201.26,
+                            rounds_processed=2, params=ELO2, last_round_id="r,7")
+        path = tmp_path / "v2.snap"
+        save_snapshot(state, path)
+        data = path.read_bytes()
+        payload = data[:-8]
+        assert data[-8:] == hashlib.blake2b(payload, digest_size=8).digest()
+        assert payload[:5] == b"RSNP\x02"
+        head = struct.unpack_from("<QdQ7dI", payload, 5)
+        assert head[:3] == (2, 1201.26, 3)
+        assert head[3:10] == (600.0, 4.0, 6.75, 27.0, 63.0, 1200.0, 0.5)
+        offset = 5 + struct.calcsize("<QdQ7dI")
+        assert payload[offset:offset + head[10]] == b"r,7"
+        offset += head[10]
+        ends = struct.unpack_from("<3Q", payload, offset)
+        assert ends == (1, 3, 3)
+        offset += 24
+        assert payload[offset:offset + 3] == "bä".encode("utf-8")
+        offset += 3
+        assert struct.unpack_from("<3d3Q", payload, offset) == \
+            (1300.5, -2.0, 1e300, 3, 0, 2 ** 40)
+        assert offset + 48 == len(payload)
+        loaded = load_snapshot(path)
+        assert states_equal(loaded, state)
+        assert (loaded.params, loaded.last_round_id) == (ELO2, "r,7")
+
+    def test_unknown_params_and_round_stay_unknown(self, tmp_path):
+        path = tmp_path / "u.snap"
+        save_snapshot(one_player(), path)
+        loaded = load_snapshot(path)
+        assert (loaded.params, loaded.last_round_id) == (None, None)
+        assert loaded.players == {"pa": PlayerState(1300.0, 2)}
+
+    def test_replay_records_params_and_last_round(self, tmp_path):
+        rounds = replay_history()
+        path = tmp_path / "r.snap"
+        save_snapshot(replay(rounds, ELO2).state, path)
+        loaded = load_snapshot(path)
+        assert (loaded.params, loaded.last_round_id) == (ELO2, rounds[-1].round_id)
+
+    def test_v1_snapshot_loads_to_the_same_columns(self, tmp_path):
+        state = replay(replay_history(), ELO2).state
+        path = tmp_path / "v1.snap"
+        path.write_bytes(v1_snapshot(state))
+        loaded = load_snapshot(path)
+        assert states_equal(loaded, state)
+        assert (loaded.params, loaded.last_round_id) == (None, None)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_v1_truncated_or_trailing(self, tmp_path, count):
+        state = EngineState(ids=["a", "b", "c"][:count], rating=[1.0, 2.0, 3.0][:count],
+                            num_rounds=[0, 1, 2][:count])
+        payload = v1_snapshot(state)[:-8]
+        path = tmp_path / "v1.snap"
+        for bad, message in ((payload[:-1], "truncated"),
+                             (payload + b"\x00", "trailing data")):
+            path.write_bytes(bad + hashlib.blake2b(bad, digest_size=8).digest())
+            with pytest.raises(SnapshotError, match=message):
+                load_snapshot(path)
+
+    def test_v2_duplicate_player(self, tmp_path):
+        path = tmp_path / "d.snap"
+        save_snapshot(EngineState(ids=["pa", "pb"], rating=[1.0, 2.0],
+                                  num_rounds=[0, 0]), path)
+        resign(path, b"papb", b"papa")
+        with pytest.raises(SnapshotError, match="duplicate player 'pa'"):
+            load_snapshot(path)
+
+    def test_v2_offsets_must_ascend(self, tmp_path):
+        path = tmp_path / "o.snap"
+        save_snapshot(EngineState(ids=["pa", "pb"], rating=[1.0, 2.0],
+                                  num_rounds=[0, 0]), path)
+        resign(path, struct.pack("<2Q", 2, 4), struct.pack("<2Q", 3, 2))
+        with pytest.raises(SnapshotError, match="offsets are not ascending"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("cut", [1, 8, 16, 200])
+    def test_v2_truncated(self, tmp_path, cut):
+        path = tmp_path / "t.snap"
+        save_snapshot(replay(replay_history(), ELO2).state, path)
+        payload = path.read_bytes()[:-8 - cut]
+        path.write_bytes(payload + hashlib.blake2b(payload, digest_size=8).digest())
+        with pytest.raises(SnapshotError, match="truncated"):
+            load_snapshot(path)
+
+    def test_v2_count_past_the_end(self, tmp_path):
+        path = tmp_path / "c.snap"
+        save_snapshot(one_player(), path)
+        resign(path, struct.pack("<dQ", 1200.0, 1), struct.pack("<dQ", 1200.0, 2 ** 61))
+        with pytest.raises(SnapshotError, match="truncated"):
+            load_snapshot(path)
+
+    def test_v2_trailing_data(self, tmp_path):
+        path = tmp_path / "x.snap"
+        save_snapshot(one_player(), path)
+        payload = path.read_bytes()[:-8] + b"\x00" * 16
+        path.write_bytes(payload + hashlib.blake2b(payload, digest_size=8).digest())
+        with pytest.raises(SnapshotError, match="trailing data"):
+            load_snapshot(path)
+
+    def test_v2_invalid_params(self, tmp_path):
+        path = tmp_path / "p.snap"
+        save_snapshot(EngineState.fresh(ELO2), path)
+        resign(path, struct.pack("<d", 600.0), struct.pack("<d", -600.0))
+        with pytest.raises(SnapshotError, match="invalid rating parameters: "
+                                                "k_factor must be > 0"):
+            load_snapshot(path)
+
+    def test_v2_last_round_id_not_utf8(self, tmp_path):
+        path = tmp_path / "l.snap"
+        save_snapshot(EngineState(last_round_id="rz"), path)
+        resign(path, b"rz", b"r\xff")
+        with pytest.raises(SnapshotError, match="last round id is not valid UTF-8"):
+            load_snapshot(path)
+
+
+class TestResumeFromV1:
+    def write_history(self, tmp_path):
+        rounds = replay_history(seed=9, rounds=16)
+        paths = {}
+        for name, part in (("whole", rounds), ("head", rounds[:7]), ("tail", rounds[7:])):
+            paths[name] = tmp_path / f"{name}.csv"
+            write_rounds(part, paths[name])
+        return rounds, paths
+
+    def test_resume_equals_an_uninterrupted_replay(self, tmp_path, capsys):
+        rounds, paths = self.write_history(tmp_path)
+        logs = {name: tmp_path / f"{name}.log" for name in ("whole", "head", "tail")}
+        assert run(["rate", "--profile", "elo2", "--input", str(paths["whole"]),
+                    "--output", str(logs["whole"]),
+                    "--snapshot-out", str(tmp_path / "whole.snap")]) == 0
+        assert run(["rate", "--profile", "elo2", "--input", str(paths["head"]),
+                    "--output", str(logs["head"])]) == 0
+        v1 = tmp_path / "v1.snap"
+        v1.write_bytes(v1_snapshot(replay(rounds[:7], ELO2).state))
+        assert run(["rate", "--profile", "elo2", "--input", str(paths["tail"]),
+                    "--snapshot-in", str(v1), "--output", str(logs["tail"]),
+                    "--snapshot-out", str(tmp_path / "resumed.snap")]) == 0
+        capsys.readouterr()
+        head_log = logs["head"].read_bytes()
+        tail_log = logs["tail"].read_bytes()
+        header = head_log[:head_log.index(b"\n") + 1]
+        assert tail_log.startswith(header)
+        assert head_log + tail_log[len(header):] == logs["whole"].read_bytes()
+        resumed = load_snapshot(tmp_path / "resumed.snap")
+        assert states_equal(resumed, replay(rounds, ELO2).state)
+        assert (resumed.params, resumed.last_round_id) == (ELO2, rounds[-1].round_id)
+        assert (tmp_path / "resumed.snap").read_bytes() == \
+            (tmp_path / "whole.snap").read_bytes()
+
+    def test_v1_records_neither_parameters_nor_rounds(self, tmp_path, capsys):
+        rounds, paths = self.write_history(tmp_path)
+        v1 = tmp_path / "v1.snap"
+        v1.write_bytes(v1_snapshot(replay(rounds[:7], ELO2).state))
+        assert run(["rate", "--profile", "elo", "--input", str(paths["whole"]),
+                    "--snapshot-in", str(v1)]) == 0
+
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    """``data`` with bytes flipped, cut or inserted before its checksum, which
+    is recomputed half the time so that the field checks behind it run."""
+    payload = bytearray(data[:-8])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("flip", "truncate", "insert")))
+        at = draw(st.integers(5, len(payload)))   # past the magic and version
+        if kind == "flip" and at < len(payload):
+            payload[at] ^= draw(st.integers(1, 255))
+        elif kind == "truncate":
+            del payload[at:]
+        elif kind == "insert":
+            payload[at:at] = draw(st.binary(min_size=1, max_size=9))
+    resign = draw(st.booleans())
+    return bytes(payload) + (hashlib.blake2b(payload, digest_size=8).digest()
+                             if resign else data[-8:])
+
+
+class TestSnapshotFuzz:
+    """A damaged snapshot is bad input: ``rate --snapshot-in`` exits 0 or 1,
+    never 2 (an internal error)."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        rounds = generate_history(SimConfig(players=6, rounds=4, participation=0.9,
+                                            tie_step=50.0, seed=2)).rounds
+        write_rounds(rounds[2:], root / "tail.csv")
+        state = replay(rounds[:2], ELO2).state
+        save_snapshot(state, root / "v2.snap")
+        return {"tail": root / "tail.csv", "snap": root / "damaged.snap",
+                1: v1_snapshot(state), 2: (root / "v2.snap").read_bytes()}
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_exit_code_is_0_or_1(self, files, version):
+        argv = ["rate", "--profile", "elo2", "--input", str(files["tail"]),
+                "--snapshot-in", str(files["snap"])]
+        files["snap"].write_bytes(files[version])
+        assert run(argv) == 0
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(data=damaged(files[version]))
+        def check(data):
+            files["snap"].write_bytes(data)
+            assert run(argv) in (0, 1)
+
+        check()
 
 
 class TestExportSnapshot:
