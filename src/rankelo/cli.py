@@ -159,9 +159,11 @@ def _cmd_rate(args) -> int:
     if args.snapshot_out:
         store.save_snapshot(result.state, args.snapshot_out)
     error = result.mean_error
+    # A log on stdout keeps the stream one CSV: the summary goes to stderr.
     print(f"rated {len(result.round_errors)} rounds, "
           f"{len(result.state.ids)} players, mean error "
-          f"{'n/a' if error is None else repr(error)}")
+          f"{'n/a' if error is None else repr(error)}",
+          file=sys.stderr if args.output == "-" else sys.stdout)
     return 0
 
 

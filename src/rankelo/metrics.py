@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InputError
 # division_ranks is not called here; bench/test_bench.py traces this binding.
 from .rating import RoundInput, canonical_ranks, division_ranks  # noqa: F401
-from .replay import DivisionReplay, ReplayResult
+from .replay import DivisionReplay, ReplayResult, fold
 from .store import timeline_ratings
 
 # Experience rows: (label, lowest round number, highest round number).
@@ -199,10 +199,7 @@ def division_metrics(round_id: str, division: int, scores: Sequence[float],
     if len(ratings) != n or len(ids) != n:
         raise InputError("ratings are not aligned with scores")
     *_, perf = canonical_ranks(ids, scores, ratings)
-    error_sum = 0.0
-    for error in np.abs(perf).tolist():
-        error_sum += error
-    return _round_metrics(round_id, division, error_sum, scores, ratings)
+    return _round_metrics(round_id, division, fold(0.0, np.abs(perf)), scores, ratings)
 
 
 def evaluate_replay(result: ReplayResult) -> list[RoundMetrics]:
@@ -258,29 +255,26 @@ class BucketedReport:
         return [row.label for row in self.rows]
 
 
-class _Accumulator:
-    __slots__ = ("count", "delta", "perf", "error")
+def _bucket_masks(values: np.ndarray, buckets):
+    """``(label, mask)`` per bucket ``(label, lo, hi)``: ``lo <= value <= hi``,
+    with no upper bound when ``hi`` is None.  A value that fits several
+    buckets counts in the first."""
+    free = np.ones(values.size, dtype=bool)
+    for label, lo, hi in buckets:
+        mask = free & (values >= lo)
+        if hi is not None:
+            mask &= values <= hi
+        free &= ~mask
+        yield label, mask
 
-    def __init__(self):
-        self.count = 0
-        self.delta = 0.0
-        self.perf = 0.0
-        self.error = 0.0
 
-    def add(self, delta_r: np.ndarray, perf: np.ndarray) -> None:
-        """Fold in some entries of one division, summing in entry order."""
-        self.count += delta_r.size
-        for delta in delta_r.tolist():
-            self.delta += delta
-        for value in perf.tolist():
-            self.perf += value
-            self.error += abs(value)
-
-    def row(self, label: str) -> BucketRow:
-        return BucketRow(label=label, count=self.count,
-                         mean_delta_r=self.delta / self.count,
-                         mean_perf=self.perf / self.count,
-                         mean_error=self.error / self.count)
+def _division_positions(numbers: Sequence[int]) -> tuple[list[int], np.ndarray]:
+    """The distinct division numbers in ascending order, and each entry's
+    position among them.  Division numbers are unbounded ints, so the
+    groups are keyed by position, never by an int64 of the number."""
+    distinct = sorted(set(numbers))
+    index = {number: k for k, number in enumerate(distinct)}
+    return distinct, np.array([index[number] for number in numbers], dtype=np.int64)
 
 
 def aggregate_error(divisions: Iterable[DivisionReplay],
@@ -291,52 +285,39 @@ def aggregate_error(divisions: Iterable[DivisionReplay],
     the player's round number; an ``Existing`` row (second round onward);
     per-division rows and their top/bottom half-rank splits, both covering
     existing players only.  Top half is actual rank <= n/2; a rank exactly
-    at the (n+1)/2 midpoint lands in the bottom half.  Every bucket sums
-    its entries in replay order.
+    at the (n+1)/2 midpoint lands in the bottom half.  Each row is a mask
+    over the records' entries laid end to end, and every sum is a ``fold``
+    of the masked entries in replay order.
     """
-    every = _Accumulator()
-    experience = {label: _Accumulator() for label, _, _ in experience_buckets}
-    existing = _Accumulator()
-    by_division: dict[int, _Accumulator] = {}
-    halves: dict[tuple[int, int], _Accumulator] = {}
-
-    for record in divisions:
-        b = record.breakdown
-        nr = b.nr
-        every.add(b.delta_r, b.perf)
-        unbucketed = np.ones(nr.size, dtype=bool)
-        for label, lo, hi in experience_buckets:
-            mask = unbucketed & (nr >= lo)
-            if hi is not None:
-                mask &= nr <= hi
-            experience[label].add(b.delta_r[mask], b.perf[mask])
-            unbucketed &= ~mask
-        seasoned = nr >= 2
-        if not seasoned.any():
-            continue
-        existing.add(b.delta_r[seasoned], b.perf[seasoned])
-        by_division.setdefault(record.division, _Accumulator()).add(
-            b.delta_r[seasoned], b.perf[seasoned])
-        top = b.actual_rank <= nr.size / 2
-        for half, mask in ((1, seasoned & top), (2, seasoned & ~top)):
-            if mask.any():
-                halves.setdefault((record.division, half), _Accumulator()).add(
-                    b.delta_r[mask], b.perf[mask])
-
-    if not every.count:
+    records = list(divisions)
+    sizes = np.array([record.breakdown.nr.size for record in records], dtype=np.int64)
+    if not sizes.sum():
         return BucketedReport(rows=())
-    rows = [every.row("All")]
-    rows += [experience[label].row(label) for label, _, _ in experience_buckets
-             if experience[label].count]
-    if existing.count:
-        rows.append(existing.row("Existing"))
-    for division in sorted(by_division):
-        rows.append(by_division[division].row(f"Division {division}"))
-        for half in (1, 2):
-            acc = halves.get((division, half))
-            if acc is not None:
-                rows.append(acc.row(f"D{division} H{half}"))
-    return BucketedReport(rows=tuple(rows))
+    delta_r, perf, nr, actual_rank = (
+        np.concatenate([getattr(record.breakdown, name) for record in records])
+        for name in ("delta_r", "perf", "nr", "actual_rank"))
+    top = actual_rank <= np.repeat(sizes, sizes) / 2
+    seasoned = nr >= 2
+    numbers, position = _division_positions([record.division for record in records])
+    position = np.repeat(position, sizes)
+
+    masks = [("All", np.ones(nr.size, dtype=bool)),
+             *_bucket_masks(nr, experience_buckets), ("Existing", seasoned)]
+    for k, number in enumerate(numbers):
+        division = seasoned & (position == k)
+        masks += [(f"Division {number}", division), (f"D{number} H1", division & top),
+                  (f"D{number} H2", division & ~top)]
+
+    def row(label: str, mask: np.ndarray) -> BucketRow:
+        count = int(np.count_nonzero(mask))
+        part = perf[mask]
+        return BucketRow(label=label, count=count,
+                         mean_delta_r=fold(0.0, delta_r[mask]) / count,
+                         mean_perf=fold(0.0, part) / count,
+                         mean_error=fold(0.0, np.abs(part)) / count)
+
+    return BucketedReport(rows=tuple(row(label, mask) for label, mask in masks
+                                     if mask.any()))
 
 
 @dataclass(frozen=True)
@@ -359,36 +340,11 @@ class ComparisonReport:
         raise KeyError(label)
 
 
-class _WinCounter:
-    __slots__ = ("rounds", "wins", "counts")
-
-    def __init__(self):
-        self.rounds = 0
-        self.wins = [0.0, 0.0, 0.0]    # kendall, spearman, error
-        self.counts = [0, 0, 0]
-
-    def add(self, a: RoundMetrics, b: RoundMetrics) -> None:
-        self.rounds += 1
-        pairs = ((a.kendall, b.kendall, True), (a.spearman, b.spearman, True),
-                 (a.mean_error, b.mean_error, False))
-        for slot, (va, vb, higher_better) in enumerate(pairs):
-            if va is None or vb is None:
-                continue
-            if va == vb:
-                score = 0.5
-            elif (va > vb) == higher_better:
-                score = 1.0
-            else:
-                score = 0.0
-            self.wins[slot] += score
-            self.counts[slot] += 1
-
-    def row(self, label: str) -> ComparisonRow:
-        fractions = [self.wins[i] / self.counts[i] if self.counts[i] else None
-                     for i in range(3)]
-        return ComparisonRow(label=label, rounds=self.rounds,
-                             kendall=fractions[0], spearman=fractions[1],
-                             error=fractions[2])
+def _metric_table(metrics: Sequence[RoundMetrics]) -> np.ndarray:
+    """Rows of (kendall, spearman, -mean_error), higher is better in every
+    column; NaN where a correlation is undefined (None)."""
+    return np.array([(m.kendall, m.spearman, -m.mean_error) for m in metrics],
+                    dtype=np.float64).reshape(-1, 3)
 
 
 def compare_systems(metrics_a: Sequence[RoundMetrics],
@@ -398,8 +354,9 @@ def compare_systems(metrics_a: Sequence[RoundMetrics],
     Win = 1, tie = 0.5, loss = 0 per round and metric (higher tau/rho is
     better, lower error is better), averaged per bucket.  Each division of
     each round counts as one round.  Rounds where a correlation is
-    undefined for either system are left out of that metric's average.
-    Both systems must have been evaluated on the same rounds.
+    undefined, or an error is NaN, for either system are left out of that
+    metric's average.  Both systems must have been evaluated on the same
+    rounds.
     """
     by_key_b = {(m.round_id, m.division): m for m in metrics_b}
     if len(by_key_b) != len(metrics_b):
@@ -409,28 +366,34 @@ def compare_systems(metrics_a: Sequence[RoundMetrics],
         raise InputError("duplicate (round, division) in system A metrics")
     if keys_a != set(by_key_b):
         raise InputError("the two systems were evaluated on different round sets")
-
-    every = _WinCounter()
-    divisions: dict[int, _WinCounter] = {}
-    sizes = {label: _WinCounter() for label, _, _ in SIZE_BUCKETS}
-    for a in metrics_a:
-        b = by_key_b[(a.round_id, a.division)]
+    paired = [by_key_b[(a.round_id, a.division)] for a in metrics_a]
+    for a, b in zip(metrics_a, paired):
         if a.n != b.n:
             raise InputError(
                 f"round {a.round_id!r} division {a.division} has different "
                 f"player counts in the two systems")
-        every.add(a, b)
-        divisions.setdefault(a.division, _WinCounter()).add(a, b)
-        for label, lo, hi in SIZE_BUCKETS:
-            if a.n >= lo and (hi is None or a.n <= hi):
-                sizes[label].add(a, b)
-                break
 
-    rows = [every.row("All")]
-    rows += [divisions[d].row(f"Division {d}") for d in sorted(divisions)]
-    rows += [sizes[label].row(label) for label, _, _ in SIZE_BUCKETS
-             if sizes[label].rounds]
-    return ComparisonReport(rows=tuple(rows))
+    a, b = _metric_table(metrics_a), _metric_table(paired)
+    defined = ~(np.isnan(a) | np.isnan(b))
+    # NaN compares false, so an undefined pair scores 0 and is not counted.
+    # Scores are 0, 0.5 and 1, so every sum below is exact in any order.
+    score = np.where(a == b, 0.5, a > b)
+    numbers, position = _division_positions([m.division for m in metrics_a])
+    sizes = np.array([m.n for m in metrics_a], dtype=np.int64)
+
+    masks = [("All", np.ones(len(metrics_a), dtype=bool))]
+    masks += [(f"Division {number}", position == k) for k, number in enumerate(numbers)]
+    masks += [(label, mask) for label, mask in _bucket_masks(sizes, SIZE_BUCKETS)
+              if mask.any()]
+
+    def row(label: str, mask: np.ndarray) -> ComparisonRow:
+        wins = score[mask].sum(axis=0).tolist()
+        counts = defined[mask].sum(axis=0).tolist()
+        kendall, spearman, error = (w / c if c else None for w, c in zip(wins, counts))
+        return ComparisonRow(label=label, rounds=int(np.count_nonzero(mask)),
+                             kendall=kendall, spearman=spearman, error=error)
+
+    return ComparisonReport(rows=tuple(row(label, mask) for label, mask in masks))
 
 
 @dataclass(frozen=True)

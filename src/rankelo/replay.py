@@ -21,6 +21,12 @@ _LOG_COLUMNS = tuple(f.name for f in fields(PerformanceBreakdown))
 REPLAY_LOG_HEADER = ("round_id", "division", "player_id", "n") + _LOG_COLUMNS
 
 
+def fold(total: float, values: np.ndarray) -> float:
+    """``total`` plus each of ``values`` in order, one IEEE add at a time
+    (``np.add.accumulate`` never pairs terms): every report's sum."""
+    return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
+
+
 @dataclass(frozen=True)
 class DivisionReplay:
     """One rated division: its entries and the engine's breakdown of them."""
@@ -39,7 +45,6 @@ class ReplayResult:
     """Final engine state plus streaming accumulators from a replay."""
 
     state: EngineState
-    params: RatingParams
     divisions: list[DivisionReplay] = field(default_factory=list)
     round_errors: list[tuple[str, float, int]] = field(default_factory=list)
     error_sum: float = 0.0
@@ -75,7 +80,7 @@ def replay(rounds: Iterable[RoundInput], params: RatingParams,
     """
     if state is None:
         state = EngineState.fresh(params)
-    result = ReplayResult(state=state, params=params)
+    result = ReplayResult(state=state)
     start = state.rounds_processed
 
     for offset, round_input in enumerate(rounds):
@@ -85,18 +90,15 @@ def replay(rounds: Iterable[RoundInput], params: RatingParams,
         for division, breakdown in zip(round_input.divisions, breakdowns):
             if not division.entries:
                 continue
-            division_error = 0.0
-            for error in np.abs(breakdown.perf).tolist():
-                division_error += error
-            deltas = breakdown.delta_r.tolist()
-            for delta in deltas:
-                result.delta_sum += delta
-                result.delta_sq_sum += delta * delta
-            highest = max(deltas)
+            division_error = fold(0.0, np.abs(breakdown.perf))
+            deltas = breakdown.delta_r
+            result.delta_sum = fold(result.delta_sum, deltas)
+            result.delta_sq_sum = fold(result.delta_sq_sum, deltas * deltas)
+            highest = max(deltas.tolist())
             if result.delta_max is None or highest > result.delta_max:
                 result.delta_max = highest
             round_error += division_error
-            round_count += len(deltas)
+            round_count += deltas.size
             if keep_observations:
                 result.divisions.append(DivisionReplay(
                     round_index=start + offset,

@@ -28,6 +28,16 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 Objective = Callable[[RatingParams], float]
 
 
+def _checked_grid(name: str, grid: Sequence[float]) -> tuple[float, ...]:
+    """``grid`` as a tuple; an empty or unsorted one is an ``InputError``."""
+    grid = tuple(grid)
+    if not grid:
+        raise InputError(f"{name} grid is empty")
+    if any(b < a for a, b in zip(grid, grid[1:])):
+        raise InputError(f"{name} grid must be sorted ascending")
+    return grid
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     target: str
@@ -40,10 +50,7 @@ class SweepSpec:
         if self.target not in SWEEP_TARGETS:
             raise InputError(f"unknown sweep target {self.target!r}; "
                              f"choose one of {', '.join(SWEEP_TARGETS)}")
-        if not self.grid:
-            raise InputError("sweep grid is empty")
-        if any(b < a for a, b in zip(self.grid, self.grid[1:])):
-            raise InputError("sweep grid must be sorted ascending")
+        _checked_grid("sweep", self.grid)
         k_min, k_max = self.k_range
         if not (0.0 < k_min <= k_max and math.isfinite(k_max)):
             raise InputError("k_range must satisfy 0 < min <= max")
@@ -185,13 +192,8 @@ def joint_search(inflation_grid: Sequence[float], bonus_grid: Sequence[float],
     single-coordinate move improves.  Ties break toward the smaller
     value, so the walk terminates.  K stays at the base profile's value.
     """
-    inflation_grid = tuple(inflation_grid)
-    bonus_grid = tuple(bonus_grid)
-    for name, grid in (("inflation", inflation_grid), ("bonus", bonus_grid)):
-        if not grid:
-            raise InputError(f"{name} grid is empty")
-        if any(b < a for a, b in zip(grid, grid[1:])):
-            raise InputError(f"{name} grid must be sorted ascending")
+    inflation_grid = _checked_grid("inflation", inflation_grid)
+    bonus_grid = _checked_grid("bonus", bonus_grid)
     rounds = list(rounds)
     if objective is None:
         if not rounds:

@@ -225,6 +225,19 @@ class TestRate:
         assert rows[0]["round_id"] == "r0000"
         assert float(rows[0]["rating_before"]) == 1200.0
 
+    def test_replay_log_on_stdout_stays_one_csv(self, history_file, tmp_path,
+                                                capsys):
+        log = tmp_path / "log.csv"
+        assert run(["rate", "--input", str(history_file), "--output", str(log)]) == 0
+        summary = capsys.readouterr().out
+        assert run(["rate", "--input", str(history_file), "--output", "-"]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out, newline="")))
+        assert {len(row) for row in rows} == {len(REPLAY_LOG_HEADER)} == {16}
+        assert captured.out.encode() == log.read_bytes()
+        assert captured.err == summary
+        assert summary.startswith("rated 10 rounds, 12 players, mean error ")
+
     def test_replay_log_quotes_ids_like_csv_writer(self, tmp_path, capsys):
         history = tmp_path / "odd.csv"
         write_quoted_history(history, ODD_ROUND_IDS, ODD_PLAYER_IDS)
@@ -511,6 +524,41 @@ class TestCompare:
                     "--vs-timeline", str(timeline), *flags]) == 1
         err = capsys.readouterr().err
         assert f"{flags[0]} has no effect with --vs-timeline" in err
+
+
+# Division numbers above 2**63, in the order of the small ones they replace.
+HUGE_DIVISIONS = {"1": str(2**64 + 1), "2": "123456789012345678901234567890"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--report", "buckets"],
+    ["eval", "--report", "buckets", "--format", "table"],
+    ["compare", "--profile", "elo2", "--vs-profile", "elo"],
+    ["compare", "--profile", "elo2", "--vs-profile", "elo", "--format", "table"],
+], ids=["buckets", "buckets_table", "compare", "compare_table"])
+def test_huge_division_numbers(history_file, tmp_path, capsys, argv):
+    """Unbounded division numbers report like the small ones they replace."""
+    header, *lines = history_file.read_text().splitlines()
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join([header] + [
+        ",".join((r, HUGE_DIVISIONS[d], *rest))
+        for r, d, *rest in (line.split(",") for line in lines)]) + "\n")
+    outputs = []
+    for path in (history_file, huge):
+        out = tmp_path / f"{path.stem}.out"
+        assert run(argv + ["--input", str(path), "--output", str(out)]) == 0
+        outputs.append(out.read_text())
+    assert capsys.readouterr().err == ""
+    small, big = outputs
+    for d, number in HUGE_DIVISIONS.items():
+        small = small.replace(f"Division {d}", f"Division {number}")
+        small = small.replace(f"D{d} H", f"D{number} H")
+    if "table" in argv:     # only the label column and its rule widen
+        big, small = ([line.split() for i, line in enumerate(text.splitlines())
+                       if i != 1] for text in (big, small))
+        assert big == small
+    else:
+        assert big == small
 
 
 class TestSweep:

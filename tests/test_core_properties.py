@@ -14,6 +14,7 @@ from rankelo import (
     division_ranks,
     rate_division,
 )
+from rankelo.replay import fold
 from oracles import oracle_relative_performance, oracle_sigmoid_cap
 
 ELO = PROFILES["elo"]
@@ -213,3 +214,30 @@ class TestDivisionProperties:
         division, state = case
         b = rate_division(division, state, ELO)
         assert np.array_equal(np.sign(b.delta_r), np.sign(b.perf))
+
+
+def loop_sum(total, values):
+    for value in values.tolist():
+        total += value
+    return total
+
+
+class TestFold:
+    """``fold`` is a Python ``+=`` loop, bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 10**5),
+           total=st.floats(-1e12, 1e12).filter(lambda t: t != 0.0))
+    def test_matches_a_loop_over_mixed_magnitudes(self, seed, n, total):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-12.0, 12.0, n)
+        folded = fold(total, values)
+        assert type(folded) is float
+        assert folded.hex() == loop_sum(total, values).hex()
+
+    def test_order_matters_and_is_kept(self):
+        # (1e16 + 1) + 1 rounds twice; 1e16 + (1 + 1) would not
+        values = np.array([1.0, 1.0])
+        assert fold(1e16, values) == loop_sum(1e16, values) == 1e16
+        assert fold(0.0, np.array([])) == 0.0
+        assert fold(-0.0, np.array([-0.0])).hex() == (-0.0).hex()

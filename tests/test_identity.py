@@ -1,10 +1,12 @@
-"""Byte-identity pin: the CLI's deterministic outputs on one fixed history.
+"""Byte-identity pin: the CLI's deterministic outputs on fixed histories.
 
-Every digest below was frozen from the output of the commit before the
-engine state became columnar.  A refactor that keeps the maths must keep
-every one of them; a change that moves output bits on purpose updates the
-digest here and declares the change.  Snapshot bytes are not pinned: their
-layout is versioned separately (see ``tests/test_store.py``).
+Every digest in ``FROZEN`` was frozen from the output of the commit before
+the engine state became columnar, and every digest in ``LONG_FROZEN`` from
+the commit before the reports became masked folds.  A refactor that keeps
+the maths must keep every one of them; a change that moves output bits on
+purpose updates the digest here and declares the change.  Snapshot bytes
+are not pinned: their layout is versioned separately (see
+``tests/test_store.py``).
 """
 
 import contextlib
@@ -55,13 +57,33 @@ FROZEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def digests(tmp_path_factory):
+# About 90 rounds in two divisions: the reports reach the 25-74 and 75-199
+# round experience buckets and two division-size buckets.
+LONG_COMMANDS = (
+    ("simulate", ["simulate", "--players", "30", "--rounds", "90",
+                  "--participation", "0.9", "--arrival-rate", "1",
+                  "--div1-fraction", "0.4", "--tie-step", "50",
+                  "--seed", "23"]),
+    ("eval_buckets", dict(COMMANDS)["eval_buckets"]),
+    ("eval_buckets_table", dict(COMMANDS)["eval_buckets_table"]),
+    ("compare", dict(COMMANDS)["compare"]),
+    ("compare_table", dict(COMMANDS)["compare"] + ["--format", "table"]),
+)
+
+LONG_FROZEN = {
+    "simulate": "39426e5864e73f8d2783b16104d23211220a47d0e3c3f2fe80bb245cd5d31bcd",
+    "eval_buckets": "d7190d81c566e7879ba78acbc1b2226a39ac45fc9b2dca093ee90ac6dcd3092b",
+    "eval_buckets_table": "cece7954f04c1e4fd6ceac20bf2792558424c9376b8b3a5250a844707f601682",
+    "compare": "b003c8d6d4ba834585ed9d1fae5def39bb32bafc33df1a470f555e9149106318",
+    "compare_table": "8718d947305e129ecafd89c93d800257e493258c13b1588f9a616a503398e25f",
+}
+
+
+def _run_all(root, commands):
     """SHA-256 of each command's ``--output`` file, plus ``rate``'s summary line."""
-    root = tmp_path_factory.mktemp("identity")
     paths = {"h": str(root / "simulate.out"), "s": str(root / "state.snap")}
     out = {}
-    for name, argv in COMMANDS:
+    for name, argv in commands:
         dest = root / f"{name}.out"
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
@@ -73,6 +95,16 @@ def digests(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return _run_all(tmp_path_factory.mktemp("identity"), COMMANDS)
+
+
+@pytest.fixture(scope="module")
+def long_digests(tmp_path_factory):
+    return _run_all(tmp_path_factory.mktemp("identity_long"), LONG_COMMANDS)
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_output_bytes_are_frozen(digests, name):
     assert digests[name] == FROZEN[name]
@@ -80,3 +112,12 @@ def test_output_bytes_are_frozen(digests, name):
 
 def test_every_output_is_pinned(digests):
     assert sorted(digests) == sorted(FROZEN)
+
+
+@pytest.mark.parametrize("name", sorted(LONG_FROZEN))
+def test_long_history_bytes_are_frozen(long_digests, name):
+    assert long_digests[name] == LONG_FROZEN[name]
+
+
+def test_every_long_history_output_is_pinned(long_digests):
+    assert sorted(long_digests) == sorted(LONG_FROZEN)

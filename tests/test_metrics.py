@@ -28,7 +28,7 @@ from rankelo import (
     spearman_rho,
 )
 import rankelo.rating
-from rankelo.metrics import BucketRow, BucketedReport
+from rankelo.metrics import BucketRow, BucketedReport, ComparisonRow
 from oracles import oracle_kendall_tau, oracle_relative_performance, oracle_spearman_rho
 
 ELO = PROFILES["elo"]
@@ -362,6 +362,10 @@ class TestAggregateError:
             assert (row.count, row.mean_delta_r, row.mean_perf, row.mean_error) == \
                 (count, delta / count, perf / count, error / count)
 
+    def test_reads_a_one_shot_iterable(self):
+        records = replay(small_history(n_rounds=10), ELO2).divisions
+        assert aggregate_error(iter(records)) == aggregate_error(records)
+
     def test_merge_is_count_weighted(self):
         result = replay(small_history(n_rounds=10), ELO)
         records = result.divisions
@@ -455,6 +459,30 @@ class TestCompareSystems:
         assert report.row("400-599 players").rounds == 1
         assert report.row("2-16 players").error == 1.0
         assert report.row("400-599 players").error == 0.0
+
+    def test_no_rounds_gives_an_empty_all_row(self):
+        assert compare_systems([], []).rows == (
+            ComparisonRow("All", 0, None, None, None),)
+
+    def test_nan_error_is_left_out_like_an_undefined_correlation(self):
+        a = [metrics_row("r1", 1, 30, math.nan, 0.9, 0.9),
+             metrics_row("r2", 1, 30, 0.4, 0.9, 0.9)]
+        b = [metrics_row("r1", 1, 30, 0.5, 0.1, 0.1),
+             metrics_row("r2", 1, 30, 0.5, 0.1, 0.1)]
+        assert compare_systems(a, b).row("All").error == 1.0   # r2 only
+        assert compare_systems(b, a).row("All").error == 0.0
+
+    def test_huge_division_numbers_group_by_value(self):
+        huge = 2**64 + 1
+        a = [metrics_row("r1", huge, 30, 0.4, 0.9, 0.9),
+             metrics_row("r1", -huge, 30, 0.4, 0.1, 0.1)]
+        b = [metrics_row("r1", huge, 30, 0.5, 0.1, 0.1),
+             metrics_row("r1", -huge, 30, 0.5, 0.9, 0.9)]
+        report = compare_systems(a, b)
+        assert [row.label for row in report.rows] == [
+            "All", f"Division {-huge}", f"Division {huge}", "17-99 players"]
+        assert report.row(f"Division {huge}").kendall == 1.0
+        assert report.row(f"Division {-huge}").kendall == 0.0
 
     def test_mismatched_round_sets_rejected(self):
         a = [metrics_row("r1", 1, 30, 0.4, None, None)]
