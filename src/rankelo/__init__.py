@@ -55,11 +55,8 @@ from .replay import (
     write_replay_log,
 )
 from .simulate import (
-    CalibrationBin,
-    CalibrationReport,
     SimConfig,
     SimResult,
-    calibration_check,
     generate_history,
 )
 from .store import (
@@ -86,8 +83,6 @@ __all__ = [
     "BITS_TO_RATING",
     "BucketRow",
     "BucketedReport",
-    "CalibrationBin",
-    "CalibrationReport",
     "ComparisonReport",
     "ComparisonRow",
     "DivisionReplay",
@@ -117,7 +112,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "aggregate_error",
-    "calibration_check",
     "compare_systems",
     "division_metrics",
     "division_ranks",

@@ -20,7 +20,7 @@ from . import store
 from . import sweep as sweep_mod
 from .errors import InputError
 from .rating import PROFILES, EngineState, RatingParams
-from .replay import replay, write_replay_log
+from .replay import compile_history, replay, write_replay_log
 
 _PARAM_FIELDS = tuple(f.name for f in fields(RatingParams))
 
@@ -221,14 +221,15 @@ def _cmd_compare(args) -> int:
                            "--vs-param": args.vs_param})
     rounds = _read_rounds(args.input)
     params_a = _resolve_params(args.profile, args.param)
-    result_a = replay(rounds, params_a)
+    compiled = compile_history(rounds)   # one compilation for both systems
+    result_a = replay(compiled, params_a)
     metrics_a = metrics_mod.evaluate_replay(result_a)
     if args.vs_timeline is not None:
         metrics_b = metrics_mod.evaluate_timeline(
             rounds, store.parse_timeline(args.vs_timeline))
     else:
         params_b = _resolve_params(args.vs_profile, args.vs_param)
-        result_b = replay(rounds, params_b)
+        result_b = replay(compiled, params_b)
         metrics_b = metrics_mod.evaluate_replay(result_b)
     report = metrics_mod.compare_systems(metrics_a, metrics_b)
     rows = [(row.label, row.rounds, row.kendall, row.spearman, row.error)

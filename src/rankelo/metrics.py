@@ -24,10 +24,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
+from .rating import DivisionResult, RoundInput, canonical_ranks, compile_history
 # division_ranks is not called here; bench/test_bench.py traces this binding.
-from .rating import RoundInput, canonical_ranks, division_ranks  # noqa: F401
+from .rating import division_ranks  # noqa: F401
 from .replay import DivisionReplay, ReplayResult, fold
-from .store import timeline_ratings
 
 # Experience rows: (label, lowest round number, highest round number).
 EXPERIENCE_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
@@ -186,11 +186,12 @@ def division_metrics(round_id: str, division: int, scores: Sequence[float],
                      player_ids: Sequence[str] | None = None) -> RoundMetrics:
     """Evaluate one division given pre-round ratings (from any system).
 
-    The errors are the engine's own ``|perf|`` values, ranked in its
-    canonical ``(-score, id)`` order and summed in entry order exactly as
-    ``replay`` sums them, so a timeline of a replay's pre-round ratings
-    reproduces ``evaluate_replay`` bit for bit.  Without ``player_ids``,
-    entry position breaks score ties.
+    The errors are the engine's own ``|perf|`` values, ranked by its own
+    compiled canonical ``(-score, id)`` order and summed in entry order
+    exactly as ``replay`` sums them, so a timeline of a replay's pre-round
+    ratings reproduces ``evaluate_replay`` bit for bit.  Without
+    ``player_ids``, entry position breaks score ties.  A repeated player, or
+    a non-finite score or rating, is an ``InputError``, as in the engine.
     """
     n = len(scores)
     if n == 0:
@@ -198,8 +199,12 @@ def division_metrics(round_id: str, division: int, scores: Sequence[float],
     ids = range(n) if player_ids is None else player_ids
     if len(ratings) != n or len(ids) != n:
         raise InputError("ratings are not aligned with scores")
-    *_, perf = canonical_ranks(ids, scores, ratings)
-    return _round_metrics(round_id, division, fold(0.0, np.abs(perf)), scores, ratings)
+    compiled, = compile_history(
+        [RoundInput(round_id, [DivisionResult(division, list(zip(ids, scores)))])]).rounds
+    ranked_ratings = np.asarray(ratings, dtype=np.float64)[compiled.players]
+    *_, perf = canonical_ranks(compiled, ranked_ratings)
+    return _round_metrics(round_id, division, fold(0.0, np.abs(perf)[compiled.entry]),
+                          scores, ratings)
 
 
 def evaluate_replay(result: ReplayResult) -> list[RoundMetrics]:
@@ -224,7 +229,11 @@ def evaluate_timeline(rounds: Iterable[RoundInput],
             if not division.entries:
                 continue
             ids, scores = zip(*division.entries)
-            ratings = timeline_ratings(timeline, round_input.round_id, ids)
+            try:
+                ratings = [timeline[round_input.round_id, player_id] for player_id in ids]
+            except KeyError as exc:
+                raise InputError(f"timeline has no rating for player {exc.args[0][1]!r} "
+                                 f"in round {round_input.round_id!r}") from None
             out.append(division_metrics(round_input.round_id, division.division,
                                         scores, ratings, player_ids=ids))
     return out

@@ -11,15 +11,17 @@ results.
 All arithmetic is 64-bit binary floating point.  ``rate_division`` is a
 pure function of an immutable snapshot of ratings; entry order never
 affects its output (entries are processed in a canonical order internally
-and results are mapped back).  State mutation happens only in
-``rate_round``, after every division of the round has been computed.
+and results are mapped back).  State mutation happens only in the
+per-round step (``rate_compiled_round``, which ``rate_round`` and
+``replay`` run), after every division of the round has been computed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from itertools import accumulate, chain
+from typing import Iterable
 
 import numpy as np
 
@@ -267,49 +269,109 @@ def division_ranks(scores: np.ndarray, ratings: np.ndarray):
     return actual, expected if has_ties else mu.copy(), mu, var   # tie-free: expected = mu
 
 
-def canonical_ranks(ids: Sequence, scores: Sequence[float],
-                    ratings: Sequence[float]):
-    """``division_ranks`` and ``perf``, ranked in the engine's canonical order.
+def _require_finite(values, what: str, division: int) -> None:
+    if not np.isfinite(values).all():
+        raise InputError(f"non-finite {what} in division {division}")
 
-    Entries are ranked sorted by ``(-score, id)``, so the result depends
-    only on the set of entries, never on their order.  Returns the
-    ``actual``, ``expected``, ``mu``, ``var`` and
-    ``perf = log2(expected / actual)`` arrays, aligned with the inputs.
+
+@dataclass(frozen=True, eq=False)
+class CompiledRound:
+    """One round of a compiled history.  Division ``k`` holds entries
+    ``bounds[k]:bounds[k + 1]``, in entry order and in canonical order alike."""
+
+    round_id: str
+    divisions: tuple[tuple[int, tuple, tuple], ...]   # (number, ids, scores), entry order
+    bounds: tuple[int, ...]
+    new_ids: tuple[str, ...]    # players first seen here, in order of appearance
+    players: np.ndarray         # registry index of each entry, canonical order
+    ranked_scores: np.ndarray   # scores, canonical order
+    entry: np.ndarray           # canonical position of each entry, entry order
+
+    def split(self, breakdown: PerformanceBreakdown) -> list[PerformanceBreakdown]:
+        """A canonical-order round ``breakdown`` as one breakdown per
+        division, aligned with its entries."""
+        columns = [getattr(breakdown, f.name)[self.entry] for f in fields(breakdown)]
+        return [PerformanceBreakdown(*(column[a:b] for column in columns))
+                for a, b in zip(self.bounds, self.bounds[1:])]
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledHistory:
+    """Rounds ready to replay under any ``RatingParams``, from the registry
+    whose ids were ``registry`` when they were compiled."""
+
+    registry: list[str]
+    rounds: tuple[CompiledRound, ...]
+
+
+def compile_history(rounds: Iterable[RoundInput],
+                    state: EngineState | None = None) -> CompiledHistory:
+    """Every step of replaying ``rounds`` that no ``RatingParams`` affects.
+
+    Each entry gets its player's index in ``state``'s registry (an empty
+    one for None), new ids numbered in order of first appearance; each
+    round is checked for a repeated player and non-finite scores, so a bad
+    round raises before any round is rated; and one ``lexsort`` over the
+    history puts every division in canonical order.  ``state`` is unchanged.
     """
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    ranked = division_ranks(np.asarray(scores, dtype=np.float64)[order],
-                            np.asarray(ratings, dtype=np.float64)[order])
-    entry = np.argsort(order)   # canonical position of each entry
-    actual, expected, mu, var = (column[entry] for column in ranked)
-    perf = np.log(expected / actual) * _LOG2E
-    return actual, expected, mu, var, perf
+    registry = [] if state is None else list(state.ids)
+    known = {} if state is None else dict(state.index)   # id -> registry index
+    shapes, everyone, scores = [], [], []
+    for round_input in rounds:
+        divisions = tuple((d.division, *(tuple(zip(*d.entries)) or ((), ())))
+                          for d in round_input.divisions)
+        round_ids = [p for _, ids, _ in divisions for p in ids]
+        if len(set(round_ids)) < len(round_ids):   # name the earliest repeat
+            repeated = next(p for k, p in enumerate(round_ids) if p in round_ids[:k])
+            raise InputError(f"player {repeated!r} appears twice "
+                             f"in round {round_input.round_id!r}")
+        for number, _, values in divisions:
+            _require_finite(values, "score", number)
+        new_ids = tuple(p for p in round_ids if p not in known)
+        known.update(zip(new_ids, range(len(known), len(known) + len(new_ids))))
+        shapes.append((round_input.round_id, divisions, new_ids))
+        everyone += round_ids
+        scores += chain.from_iterable(values for _, _, values in divisions)
+
+    # Canonical order: by division, then (-score, id).  Ids rank as Python
+    # strs: a numpy ``U`` array drops trailing NULs, so "a" would tie "a\0".
+    rank = {player_id: k for k, player_id in enumerate(sorted(set(everyone)))}
+    sizes = [len(ids) for _, divisions, _ in shapes for _, ids, _ in divisions]
+    players = np.fromiter(map(known.__getitem__, everyone), np.int64, len(everyone))
+    scores = np.array(scores, np.float64)
+    order = np.lexsort((np.fromiter(map(rank.__getitem__, everyone), np.int64),
+                        np.negative(scores), np.repeat(np.arange(len(sizes)), sizes)))
+    entry = np.empty_like(order)
+    entry[order] = np.arange(order.size)
+    compiled, start = [], 0
+    for round_id, divisions, new_ids in shapes:
+        bounds = tuple(accumulate((len(ids) for _, ids, _ in divisions), initial=0))
+        end = start + bounds[-1]
+        compiled.append(CompiledRound(round_id, divisions, bounds, new_ids,
+                                      players[order[start:end]], scores[order[start:end]],
+                                      entry[start:end] - start))
+        start = end
+    return CompiledHistory(registry, tuple(compiled))
 
 
-def rate_division(division: DivisionResult, state: EngineState,
-                  params: RatingParams) -> PerformanceBreakdown:
-    """Compute one division's breakdown from the pre-round ratings in ``state``.
+def canonical_ranks(compiled: CompiledRound, ratings: np.ndarray):
+    """``division_ranks`` of every division of ``compiled``, and
+    ``perf = log2(expected / actual)``: the ``actual``, ``expected``, ``mu``,
+    ``var`` and ``perf`` arrays, in canonical order like ``ratings``."""
+    ranks, bounds = [], compiled.bounds
+    for (number, _, _), a, b in zip(compiled.divisions, bounds, bounds[1:]):
+        _require_finite(ratings[a:b], "rating", number)
+        ranks.append(division_ranks(compiled.ranked_scores[a:b], ratings[a:b]))
+    actual, expected, mu, var = ([np.concatenate(column) for column in zip(*ranks)]
+                                 if ranks else np.empty((4, 0)))
+    return actual, expected, mu, var, np.log(expected / actual) * _LOG2E
 
-    Pure: no state is mutated; the round number used for the experience
-    weight is each player's completed-round count plus one.  Every column
-    is aligned with ``division.entries``; an empty division gives empty
-    columns.
-    """
-    ids = [player_id for player_id, _ in division.entries]
-    if len(set(ids)) != len(ids):
-        raise InputError(f"duplicate player in division {division.division}")
-    try:
-        idx = np.fromiter(map(state.index.__getitem__, ids), np.int64, len(ids))
-    except KeyError as exc:
-        raise InputError(f"no state registered for player {exc.args[0]!r}") from None
-    scores = [score for _, score in division.entries]
-    ratings = state.rating[idx]
-    if not np.isfinite(scores).all():
-        raise InputError(f"non-finite score in division {division.division}")
-    if not np.isfinite(ratings).all():
-        raise InputError(f"non-finite rating in division {division.division}")
 
-    actual, expected, mu, var, perf = canonical_ranks(ids, scores, ratings)
-    nr = state.num_rounds[idx] + 1
+def _breakdown(actual, expected, mu, var, perf, ratings: np.ndarray,
+               played: np.ndarray, params: RatingParams) -> PerformanceBreakdown:
+    """Every entry's breakdown from its ranks, its pre-round rating and its
+    ``played`` completed rounds; columns stay aligned with the inputs."""
+    nr = played + 1
     sens = var / mu
     boosted = perf + (params.bonus / BITS_TO_RATING) * sens
     capped = boosted * params.perf_cap / (params.perf_cap + np.abs(boosted))
@@ -331,38 +393,64 @@ def rate_division(division: DivisionResult, state: EngineState,
     )
 
 
-def rate_round(round_input: RoundInput, state: EngineState,
-               params: RatingParams) -> list[PerformanceBreakdown]:
-    """Rate one round and apply it to the engine state.
+def rate_division(division: DivisionResult, state: EngineState,
+                  params: RatingParams) -> PerformanceBreakdown:
+    """Compute one division's breakdown from the pre-round ratings in ``state``.
 
-    New participants are registered at the current ``r1`` first.  Every
-    division is then rated from the pre-round ratings, all deltas are
-    applied simultaneously, each participant's round count increments,
-    and ``r1`` advances by ``inflation / 100`` (once per round, not per
-    division).  Returns one breakdown per division of ``round_input``.
+    Pure: no state is mutated; the round number used for the experience
+    weight is each player's completed-round count plus one.  Every column
+    is aligned with ``division.entries``; an empty division gives empty
+    columns.
     """
-    entries = np.fromiter((get_or_create_player(state, player_id)
-                           for division in round_input.divisions
-                           for player_id, _ in division.entries), np.int64)
+    ids = [player_id for player_id, _ in division.entries]
+    if len(set(ids)) != len(ids):
+        raise InputError(f"duplicate player in division {division.division}")
+    compiled, = compile_history([RoundInput("", [division])], state).rounds
+    if compiled.new_ids:
+        raise InputError(f"no state registered for player {compiled.new_ids[0]!r}")
+    ratings = state.rating[compiled.players]
+    breakdown = _breakdown(*canonical_ranks(compiled, ratings), ratings,
+                           state.num_rounds[compiled.players], params)
+    return compiled.split(breakdown)[0]
+
+
+def rate_compiled_round(compiled: CompiledRound, state: EngineState,
+                        params: RatingParams) -> PerformanceBreakdown:
+    """Apply one compiled round to ``state``, as ``replay`` and ``rate_round``
+    do; returns the round's breakdown in canonical order.
+
+    New participants join the columns at the current ``r1``; every division
+    is rated from the pre-round ratings; then all deltas apply at once, each
+    participant's round count increments, and ``r1`` advances by
+    ``inflation / 100``.
+    """
+    start = len(state.ids)
+    state.ids.extend(compiled.new_ids)
+    state.index.update(zip(compiled.new_ids, range(start, len(state.ids))))
     new = len(state.ids) - state.rating.size   # ids registered since the columns grew
     if new:
         state.rating = np.concatenate((state.rating, np.full(new, state.r1)))
         state.num_rounds = np.concatenate((state.num_rounds, np.zeros(new, np.int64)))
-    _, first = np.unique(entries, return_index=True)
-    if first.size != entries.size:   # the earliest entry whose player came before
-        again = np.setdiff1d(np.arange(entries.size), first)[0]
-        raise InputError(f"player {state.ids[entries[again]]!r} appears twice "
-                         f"in round {round_input.round_id!r}")
-
-    breakdowns = [rate_division(division, state, params)
-                  for division in round_input.divisions]
-
-    if breakdowns:   # one IEEE add per player: a player is in one division
-        state.rating[entries] += np.concatenate([b.delta_r for b in breakdowns])
-        state.num_rounds[entries] += 1
+    players = compiled.players
+    ratings = state.rating[players]
+    breakdown = _breakdown(*canonical_ranks(compiled, ratings), ratings,
+                           state.num_rounds[players], params)
+    state.rating[players] += breakdown.delta_r   # a player is in one division
+    state.num_rounds[players] += 1
     state.rounds_processed += 1
     state.r1 = (params.initial_rating
                 + (params.inflation / 100.0) * state.rounds_processed)
     state.params = params
-    state.last_round_id = round_input.round_id
-    return breakdowns
+    state.last_round_id = compiled.round_id
+    return breakdown
+
+
+def rate_round(round_input: RoundInput, state: EngineState,
+               params: RatingParams) -> list[PerformanceBreakdown]:
+    """Rate one round and apply it to the engine state: compile it against
+    ``state`` and run ``rate_compiled_round``, the step ``replay`` runs for
+    every round (``r1`` advances once per round, not per division).
+    Returns one breakdown per division of ``round_input``.
+    """
+    compiled, = compile_history([round_input], state).rounds
+    return compiled.split(rate_compiled_round(compiled, state, params))

@@ -8,12 +8,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import InputError
 from .rating import (
+    CompiledHistory,
     EngineState,
     PerformanceBreakdown,
     RatingParams,
     RoundInput,
-    rate_round,
+    compile_history,
+    rate_compiled_round,
 )
 from .store import open_text, write_divisions
 
@@ -69,49 +72,57 @@ class ReplayResult:
         return max(self.delta_sq_sum / self.count - mean * mean, 0.0) ** 0.5
 
 
-def replay(rounds: Iterable[RoundInput], params: RatingParams,
+def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
            state: EngineState | None = None,
            keep_observations: bool = True) -> ReplayResult:
     """Rate every round in order, starting from ``state`` or a fresh engine.
 
-    Always accumulates the mean prediction error and rating-change stats;
-    the per-division records (``result.divisions``) are kept only with
+    ``rounds`` is compiled here unless it already is a ``CompiledHistory``,
+    which must have been compiled against ``state``'s registry.  Always
+    accumulates the mean prediction error and rating-change stats; the
+    per-division records (``result.divisions``) are kept only with
     ``keep_observations`` (sweeps skip them for speed).
     """
+    if not isinstance(rounds, CompiledHistory):
+        rounds = compile_history(rounds, state)
     if state is None:
         state = EngineState.fresh(params)
+    if state.ids != rounds.registry:
+        raise InputError("the history was compiled against another player registry")
     result = ReplayResult(state=state)
     start = state.rounds_processed
 
-    for offset, round_input in enumerate(rounds):
-        breakdowns = rate_round(round_input, state, params)
-        round_error = 0.0
-        round_count = 0
-        for division, breakdown in zip(round_input.divisions, breakdowns):
-            if not division.entries:
-                continue
-            division_error = fold(0.0, np.abs(breakdown.perf))
-            deltas = breakdown.delta_r
-            result.delta_sum = fold(result.delta_sum, deltas)
-            result.delta_sq_sum = fold(result.delta_sq_sum, deltas * deltas)
-            highest = max(deltas.tolist())
+    for offset, compiled in enumerate(rounds.rounds):
+        breakdown = rate_compiled_round(compiled, state, params)
+        deltas = breakdown.delta_r[compiled.entry]
+        errors = np.abs(breakdown.perf)[compiled.entry]
+        result.delta_sum = fold(result.delta_sum, deltas)
+        result.delta_sq_sum = fold(result.delta_sq_sum, deltas * deltas)
+        if deltas.size:
+            highest = float(deltas.max())
             if result.delta_max is None or highest > result.delta_max:
                 result.delta_max = highest
+        breakdowns = compiled.split(breakdown) if keep_observations else None
+        round_error = 0.0
+        for k, ((number, ids, scores), a, b) in enumerate(
+                zip(compiled.divisions, compiled.bounds, compiled.bounds[1:])):
+            if a == b:
+                continue
+            division_error = fold(0.0, errors[a:b])
             round_error += division_error
-            round_count += deltas.size
             if keep_observations:
                 result.divisions.append(DivisionReplay(
                     round_index=start + offset,
-                    round_id=round_input.round_id,
-                    division=division.division,
-                    player_ids=tuple(player_id for player_id, _ in division.entries),
-                    scores=tuple(score for _, score in division.entries),
-                    breakdown=breakdown,
+                    round_id=compiled.round_id,
+                    division=number,
+                    player_ids=ids,
+                    scores=scores,
+                    breakdown=breakdowns[k],
                     error_sum=division_error,
                 ))
         result.error_sum += round_error
-        result.count += round_count
-        result.round_errors.append((round_input.round_id, round_error, round_count))
+        result.count += deltas.size
+        result.round_errors.append((compiled.round_id, round_error, deltas.size))
     return result
 
 

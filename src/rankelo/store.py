@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import astuple
 from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -226,18 +226,6 @@ def parse_timeline(source) -> dict[tuple[str, str], float]:
                 line=line)
         timeline[key] = _parse_float(rating_text, "rating", line)
     return timeline
-
-
-def timeline_ratings(timeline: Mapping[tuple[str, str], float], round_id: str,
-                     player_ids: Iterable[str]) -> list[float]:
-    """The ratings ``timeline`` gives ``player_ids`` before round ``round_id``."""
-    ratings = []
-    for player_id in player_ids:
-        if (round_id, player_id) not in timeline:
-            raise InputError(f"timeline has no rating for player {player_id!r} "
-                             f"in round {round_id!r}")
-        ratings.append(timeline[round_id, player_id])
-    return ratings
 
 
 def save_snapshot(state: EngineState, path) -> None:

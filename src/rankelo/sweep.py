@@ -5,8 +5,9 @@ error-vs-parameter curve re-optimizes K for every grid value.  The
 error-vs-K curve is empirically close to unimodal; K is therefore found
 by golden-section search, with a five-point probe up front that falls
 back to a plain grid scan whenever the three-point bracket shape is
-violated.  Every evaluation is a full, independent replay from a fresh
-engine, so results do not depend on evaluation order.
+violated.  The history is compiled once per search; every evaluation is
+a full, independent replay of it from a fresh engine, so results do not
+depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 from .errors import InputError, InternalError
 from .rating import PROFILES, RatingParams, RoundInput
-from .replay import replay
+from .replay import compile_history, replay
 
 # Sweepable RatingParams fields (anything but the starting rating).
 SWEEP_TARGETS = ("k_factor", "weight_exponent", "variance_weight",
@@ -73,8 +74,10 @@ class SweepResult:
 
 
 def _replay_objective(rounds: Sequence[RoundInput]) -> Objective:
+    compiled = compile_history(rounds)
+
     def objective(params: RatingParams) -> float:
-        error = replay(rounds, params, keep_observations=False).mean_error
+        error = replay(compiled, params, keep_observations=False).mean_error
         if error is None:
             raise InputError("history contains no rated entries")
         return error

@@ -1,7 +1,6 @@
 """Unit tests for the rating kernel: every documented example plus edges."""
 
 import math
-import sys
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -24,6 +23,7 @@ from rankelo import (
     rate_round,
     replay,
 )
+from rankelo.replay import compile_history
 from oracles import (
     oracle_bonus_performance,
     oracle_rank_performance,
@@ -442,27 +442,23 @@ class TestGetOrCreatePlayer:
         assert state.ids == ["x"]
         assert state.players == {"x": PlayerState(1777.0, 12)}
 
-    def test_replay_registers_each_entry_once(self, monkeypatch):
-        original = get_or_create_player
-        calls = []
-
-        def counting(state, player_id):
-            calls.append(player_id)
-            return original(state, player_id)
-
-        for name, module in list(sys.modules.items()):
-            if (name.split(".")[0] == "rankelo"
-                    and getattr(module, "get_or_create_player", None) is original):
-                monkeypatch.setattr(module, "get_or_create_player", counting)
+    def test_replay_registers_each_entry_once(self):
         rounds = [
             RoundInput("r0", [DivisionResult(1, [("a", 3.0), ("b", 1.0)])]),
             RoundInput("r1", [DivisionResult(1, [("b", 2.0), ("c", 2.0)]),
                               DivisionResult(2, [("a", 5.0)])]),
         ]
-        result = replay(rounds, ELO2)
-        assert sorted(calls) == sorted(player_id for record in result.divisions
-                                       for player_id in record.player_ids)
-        assert len(calls) == 5
+        compiled = compile_history(rounds)
+        # one position per distinct id, numbered in order of first appearance
+        registered = [player_id for compiled_round in compiled.rounds
+                      for player_id in compiled_round.new_ids]
+        assert registered == ["a", "b", "c"]
+        entries = [[registered[i] for i in compiled_round.players[compiled_round.entry]]
+                   for compiled_round in compiled.rounds]
+        assert entries == [["a", "b"], ["b", "c", "a"]]
+        result = replay(compiled, ELO2)
+        assert result.state.ids == registered
+        assert result.state.index == {"a": 0, "b": 1, "c": 2}
         # a player first seen in round two starts at that round's r1
         record = result.divisions[1]
         assert record.player_ids == ("b", "c")

@@ -204,6 +204,13 @@ class TestDivisionMetrics:
         with pytest.raises(InputError):
             division_metrics("r1", 1, [], [], player_ids=[])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(InputError, match="non-finite score in division 3"):
+            division_metrics("r1", 3, [1.0, bad], [1500.0, 1400.0])
+        with pytest.raises(InputError, match="non-finite rating in division 3"):
+            division_metrics("r1", 3, [1.0, 2.0], [bad, 1400.0], player_ids=["a", "b"])
+
 
 class TestEvaluateReplayAndTimeline:
     def test_replay_metrics_match_timeline_reconstruction(self):

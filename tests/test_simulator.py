@@ -10,11 +10,12 @@ import pytest
 from rankelo import (
     InputError,
     SimConfig,
-    calibration_check,
     division_ranks,
     generate_history,
     write_rounds,
 )
+
+from calibration import calibration_check
 
 
 def skill_timeline(result):
