@@ -201,10 +201,8 @@ def division_metrics(round_id: str, division: int, scores: Sequence[float],
         raise InputError("ratings are not aligned with scores")
     compiled, = compile_history(
         [RoundInput(round_id, [DivisionResult(division, list(zip(ids, scores)))])]).rounds
-    ranked_ratings = np.asarray(ratings, dtype=np.float64)[compiled.players]
-    *_, perf = canonical_ranks(compiled, ranked_ratings)
-    return _round_metrics(round_id, division, fold(0.0, np.abs(perf)[compiled.entry]),
-                          scores, ratings)
+    *_, perf = canonical_ranks(compiled, np.asarray(ratings, dtype=np.float64))
+    return _round_metrics(round_id, division, fold(0.0, np.abs(perf)), scores, ratings)
 
 
 def evaluate_replay(result: ReplayResult) -> list[RoundMetrics]:

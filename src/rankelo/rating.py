@@ -10,10 +10,11 @@ results.
 
 All arithmetic is 64-bit binary floating point.  ``rate_division`` is a
 pure function of an immutable snapshot of ratings; entry order never
-affects its output (entries are processed in a canonical order internally
-and results are mapped back).  State mutation happens only in the
-per-round step (``rate_compiled_round``, which ``rate_round`` and
-``replay`` run), after every division of the round has been computed.
+affects its output.  Only the rank pass, ``canonical_ranks``, sees the
+canonical ``(-score, id)`` order; every other array is aligned with the
+entries.  State mutation happens only in the per-round step
+(``rate_compiled_round``, which ``rate_round`` and ``replay`` run), after
+every division of the round has been computed.
 """
 
 from __future__ import annotations
@@ -276,21 +277,21 @@ def _require_finite(values, what: str, division: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class CompiledRound:
-    """One round of a compiled history.  Division ``k`` holds entries
-    ``bounds[k]:bounds[k + 1]``, in entry order and in canonical order alike."""
+    """One round of a compiled history, in entry order: division ``k`` holds
+    entries ``bounds[k]:bounds[k + 1]``.  ``order`` and ``ranked_scores``
+    are the rank pass's canonical order, read only by ``canonical_ranks``."""
 
     round_id: str
-    divisions: tuple[tuple[int, tuple, tuple], ...]   # (number, ids, scores), entry order
+    divisions: tuple[tuple[int, tuple, tuple], ...]   # (number, ids, scores)
     bounds: tuple[int, ...]
     new_ids: tuple[str, ...]    # players first seen here, in order of appearance
-    players: np.ndarray         # registry index of each entry, canonical order
-    ranked_scores: np.ndarray   # scores, canonical order
-    entry: np.ndarray           # canonical position of each entry, entry order
+    players: np.ndarray         # registry index of each entry
+    order: np.ndarray           # entry positions, in canonical order
+    ranked_scores: np.ndarray   # scores, in canonical order
 
     def split(self, breakdown: PerformanceBreakdown) -> list[PerformanceBreakdown]:
-        """A canonical-order round ``breakdown`` as one breakdown per
-        division, aligned with its entries."""
-        columns = [getattr(breakdown, f.name)[self.entry] for f in fields(breakdown)]
+        """A round ``breakdown`` as one breakdown per division."""
+        columns = [getattr(breakdown, f.name) for f in fields(breakdown)]
         return [PerformanceBreakdown(*(column[a:b] for column in columns))
                 for a, b in zip(self.bounds, self.bounds[1:])]
 
@@ -312,7 +313,7 @@ def compile_history(rounds: Iterable[RoundInput],
     one for None), new ids numbered in order of first appearance; each
     round is checked for a repeated player and non-finite scores, so a bad
     round raises before any round is rated; and one ``lexsort`` over the
-    history puts every division in canonical order.  ``state`` is unchanged.
+    history gives every division's canonical order.  ``state`` is unchanged.
     """
     registry = [] if state is None else list(state.ids)
     known = {} if state is None else dict(state.index)   # id -> registry index
@@ -341,15 +342,13 @@ def compile_history(rounds: Iterable[RoundInput],
     scores = np.array(scores, np.float64)
     order = np.lexsort((np.fromiter(map(rank.__getitem__, everyone), np.int64),
                         np.negative(scores), np.repeat(np.arange(len(sizes)), sizes)))
-    entry = np.empty_like(order)
-    entry[order] = np.arange(order.size)
     compiled, start = [], 0
     for round_id, divisions, new_ids in shapes:
         bounds = tuple(accumulate((len(ids) for _, ids, _ in divisions), initial=0))
         end = start + bounds[-1]
         compiled.append(CompiledRound(round_id, divisions, bounds, new_ids,
-                                      players[order[start:end]], scores[order[start:end]],
-                                      entry[start:end] - start))
+                                      players[start:end], order[start:end] - start,
+                                      scores[order[start:end]]))
         start = end
     return CompiledHistory(registry, tuple(compiled))
 
@@ -357,21 +356,26 @@ def compile_history(rounds: Iterable[RoundInput],
 def canonical_ranks(compiled: CompiledRound, ratings: np.ndarray):
     """``division_ranks`` of every division of ``compiled``, and
     ``perf = log2(expected / actual)``: the ``actual``, ``expected``, ``mu``,
-    ``var`` and ``perf`` arrays, in canonical order like ``ratings``."""
-    ranks, bounds = [], compiled.bounds
+    ``var`` and ``perf`` arrays, in entry order like ``ratings``.  The one
+    reader of canonical order: it gathers ``ratings`` into it once, ranks
+    each division there, and scatters the rank columns back."""
+    order, bounds = compiled.order, compiled.bounds
+    ranked = ratings[order]
+    ranks = np.empty((4, order.size))
     for (number, _, _), a, b in zip(compiled.divisions, bounds, bounds[1:]):
-        _require_finite(ratings[a:b], "rating", number)
-        ranks.append(division_ranks(compiled.ranked_scores[a:b], ratings[a:b]))
-    actual, expected, mu, var = ([np.concatenate(column) for column in zip(*ranks)]
-                                 if ranks else np.empty((4, 0)))
+        _require_finite(ranked[a:b], "rating", number)
+        ranks[:, order[a:b]] = division_ranks(compiled.ranked_scores[a:b], ranked[a:b])
+    actual, expected, mu, var = ranks
     return actual, expected, mu, var, np.log(expected / actual) * _LOG2E
 
 
-def _breakdown(actual, expected, mu, var, perf, ratings: np.ndarray,
-               played: np.ndarray, params: RatingParams) -> PerformanceBreakdown:
-    """Every entry's breakdown from its ranks, its pre-round rating and its
-    ``played`` completed rounds; columns stay aligned with the inputs."""
-    nr = played + 1
+def _breakdown(compiled: CompiledRound, state: EngineState,
+               params: RatingParams) -> PerformanceBreakdown:
+    """Every entry's breakdown of ``compiled`` from the pre-round ratings
+    and completed-round counts in ``state``, in entry order."""
+    ratings = state.rating[compiled.players]
+    actual, expected, mu, var, perf = canonical_ranks(compiled, ratings)
+    nr = state.num_rounds[compiled.players] + 1
     sens = var / mu
     boosted = perf + (params.bonus / BITS_TO_RATING) * sens
     capped = boosted * params.perf_cap / (params.perf_cap + np.abs(boosted))
@@ -408,16 +412,13 @@ def rate_division(division: DivisionResult, state: EngineState,
     compiled, = compile_history([RoundInput("", [division])], state).rounds
     if compiled.new_ids:
         raise InputError(f"no state registered for player {compiled.new_ids[0]!r}")
-    ratings = state.rating[compiled.players]
-    breakdown = _breakdown(*canonical_ranks(compiled, ratings), ratings,
-                           state.num_rounds[compiled.players], params)
-    return compiled.split(breakdown)[0]
+    return _breakdown(compiled, state, params)
 
 
 def rate_compiled_round(compiled: CompiledRound, state: EngineState,
                         params: RatingParams) -> PerformanceBreakdown:
     """Apply one compiled round to ``state``, as ``replay`` and ``rate_round``
-    do; returns the round's breakdown in canonical order.
+    do; returns the round's breakdown, in entry order.
 
     New participants join the columns at the current ``r1``; every division
     is rated from the pre-round ratings; then all deltas apply at once, each
@@ -431,12 +432,9 @@ def rate_compiled_round(compiled: CompiledRound, state: EngineState,
     if new:
         state.rating = np.concatenate((state.rating, np.full(new, state.r1)))
         state.num_rounds = np.concatenate((state.num_rounds, np.zeros(new, np.int64)))
-    players = compiled.players
-    ratings = state.rating[players]
-    breakdown = _breakdown(*canonical_ranks(compiled, ratings), ratings,
-                           state.num_rounds[players], params)
-    state.rating[players] += breakdown.delta_r   # a player is in one division
-    state.num_rounds[players] += 1
+    breakdown = _breakdown(compiled, state, params)
+    state.rating[compiled.players] += breakdown.delta_r   # a player is in one division
+    state.num_rounds[compiled.players] += 1
     state.rounds_processed += 1
     state.r1 = (params.initial_rating
                 + (params.inflation / 100.0) * state.rounds_processed)

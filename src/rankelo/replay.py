@@ -94,8 +94,8 @@ def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
 
     for offset, compiled in enumerate(rounds.rounds):
         breakdown = rate_compiled_round(compiled, state, params)
-        deltas = breakdown.delta_r[compiled.entry]
-        errors = np.abs(breakdown.perf)[compiled.entry]
+        deltas = breakdown.delta_r
+        errors = np.abs(breakdown.perf)
         result.delta_sum = fold(result.delta_sum, deltas)
         result.delta_sq_sum = fold(result.delta_sq_sum, deltas * deltas)
         if deltas.size:

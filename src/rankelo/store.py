@@ -127,8 +127,7 @@ def parse_rounds(source) -> list[RoundInput]:
     line number) on duplicate players, malformed fields, or a round whose
     records are not contiguous.
     """
-    rounds: list[RoundInput] = []
-    finished: set[str] = set()
+    rounds: dict[str, RoundInput] = {}
     current: RoundInput | None = None
     current_divisions: dict[int, DivisionResult] = {}
     current_players: set[str] = set()
@@ -142,13 +141,10 @@ def parse_rounds(source) -> list[RoundInput]:
         score = _parse_float(score_text, "score", line)
 
         if current is None or round_id != current.round_id:
-            if round_id in finished:
+            if round_id in rounds:
                 raise ParseError(
                     f"records for round {round_id!r} are not contiguous", line=line)
-            if current is not None:
-                rounds.append(current)
-                finished.add(current.round_id)
-            current = RoundInput(round_id=round_id, divisions=[])
+            current = rounds[round_id] = RoundInput(round_id=round_id, divisions=[])
             current_divisions = {}
             current_players = set()
         if player_id in current_players:
@@ -162,10 +158,7 @@ def parse_rounds(source) -> list[RoundInput]:
             current_divisions[division] = bucket
             current.divisions.append(bucket)
         bucket.entries.append((player_id, score))
-
-    if current is not None:
-        rounds.append(current)
-    return rounds
+    return list(rounds.values())
 
 
 def csv_cell(value) -> str:

@@ -27,6 +27,7 @@ SWEEP_TARGETS = ("k_factor", "weight_exponent", "variance_weight",
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 Objective = Callable[[RatingParams], float]
+Point = float | tuple[float, float]   # a K, or an (inflation, bonus) pair
 
 
 def _checked_grid(name: str, grid: Sequence[float]) -> tuple[float, ...]:
@@ -74,7 +75,10 @@ class SweepResult:
 
 
 def _replay_objective(rounds: Sequence[RoundInput]) -> Objective:
+    """Mean prediction error of a fresh replay of ``rounds``, compiled once."""
     compiled = compile_history(rounds)
+    if not compiled.rounds:
+        raise InputError("history is empty")
 
     def objective(params: RatingParams) -> float:
         error = replay(compiled, params, keep_observations=False).mean_error
@@ -85,17 +89,17 @@ def _replay_objective(rounds: Sequence[RoundInput]) -> Objective:
 
 
 class _Cached:
-    """Memoize an error curve and remember the best point seen."""
+    """Memoize an error function of a point and remember the best point seen."""
 
     __slots__ = ("f", "seen", "best_x", "best_y")
 
-    def __init__(self, f: Callable[[float], float]):
+    def __init__(self, f: Callable[[Point], float]):
         self.f = f
-        self.seen: dict[float, float] = {}
-        self.best_x: float | None = None
+        self.seen: dict[Point, float] = {}
+        self.best_x: Point | None = None
         self.best_y = math.inf
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x: Point) -> float:
         if x not in self.seen:
             y = self.f(x)
             self.seen[x] = y
@@ -166,10 +170,7 @@ def _sweep_point(spec: SweepSpec, value: float, objective: Objective) -> SweepPo
 def run_sweep(spec: SweepSpec, rounds: Sequence[RoundInput],
               objective: Objective | None = None) -> SweepResult:
     """Evaluate the sweep grid; each point re-optimizes K independently."""
-    rounds = list(rounds)
     if objective is None:
-        if not rounds:
-            raise InputError("history is empty")
         objective = _replay_objective(rounds)
     points = [_sweep_point(spec, value, objective) for value in spec.grid]
     best = min(points, key=lambda p: (p.mean_error, p.value))
@@ -197,31 +198,20 @@ def joint_search(inflation_grid: Sequence[float], bonus_grid: Sequence[float],
     """
     inflation_grid = _checked_grid("inflation", inflation_grid)
     bonus_grid = _checked_grid("bonus", bonus_grid)
-    rounds = list(rounds)
     if objective is None:
-        if not rounds:
-            raise InputError("history is empty")
         objective = _replay_objective(rounds)
-
-    cache: dict[tuple[float, float], float] = {}
-
-    def err(n: float, b: float) -> float:
-        key = (n, b)
-        if key not in cache:
-            cache[key] = objective(replace(base, inflation=n, bonus=b))
-        return cache[key]
-
+    cached = _Cached(lambda nb: objective(replace(base, inflation=nb[0], bonus=nb[1])))
     n, b = inflation_grid[0], bonus_grid[0]
-    current = err(n, b)
+    current = cached((n, b))
     for _ in range(2 * len(inflation_grid) * len(bonus_grid) + 2):
         moved = False
-        best_n = min(inflation_grid, key=lambda v: (err(v, b), v))
-        if (err(best_n, b), best_n) < (current, n):
-            n, current, moved = best_n, err(best_n, b), True
-        best_b = min(bonus_grid, key=lambda v: (err(n, v), v))
-        if (err(n, best_b), best_b) < (current, b):
-            b, current, moved = best_b, err(n, best_b), True
+        best_n = min(inflation_grid, key=lambda v: (cached((v, b)), v))
+        if (cached((best_n, b)), best_n) < (current, n):
+            n, current, moved = best_n, cached((best_n, b)), True
+        best_b = min(bonus_grid, key=lambda v: (cached((n, v)), v))
+        if (cached((n, best_b)), best_b) < (current, b):
+            b, current, moved = best_b, cached((n, best_b)), True
         if not moved:
             return JointResult(inflation=n, bonus=b, mean_error=current,
-                               evaluations=len(cache))
+                               evaluations=len(cached.seen))
     raise InternalError("coordinate descent failed to terminate")

@@ -25,6 +25,7 @@ from rankelo import (
     write_rounds,
 )
 from rankelo.cli import run
+from rankelo.rating import rate_compiled_round
 from rankelo.replay import ReplayResult, compile_history
 
 ELO = PROFILES["elo"]
@@ -139,18 +140,32 @@ class TestCompiledReplay:
         scores = [1.0] * len(ids)
         compiled_round, = compile_history(
             [RoundInput("r", [DivisionResult(1, list(zip(ids, scores)))])]).rounds
-        registered = compiled_round.new_ids
-        assert registered == tuple(ids)   # order of first appearance
-        assert [registered[i] for i in compiled_round.players] == sorted(ids)
-        assert compiled_round.entry.tolist() == [sorted(ids).index(i) for i in ids]
+        assert compiled_round.new_ids == tuple(ids)   # order of first appearance
+        assert compiled_round.players.tolist() == list(range(len(ids)))   # entry order
+        assert [ids[k] for k in compiled_round.order] == sorted(ids)
 
     def test_canonical_order_is_score_descending_then_id(self):
         entries = [("b", 2.0), ("c", 5.0), ("a", 2.0), ("d", -0.0), ("e", 0.0)]
         compiled_round, = compile_history(
             [RoundInput("r", [DivisionResult(7, entries)])]).rounds
-        registered = compiled_round.new_ids
-        assert [registered[i] for i in compiled_round.players] == ["c", "a", "b", "d", "e"]
+        assert [entries[k][0] for k in compiled_round.order] == ["c", "a", "b", "d", "e"]
         assert compiled_round.ranked_scores.tolist() == [5.0, 2.0, 2.0, -0.0, 0.0]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_round_breakdown_is_in_entry_order(self, seed):
+        # the step's round breakdown lines up with the round's entries:
+        # rate_round's per-division breakdowns, concatenated
+        rounds = shuffled_history(seed, rounds=4)
+        for played, round_input in enumerate(rounds):
+            state = replay(rounds[:played], ELO2).state
+            other = replay(rounds[:played], ELO2).state
+            compiled, = compile_history([round_input], state).rounds
+            got = rate_compiled_round(compiled, state, ELO2)
+            want = rate_round(round_input, other, ELO2)
+            assert len(want) == len(round_input.divisions) > 1
+            for f in fields(got):
+                column = np.concatenate([getattr(b, f.name) for b in want])
+                assert np.array_equal(getattr(got, f.name), column), f.name
 
 
 class TestCompileOnce:

@@ -453,7 +453,7 @@ class TestGetOrCreatePlayer:
         registered = [player_id for compiled_round in compiled.rounds
                       for player_id in compiled_round.new_ids]
         assert registered == ["a", "b", "c"]
-        entries = [[registered[i] for i in compiled_round.players[compiled_round.entry]]
+        entries = [[registered[i] for i in compiled_round.players]
                    for compiled_round in compiled.rounds]
         assert entries == [["a", "b"], ["b", "c", "a"]]
         result = replay(compiled, ELO2)

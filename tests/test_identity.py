@@ -1,21 +1,24 @@
 """Byte-identity pin: the CLI's deterministic outputs on fixed histories.
 
 Every digest in ``FROZEN`` was frozen from the output of the commit before
-the engine state became columnar, and every digest in ``LONG_FROZEN`` from
-the commit before the reports became masked folds.  A refactor that keeps
-the maths must keep every one of them; a change that moves output bits on
-purpose updates the digest here and declares the change.  Snapshot bytes
-are not pinned: their layout is versioned separately (see
-``tests/test_store.py``).
+the engine state became columnar, every digest in ``LONG_FROZEN`` from
+the commit before the reports became masked folds, and every digest in
+``LOG_FROZEN`` from the commit before canonical order became private to
+the rank pass.  A refactor that keeps the maths must keep every one of
+them; a change that moves output bits on purpose updates the digest here
+and declares the change.  Snapshot bytes are not pinned: their layout is
+versioned separately (see ``tests/test_store.py``).
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 
 import pytest
 
 from rankelo.cli import run
+from rankelo.store import parse_rounds, write_rounds
 
 # (name, argv): each command writes ``--output`` to its own file; ``{h}`` is
 # the history and ``{s}`` the snapshot that ``rate`` writes.
@@ -79,9 +82,63 @@ LONG_FROZEN = {
 }
 
 
+# The replay log and the timeline paths, on the long history.  ``{a}`` and
+# ``{b}`` are its first and second halves, ``{t}`` a timeline of the
+# pre-round ratings in the elo replay log, ``{s}`` the first half's snapshot.
+LOG_COMMANDS = (
+    LONG_COMMANDS[0],
+    ("rate_log", ["rate", "--input", "{h}"]),
+    ("rate_elo2_log", ["rate", "--profile", "elo2", "--input", "{h}"]),
+    ("rate_first_half", ["rate", "--profile", "elo2", "--input", "{a}",
+                         "--snapshot-out", "{s}"]),
+    ("rate_resumed", ["rate", "--profile", "elo2", "--input", "{b}",
+                      "--snapshot-in", "{s}"]),
+    ("eval_timeline", ["eval", "--input", "{h}", "--timeline", "{t}",
+                       "--report", "rounds"]),
+    ("compare_timeline", ["compare", "--profile", "elo2", "--input", "{h}",
+                          "--vs-timeline", "{t}"]),
+)
+
+# compare_timeline equals LONG_FROZEN["compare"]: an elo timeline of the
+# elo replay's own pre-round ratings reproduces the elo replay's metrics.
+LOG_FROZEN = {
+    "simulate": "39426e5864e73f8d2783b16104d23211220a47d0e3c3f2fe80bb245cd5d31bcd",
+    "rate_log": "907d531139600440b40ac30e64f8f612086b9bd55cdaa28d88da68348e492f55",
+    "rate_elo2_log": "1721a42ce43804a4e48cc2e54fe770acb4177c1199dca052b5a2e7494e1c5e27",
+    "rate_first_half": "151f6d83830fa0cab47e20563013f4875506f0efd6cf1dcc855223b02e75d2a4",
+    "rate_resumed": "9aacf3f0e978718b68a3f448d5d7703c285fc87fbb267fbaec3e237100bb9de2",
+    "eval_timeline": "1122652edbabc37bcbc05af130553f326bde46bb558cdbf3374b68516d8a4248",
+    "compare_timeline": "b003c8d6d4ba834585ed9d1fae5def39bb32bafc33df1a470f555e9149106318",
+}
+
+
+def _split_history(root):
+    """Write the history's first and second halves, by round."""
+    rounds = parse_rounds(str(root / "simulate.out"))
+    half = len(rounds) // 2
+    write_rounds(rounds[:half], str(root / "first.csv"))
+    write_rounds(rounds[half:], str(root / "second.csv"))
+
+
+def _timeline_from_log(root):
+    """Write each logged entry's ``round_id,player_id,rating_before``."""
+    with open(root / "rate_log.out", newline="") as log, \
+            open(root / "timeline.csv", "w", newline="") as timeline:
+        writer = csv.writer(timeline, lineterminator="\n")
+        writer.writerow(("round_id", "player_id", "rating_before"))
+        writer.writerows((row["round_id"], row["player_id"], row["rating_before"])
+                         for row in csv.DictReader(log))
+
+
+# Files some commands read, written from the output of an earlier one.
+AFTER = {"simulate": _split_history, "rate_log": _timeline_from_log}
+
+
 def _run_all(root, commands):
     """SHA-256 of each command's ``--output`` file, plus ``rate``'s summary line."""
-    paths = {"h": str(root / "simulate.out"), "s": str(root / "state.snap")}
+    paths = {"h": root / "simulate.out", "s": root / "state.snap",
+             "a": root / "first.csv", "b": root / "second.csv",
+             "t": root / "timeline.csv"}
     out = {}
     for name, argv in commands:
         dest = root / f"{name}.out"
@@ -92,6 +149,8 @@ def _run_all(root, commands):
         out[name] = hashlib.sha256(dest.read_bytes()).hexdigest()
         if name == "rate":
             out["rate_summary"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+        if name in AFTER:
+            AFTER[name](root)
     return out
 
 
@@ -103,6 +162,11 @@ def digests(tmp_path_factory):
 @pytest.fixture(scope="module")
 def long_digests(tmp_path_factory):
     return _run_all(tmp_path_factory.mktemp("identity_long"), LONG_COMMANDS)
+
+
+@pytest.fixture(scope="module")
+def log_digests(tmp_path_factory):
+    return _run_all(tmp_path_factory.mktemp("identity_log"), LOG_COMMANDS)
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -121,3 +185,12 @@ def test_long_history_bytes_are_frozen(long_digests, name):
 
 def test_every_long_history_output_is_pinned(long_digests):
     assert sorted(long_digests) == sorted(LONG_FROZEN)
+
+
+@pytest.mark.parametrize("name", sorted(LOG_FROZEN))
+def test_replay_log_and_timeline_bytes_are_frozen(log_digests, name):
+    assert log_digests[name] == LOG_FROZEN[name]
+
+
+def test_every_replay_log_and_timeline_output_is_pinned(log_digests):
+    assert sorted(log_digests) == sorted(LOG_FROZEN)
