@@ -24,9 +24,6 @@ from .replay import compile_history, replay, write_replay_log
 
 _PARAM_FIELDS = tuple(f.name for f in fields(RatingParams))
 
-# Most values a start:stop:step range may expand to.
-_MAX_RANGE_POINTS = 10_000
-
 
 class _Parser(argparse.ArgumentParser):
     # Usage problems must exit 1, not argparse's default 2.
@@ -46,9 +43,9 @@ def _float_list(text: str, flag: str) -> tuple[float, ...]:
     except ValueError:
         raise InputError(f"{flag} expects comma-separated numbers or "
                          f"start:stop:step") from None
-    if not steps < _MAX_RANGE_POINTS:   # also rejects inf and nan
+    if not steps < sweep_mod.MAX_GRID_POINTS:   # also rejects inf and nan
         raise InputError(f"{flag} range {text!r} has more than "
-                         f"{_MAX_RANGE_POINTS} points")
+                         f"{sweep_mod.MAX_GRID_POINTS} points")
     return tuple(start + i * step for i in range(int(steps) + 1))
 
 
@@ -226,7 +223,7 @@ def _cmd_compare(args) -> int:
     metrics_a = metrics_mod.evaluate_replay(result_a)
     if args.vs_timeline is not None:
         metrics_b = metrics_mod.evaluate_timeline(
-            rounds, store.parse_timeline(args.vs_timeline))
+            compiled, store.parse_timeline(args.vs_timeline))
     else:
         params_b = _resolve_params(args.vs_profile, args.vs_param)
         result_b = replay(compiled, params_b)

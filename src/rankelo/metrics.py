@@ -24,10 +24,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .rating import DivisionResult, RoundInput, canonical_ranks, compile_history
+from .rating import CompiledHistory, DivisionResult, RoundInput, canonical_ranks
 # division_ranks is not called here; bench/test_bench.py traces this binding.
 from .rating import division_ranks  # noqa: F401
-from .replay import DivisionReplay, ReplayResult, fold
+from .replay import DivisionReplay, ReplayResult, compile_history, division_errors, fold
 
 # Experience rows: (label, lowest round number, highest round number).
 EXPERIENCE_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
@@ -184,25 +184,18 @@ def _round_metrics(round_id: str, division: int, error_sum: float,
 def division_metrics(round_id: str, division: int, scores: Sequence[float],
                      ratings: Sequence[float],
                      player_ids: Sequence[str] | None = None) -> RoundMetrics:
-    """Evaluate one division given pre-round ratings (from any system).
-
-    The errors are the engine's own ``|perf|`` values, ranked by its own
-    compiled canonical ``(-score, id)`` order and summed in entry order
-    exactly as ``replay`` sums them, so a timeline of a replay's pre-round
-    ratings reproduces ``evaluate_replay`` bit for bit.  Without
-    ``player_ids``, entry position breaks score ties.  A repeated player, or
-    a non-finite score or rating, is an ``InputError``, as in the engine.
-    """
+    """One division's metrics from pre-round ratings (from any system): the
+    one-division case of ``evaluate_timeline``.  Without ``player_ids``, entry
+    position breaks score ties."""
     n = len(scores)
     if n == 0:
         raise InputError("division is empty")
     ids = range(n) if player_ids is None else player_ids
     if len(ratings) != n or len(ids) != n:
         raise InputError("ratings are not aligned with scores")
-    compiled, = compile_history(
-        [RoundInput(round_id, [DivisionResult(division, list(zip(ids, scores)))])]).rounds
-    *_, perf = canonical_ranks(compiled, np.asarray(ratings, dtype=np.float64))
-    return _round_metrics(round_id, division, fold(0.0, np.abs(perf)), scores, ratings)
+    return evaluate_timeline(
+        [RoundInput(round_id, [DivisionResult(division, list(zip(ids, scores)))])],
+        {(round_id, player_id): rating for player_id, rating in zip(ids, ratings)})[0]
 
 
 def evaluate_replay(result: ReplayResult) -> list[RoundMetrics]:
@@ -218,22 +211,25 @@ def evaluate_replay(result: ReplayResult) -> list[RoundMetrics]:
             for record in result.divisions]
 
 
-def evaluate_timeline(rounds: Iterable[RoundInput],
+def evaluate_timeline(rounds: Iterable[RoundInput] | CompiledHistory,
                       timeline: Mapping[tuple[str, str], float]) -> list[RoundMetrics]:
-    """Per-division metrics for an externally supplied rating timeline."""
+    """Per-division metrics for an externally supplied rating timeline: ``rounds``
+    (compiled here unless it is a ``CompiledHistory``) ranked and ``|perf|`` summed
+    exactly as ``replay`` does, so a timeline of a replay's pre-round ratings
+    reproduces ``evaluate_replay`` bit for bit, and it refuses what ``replay`` refuses."""
+    if not isinstance(rounds, CompiledHistory):
+        rounds = compile_history(rounds)
     out = []
-    for round_input in rounds:
-        for division in round_input.divisions:
-            if not division.entries:
-                continue
-            ids, scores = zip(*division.entries)
-            try:
-                ratings = [timeline[round_input.round_id, player_id] for player_id in ids]
-            except KeyError as exc:
-                raise InputError(f"timeline has no rating for player {exc.args[0][1]!r} "
-                                 f"in round {round_input.round_id!r}") from None
-            out.append(division_metrics(round_input.round_id, division.division,
-                                        scores, ratings, player_ids=ids))
+    for compiled in rounds.rounds:
+        try:
+            ratings = np.array([timeline[compiled.round_id, player_id] for _, ids, _
+                                in compiled.divisions for player_id in ids], np.float64)
+        except KeyError as exc:
+            raise InputError(f"timeline has no rating for player {exc.args[0][1]!r} "
+                             f"in round {compiled.round_id!r}") from None
+        *_, perf = canonical_ranks(compiled, ratings)
+        out += (_round_metrics(compiled.round_id, number, error, scores, ratings[a:b])
+                for _, number, _, scores, a, b, error in division_errors(compiled, perf))
     return out
 
 

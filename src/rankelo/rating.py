@@ -406,9 +406,6 @@ def rate_division(division: DivisionResult, state: EngineState,
     is aligned with ``division.entries``; an empty division gives empty
     columns.
     """
-    ids = [player_id for player_id, _ in division.entries]
-    if len(set(ids)) != len(ids):
-        raise InputError(f"duplicate player in division {division.division}")
     compiled, = compile_history([RoundInput("", [division])], state).rounds
     if compiled.new_ids:
         raise InputError(f"no state registered for player {compiled.new_ids[0]!r}")

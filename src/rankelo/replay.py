@@ -11,6 +11,7 @@ import numpy as np
 from .errors import InputError
 from .rating import (
     CompiledHistory,
+    CompiledRound,
     EngineState,
     PerformanceBreakdown,
     RatingParams,
@@ -28,6 +29,16 @@ def fold(total: float, values: np.ndarray) -> float:
     """``total`` plus each of ``values`` in order, one IEEE add at a time
     (``np.add.accumulate`` never pairs terms): every report's sum."""
     return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
+
+
+def division_errors(compiled: CompiledRound, perf: np.ndarray):
+    """``(k, number, ids, scores, a, b, error)`` per non-empty division ``k`` of
+    ``compiled``: entries ``a:b``, and ``error`` the ``fold`` of their ``|perf|``."""
+    errors = np.abs(perf)
+    for k, ((number, ids, scores), a, b) in enumerate(
+            zip(compiled.divisions, compiled.bounds, compiled.bounds[1:])):
+        if a != b:
+            yield k, number, ids, scores, a, b, fold(0.0, errors[a:b])
 
 
 @dataclass(frozen=True)
@@ -95,7 +106,6 @@ def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
     for offset, compiled in enumerate(rounds.rounds):
         breakdown = rate_compiled_round(compiled, state, params)
         deltas = breakdown.delta_r
-        errors = np.abs(breakdown.perf)
         result.delta_sum = fold(result.delta_sum, deltas)
         result.delta_sq_sum = fold(result.delta_sq_sum, deltas * deltas)
         if deltas.size:
@@ -104,11 +114,8 @@ def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
                 result.delta_max = highest
         breakdowns = compiled.split(breakdown) if keep_observations else None
         round_error = 0.0
-        for k, ((number, ids, scores), a, b) in enumerate(
-                zip(compiled.divisions, compiled.bounds, compiled.bounds[1:])):
-            if a == b:
-                continue
-            division_error = fold(0.0, errors[a:b])
+        for k, number, ids, scores, _, _, division_error in division_errors(
+                compiled, breakdown.perf):
             round_error += division_error
             if keep_observations:
                 result.divisions.append(DivisionReplay(

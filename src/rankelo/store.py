@@ -86,16 +86,28 @@ def _parse_float(text: str, what: str, line: int) -> float:
     return value
 
 
+def _read_csv(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(line, cells)`` for each row of ``stream``; a row ``csv`` cannot read
+    (a cell past ``csv.field_size_limit()``, say) is a ``ParseError``."""
+    reader = csv.reader(stream)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 def _csv_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line, stripped cells)`` for each non-blank row of a CSV file
     (a path or an open text stream) whose first row is ``header``.
 
     A wrong header or field count, an empty ``round_id`` or ``player_id``,
-    or text that is not UTF-8 is a ``ParseError``.
+    a row ``csv`` cannot read, or text that is not UTF-8 is a ``ParseError``.
     """
     with open_text(source) as stream:
-        reader = csv.reader(stream)
-        got = tuple(cell.strip() for cell in next(reader, header))  # empty: no rows
+        reader = _read_csv(stream)
+        _, first = next(reader, (1, header))   # empty: no rows
+        got = tuple(cell.strip() for cell in first)
         if got != header:
             unknown = [cell for cell in got if cell not in header]
             if unknown:
@@ -104,10 +116,9 @@ def _csv_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]
                 f"header must be {','.join(header)!r}, got {','.join(got)!r}", line=1)
         width = len(header)
         player_column = header.index("player_id")
-        for row in reader:
+        for line, row in reader:
             if not row:
                 continue
-            line = reader.line_num
             if len(row) != width:
                 raise ParseError(f"expected {width} fields, got {len(row)}", line=line)
             cells = [cell.strip() for cell in row]

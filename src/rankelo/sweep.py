@@ -26,6 +26,9 @@ SWEEP_TARGETS = ("k_factor", "weight_exponent", "variance_weight",
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Most points a grid may hold: a start:stop:step range, or a K grid scan.
+MAX_GRID_POINTS = 10_000
+
 Objective = Callable[[RatingParams], float]
 Point = float | tuple[float, float]   # a K, or an (inflation, bonus) pair
 
@@ -111,8 +114,13 @@ class _Cached:
 
 
 def _grid_scan(f: _Cached, lo: float, hi: float, step: float) -> None:
+    steps = (hi - lo) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:   # also rejects inf
+        raise InputError(f"the error-vs-K curve is not unimodal, and a grid scan of "
+                         f"[{lo!r}, {hi!r}] at --k-step {step!r} has more than "
+                         f"{MAX_GRID_POINTS} points")
     # i*step, not accumulation, so the grid does not drift.
-    for i in range(int(math.floor((hi - lo) / step + 1e-9)) + 1):
+    for i in range(int(math.floor(steps)) + 1):
         f(min(lo + i * step, hi))
     f(hi)
 

@@ -185,6 +185,33 @@ class TestExitCodes:
         assert "line 2: 'a\\udcff' is not valid UTF-8" in capsys.readouterr().err
         assert not snap.exists() and not log.exists()
 
+    # 140,000 characters, past csv's default field size limit of 131,072
+    HUGE_ID = '"' + "x" * 140_000 + '"'
+
+    @pytest.mark.parametrize("text,line", [
+        (f"round_id,division,player_id,score\nr1,1,a,10\nr1,1,{HUGE_ID},5\n", 3),
+        (f"round_id,division,{HUGE_ID},score\nr1,1,a,10\n", 1),
+    ], ids=["row", "header"])
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_oversized_rounds_cell(self, tmp_path, capsys, monkeypatch, text, line, via):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        if via == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(["rate", *(["--input", str(path)] if via == "file" else [])]) == 1
+        assert f"error: line {line}: field larger than field limit" in \
+            capsys.readouterr().err
+
+    def test_oversized_timeline_cell(self, tmp_path, capsys):
+        rounds = tmp_path / "r.csv"
+        rounds.write_text("round_id,division,player_id,score\nr1,1,a,10\nr1,1,b,5\n")
+        timeline = tmp_path / "t.csv"
+        timeline.write_text("round_id,player_id,rating_before\n"
+                            f"r1,a,1200\nr1,{self.HUGE_ID},1300\n")
+        assert run(["eval", "--input", str(rounds), "--timeline", str(timeline),
+                    "--report", "rounds"]) == 1
+        assert "error: line 3: field larger than field limit" in capsys.readouterr().err
+
     def test_internal_error_exits_2(self, history_file, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
@@ -598,6 +625,38 @@ class TestSweep:
         header, rows = read_csv_rows(out)
         assert header == "inflation,bonus,mean_error"
         assert len(rows) == 1
+
+    @staticmethod
+    def tiny_history(tmp_path, seed):
+        path = tmp_path / f"seed{seed}.csv"
+        assert run(["simulate", "--players", "6", "--rounds", "3", "--seed", str(seed),
+                    "--tie-step", "100", "--output", str(path)]) == 0
+        return path
+
+    def test_grid_scan_size_is_bounded(self, tmp_path, capsys):
+        # seed 28's five-point K probe is not unimodal, so K falls back to a
+        # grid scan: at this step, about 1.5e12 replays
+        path = self.tiny_history(tmp_path, 28)
+        assert run(["sweep", "--input", str(path), "--target", "bonus", "--grid", "0",
+                    "--k-step", "1e-9"]) == 1
+        assert ("error: the error-vs-K curve is not unimodal, and a grid scan of "
+                "[25.0, 1500.0] at --k-step 1e-09 has more than 10000 points"
+                in capsys.readouterr().err)
+
+    def test_grid_scan_within_the_bound_is_unchanged(self, tmp_path, capsys):
+        path = self.tiny_history(tmp_path, 28)
+        assert run(["sweep", "--input", str(path), "--target", "bonus", "--grid", "0",
+                    "--k-step", "5"]) == 0
+        assert capsys.readouterr().out == ("param_value,best_K,mean_error\n"
+                                           "0.0,160.0,0.6570866194162448\n")
+
+    def test_fine_k_step_on_a_unimodal_curve(self, tmp_path, capsys):
+        # seed 0's probe is unimodal: golden-section search, no grid scan
+        path = self.tiny_history(tmp_path, 0)
+        assert run(["sweep", "--input", str(path), "--target", "bonus", "--grid", "0",
+                    "--k-step", "1e-6"]) == 0
+        assert capsys.readouterr().out == ("param_value,best_K,mean_error\n"
+                                           "0.0,1500.0,0.5525598410253745\n")
 
     def test_joint_requires_both_grids(self, history_file, capsys):
         assert run(["sweep", "--input", str(history_file),

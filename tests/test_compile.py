@@ -27,6 +27,7 @@ from rankelo import (
 from rankelo.cli import run
 from rankelo.rating import rate_compiled_round
 from rankelo.replay import ReplayResult, compile_history
+from rankelo.store import write_csv
 
 ELO = PROFILES["elo"]
 ELO2 = PROFILES["elo2"]
@@ -216,6 +217,26 @@ class TestCompileOnce:
         assert run(["compare", "--profile", "elo2", "--vs-profile", "elo",
                     "--input", str(path), "--output", str(tmp_path / "out.csv")]) == 0
         assert len(compiles) == 1 and len(replays) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--report", "rounds", "--timeline"],
+        ["compare", "--vs-timeline"],
+    ], ids=["eval", "compare"])
+    def test_timeline_commands(self, compiles, replays, tmp_path, argv):
+        rounds = shuffled_history(10, rounds=6)
+        assert sum(len(round_input.divisions) for round_input in rounds) > 6
+        history, timeline = tmp_path / "history.csv", tmp_path / "timeline.csv"
+        write_rounds(rounds, str(history))
+        rng = random.Random(10)
+        with open(timeline, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, ("round_id", "player_id", "rating_before"), (
+                (round_input.round_id, player_id, rng.gauss(1500.0, 300.0))
+                for round_input in rounds for division in round_input.divisions
+                for player_id, _ in division.entries))
+        assert run([*argv, str(timeline), "--input", str(history),
+                    "--output", str(tmp_path / "out.csv")]) == 0
+        assert len(compiles) == 1
+        assert len(replays) == (argv[0] == "compare")
 
 
 class TestRefusals:

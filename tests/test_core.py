@@ -290,7 +290,7 @@ class TestRateDivision:
     def test_duplicate_player_rejected(self):
         state = EngineState(ids=["a"], rating=[1200.0], num_rounds=[0])
         division = DivisionResult(division=1, entries=[("a", 1.0), ("a", 2.0)])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="player 'a' appears twice"):
             rate_division(division, state, ELO)
 
     def test_unregistered_player_rejected(self):

@@ -28,6 +28,7 @@ from rankelo import (
     spearman_rho,
 )
 import rankelo.rating
+from rankelo.replay import compile_history
 from rankelo.metrics import BucketRow, BucketedReport, ComparisonRow
 from oracles import oracle_kendall_tau, oracle_relative_performance, oracle_spearman_rho
 
@@ -234,6 +235,9 @@ class TestEvaluateReplayAndTimeline:
                         for player_id, rating in zip(
                             record.player_ids, record.breakdown.rating_before.tolist())}
             via_timeline = evaluate_timeline(history, timeline)
+            # a compiled history is the same input: the same bits
+            via_compiled = evaluate_timeline(compile_history(history), timeline)
+            assert repr(via_compiled) == repr(via_timeline)
 
             assert len(via_replay) == len(via_timeline) == 16
             for a, b in zip(via_replay, via_timeline):
@@ -266,6 +270,13 @@ class TestEvaluateReplayAndTimeline:
         rounds = small_history(n_rounds=1)
         with pytest.raises(InputError, match="p00"):
             evaluate_timeline(rounds, {})
+
+    def test_player_in_two_divisions_of_a_round_rejected(self):
+        rounds = [RoundInput("r1", [DivisionResult(1, [("a", 2.0), ("b", 1.0)]),
+                                    DivisionResult(2, [("c", 2.0), ("a", 1.0)])])]
+        timeline = {("r1", player_id): 1500.0 for player_id in "abc"}
+        with pytest.raises(InputError, match="player 'a' appears twice in round 'r1'"):
+            evaluate_timeline(rounds, timeline)
 
 
 class TestAggregateError:

@@ -103,6 +103,25 @@ class TestRunSweep:
         assert result.best.best_k == 200.0
         assert result.best.mean_error == pytest.approx(0.02, abs=1e-12)
 
+    def test_grid_scan_fallback_is_bounded(self):
+        seen = set()
+
+        def objective(params):
+            seen.add(params.k_factor)
+            return abs(math.sin(math.pi * params.k_factor / 200.0))
+
+        # the same W-shaped probes; a scan at this step would need 4e11 points
+        spec = SweepSpec(target="bonus", grid=(0.0,),
+                         k_range=(100.0, 500.0), k_step=1e-9)
+        with pytest.raises(InputError, match=r"--k-step 1e-09 has more than 10000 points"):
+            run_sweep(spec, [], objective=objective)
+        assert seen == {100.0, 200.0, 300.0, 400.0, 500.0}
+        # the largest step the bound refuses, and the one just past it
+        with pytest.raises(InputError, match="more than 10000 points"):
+            run_sweep(replace(spec, k_step=0.04), [], objective=objective)
+        assert len(run_sweep(replace(spec, k_step=0.0401), [],
+                             objective=objective).points) == 1
+
     def test_tiny_k_range_evaluates_endpoints(self):
         def objective(params):
             return (params.k_factor - 380.0) ** 2
