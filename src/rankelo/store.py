@@ -87,14 +87,17 @@ def _parse_float(text: str, what: str, line: int) -> float:
 
 
 def _read_csv(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
-    """``(line, cells)`` for each row of ``stream``; a row ``csv`` cannot read
-    (a cell past ``csv.field_size_limit()``, say) is a ``ParseError``."""
+    """``(line, cells)`` for each row of ``stream``, ``line`` being where the
+    row starts (a quoted cell may span lines); a row ``csv`` cannot read (a
+    cell past ``csv.field_size_limit()``, say) is a ``ParseError``."""
     reader = csv.reader(stream)
+    line = 1
     try:
         for row in reader:
-            yield reader.line_num, row
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
+        raise ParseError(str(exc), line=line) from None
 
 
 def _csv_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:

@@ -202,6 +202,13 @@ class TestExitCodes:
         assert f"error: line {line}: field larger than field limit" in \
             capsys.readouterr().err
 
+    def test_multiline_row_error_names_its_first_line(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text('round_id,division,player_id,score\n'
+                        'r1,1,a,10\nr1,1,"b\nc",5,7\nr1,1,d,3\n')
+        assert run(["rate", "--input", str(path)]) == 1
+        assert "error: line 3: expected 4 fields, got 5" in capsys.readouterr().err
+
     def test_oversized_timeline_cell(self, tmp_path, capsys):
         rounds = tmp_path / "r.csv"
         rounds.write_text("round_id,division,player_id,score\nr1,1,a,10\nr1,1,b,5\n")

@@ -1,5 +1,7 @@
 """Agreement between the engine and the brute-force reference implementations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,13 +121,61 @@ def test_round_driver_matches_straight_line_oracle(profile):
 
 @pytest.mark.parametrize("tie_heavy", [False, True])
 def test_three_row_block_division_matches_oracle(tie_heavy):
-    """n = 1100 spans three row blocks of the pairwise kernel."""
+    """n = 1100 spans several row blocks of the pairwise kernel."""
     rng = np.random.default_rng(53)
     n = 1100
     ratings = rng.uniform(0.0, 3000.0, n)
     scores = (rng.integers(0, 100, n).astype(float) if tie_heavy
               else rng.uniform(0.0, 1000.0, n))
     assert_matches_oracle(scores, ratings, rng.integers(0, 300, n), PROFILES["elo2"])
+
+
+def block_test_division(kind, n=300):
+    """A tie-free, tie-heavy or clipped-spread division; the tie-heavy one
+    ties entries 5-9, a run across the boundary of 7-row blocks."""
+    rng = np.random.default_rng(67)
+    ratings = rng.uniform(0.0, 3000.0, n)
+    if kind == "clipped":
+        ratings[0] = 3000.0 + rating.MAX_LOGIT / rating.ELO_SCALE
+    if kind == "tie_heavy":
+        scores = rng.integers(0, 20, n).astype(float)
+        scores[5:10] = 99.0
+    else:
+        scores = rng.uniform(0.0, 1000.0, n)
+    return scores, ratings
+
+
+@pytest.mark.parametrize("kind", ["tie_free", "tie_heavy", "clipped"])
+def test_block_size_is_invisible_in_the_output(monkeypatch, kind):
+    scores, ratings = block_test_division(kind)
+    n = scores.size
+    assert n % 7
+    results = []
+    # one row per block; 7-row blocks, the last one partial; one block
+    for budget in (8 * n, 7 * 8 * n, n * 8 * n):
+        monkeypatch.setattr(rating, "_BLOCK_BYTES", budget)
+        results.append(division_ranks(scores, ratings))
+    for got in results[1:]:
+        for got_column, want_column in zip(got, results[0]):
+            assert np.array_equal(got_column, want_column)
+
+
+@pytest.mark.parametrize("tie_heavy", [False, True])
+def test_kernel_working_memory_is_bounded(tie_heavy):
+    """No n x n or 512 x n temporary: at n = 4,000 one 512-row float64
+    block alone is 15.6 MiB."""
+    rng = np.random.default_rng(71)
+    n = 4000
+    ratings = rng.uniform(0.0, 3000.0, n)
+    scores = (rng.integers(0, 100, n).astype(float) if tie_heavy
+              else rng.uniform(0.0, 1000.0, n))
+    tracemalloc.start()
+    try:
+        division_ranks(scores, ratings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("tie_heavy", [False, True])

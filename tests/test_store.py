@@ -114,6 +114,25 @@ class TestParseRounds:
         with pytest.raises(ParseError, match="expected 4 fields, got 3"):
             rounds_csv("round_id,division,player_id,score\nr1,1,a\n")
 
+    # the third row starts on line 3 and, through a quoted line feed, ends on line 4
+    def test_field_count_error_names_the_row_start(self):
+        with pytest.raises(ParseError, match="expected 4 fields, got 5") as exc:
+            rounds_csv('round_id,division,player_id,score\n'
+                       'r1,1,a,10\nr1,1,"b\nc",5,7\nr1,1,d,3\n')
+        assert exc.value.line == 3
+
+    def test_oversized_cell_error_names_the_row_start(self):
+        with pytest.raises(ParseError, match="field larger than field limit") as exc:
+            rounds_csv('round_id,division,player_id,score\n'
+                       f'r1,1,a,10\nr1,1,"b\n{"x" * 140_000}",5\n')
+        assert exc.value.line == 3
+
+    def test_rows_after_a_multiline_cell_keep_their_lines(self):
+        with pytest.raises(ParseError, match="malformed score") as exc:
+            rounds_csv('round_id,division,player_id,score\n'
+                       'r1,1,"a\n\nb",10\n\nr1,1,c,ten\n')
+        assert exc.value.line == 6
+
     def test_empty_ids(self):
         with pytest.raises(ParseError, match="non-empty"):
             rounds_csv("round_id,division,player_id,score\nr1,1,,10\n")
