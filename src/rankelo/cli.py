@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from typing import IO, Callable, Sequence
 
 from . import metrics as metrics_mod
@@ -39,14 +39,10 @@ def _float_list(text: str, flag: str) -> tuple[float, ...]:
         start, stop, step = (float(part) for part in text.split(":"))
         if step <= 0 or stop < start:
             raise ValueError
-        steps = (stop - start) / step + 1e-9
     except ValueError:
         raise InputError(f"{flag} expects comma-separated numbers or "
                          f"start:stop:step") from None
-    if not steps < sweep_mod.MAX_GRID_POINTS:   # also rejects inf and nan
-        raise InputError(f"{flag} range {text!r} has more than "
-                         f"{sweep_mod.MAX_GRID_POINTS} points")
-    return tuple(start + i * step for i in range(int(steps) + 1))
+    return sweep_mod.grid_points(start, stop, step, f"{flag} range {text!r}")
 
 
 def _resolve_params(profile: str | None, overrides: list[str] | None) -> RatingParams:
@@ -184,29 +180,21 @@ def _cmd_eval(args) -> int:
         return _emit_round_metrics(args, metrics_mod.evaluate_replay(result))
     if args.report == "stats":
         stats = metrics_mod.rating_stats(result)
-        rows = [(name, getattr(stats, name))
-                for name in ("count", "mean_error", "delta_mean", "delta_std",
-                             "delta_max", "initial_rating", "rating_median",
-                             "rating_max")]
+        rows = list(zip((f.name for f in fields(stats)), astuple(stats)))
         _emit(args, ("stat", "value"), rows,
               lambda r: (r[0], _cell(r[1], 4)))
         return 0
     report = metrics_mod.aggregate_error(result.divisions)
-    rows = [(row.label, row.count, row.mean_delta_r, row.mean_perf,
-             row.mean_error) for row in report.rows]
     _emit(args, ("bucket", "count", "mean_delta_r", "mean_perf", "mean_error"),
-          rows,
+          [astuple(row) for row in report.rows],
           lambda r: (r[0], str(r[1]), _cell(r[2], 2), _cell(r[3], 4),
                      _cell(r[4], 4)))
     return 0
 
 
-def _emit_round_metrics(args, rows_in) -> int:
-    rows = [(m.round_id, m.division, m.n, m.mean_error, m.kendall, m.spearman)
-            for m in rows_in]
-    _emit(args, ("round_id", "division", "n", "mean_error", "kendall",
-                 "spearman"),
-          rows,
+def _emit_round_metrics(args, rows) -> int:
+    _emit(args, [f.name for f in fields(metrics_mod.RoundMetrics)],
+          [astuple(m) for m in rows],
           lambda r: (r[0], str(r[1]), str(r[2]), _cell(r[3], 4), _cell(r[4], 4),
                      _cell(r[5], 4)))
     return 0
@@ -229,11 +217,9 @@ def _cmd_compare(args) -> int:
         result_b = replay(compiled, params_b)
         metrics_b = metrics_mod.evaluate_replay(result_b)
     report = metrics_mod.compare_systems(metrics_a, metrics_b)
-    rows = [(row.label, row.rounds, row.kendall, row.spearman, row.error)
-            for row in report.rows]
     _emit(args, ("bucket", "rounds", "kendall_win", "spearman_win",
                  "error_win"),
-          rows,
+          [astuple(row) for row in report.rows],
           lambda r: (r[0], str(r[1]), _cell(r[2], percent=True),
                      _cell(r[3], percent=True), _cell(r[4], percent=True)))
     return 0
@@ -259,13 +245,16 @@ def _cmd_sweep(args) -> int:
         target=args.target, grid=_float_list(args.grid, "--grid"), base=base,
         k_range=(args.k_min, args.k_max), k_step=args.k_step)
     result = sweep_mod.run_sweep(spec, rounds)
-    rows = [(p.value, p.best_k, p.mean_error) for p in result.points]
-    _emit(args, ("param_value", "best_K", "mean_error"), rows,
+    _emit(args, ("param_value", "best_K", "mean_error"),
+          [astuple(p) for p in result.points],
           lambda r: (_cell(r[0], 2), _cell(r[1], 2), _cell(r[2], 4)))
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    if args.skills_out == "-" and _dest(args.output) is sys.stdout:
+        raise InputError("--skills-out - and the rounds CSV would share stdout; "
+                         "write one of them to a file")
     config = simulate_mod.SimConfig(
         players=args.players, rounds=args.rounds, skill_mean=args.skill_mean,
         skill_std=args.skill_std, noise_std=args.noise_std,

@@ -200,17 +200,22 @@ class PerformanceBreakdown:
     var: np.ndarray              # 1 + sum of w * (1 - w) over all opponents
 
 
-def get_or_create_player(state: EngineState, player_id: str) -> int:
-    """Return ``player_id``'s index in ``state``, appending the id if it is new.
+def _register(state: EngineState, new_ids: tuple[str, ...]) -> None:
+    """Append ``new_ids`` (none already in ``state``) to the registry: their
+    ids, their index entries, a rating of ``r1`` and no completed rounds."""
+    start, new = len(state.ids), len(new_ids)
+    state.ids.extend(new_ids)
+    state.index.update(zip(new_ids, range(start, start + new)))
+    state.rating = np.concatenate((state.rating, np.full(new, state.r1)))
+    state.num_rounds = np.concatenate((state.num_rounds, np.zeros(new, np.int64)))
 
-    Only ``ids`` and ``index`` grow here: ``rate_round`` extends the rating
-    columns for every new id at once, at its ``r1``.
-    """
-    index = state.index.get(player_id)
-    if index is None:
-        index = state.index[player_id] = len(state.ids)
-        state.ids.append(player_id)
-    return index
+
+def get_or_create_player(state: EngineState, player_id: str) -> int:
+    """Return ``player_id``'s index in ``state``, registering the id at the
+    current ``r1`` if it is new."""
+    if player_id not in state.index:
+        _register(state, (player_id,))
+    return state.index[player_id]
 
 
 def _win_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -435,13 +440,8 @@ def rate_compiled_round(compiled: CompiledRound, state: EngineState,
     participant's round count increments, and ``r1`` advances by
     ``inflation / 100``.
     """
-    start = len(state.ids)
-    state.ids.extend(compiled.new_ids)
-    state.index.update(zip(compiled.new_ids, range(start, len(state.ids))))
-    new = len(state.ids) - state.rating.size   # ids registered since the columns grew
-    if new:
-        state.rating = np.concatenate((state.rating, np.full(new, state.r1)))
-        state.num_rounds = np.concatenate((state.num_rounds, np.zeros(new, np.int64)))
+    if compiled.new_ids:
+        _register(state, compiled.new_ids)
     breakdown = _breakdown(compiled, state, params)
     state.rating[compiled.players] += breakdown.delta_r   # a player is in one division
     state.num_rounds[compiled.players] += 1

@@ -92,36 +92,42 @@ def _replay_objective(rounds: Sequence[RoundInput]) -> Objective:
 
 
 class _Cached:
-    """Memoize an error function of a point and remember the best point seen."""
+    """Memoize an error function of a point."""
 
-    __slots__ = ("f", "seen", "best_x", "best_y")
+    __slots__ = ("f", "seen")
 
     def __init__(self, f: Callable[[Point], float]):
         self.f = f
         self.seen: dict[Point, float] = {}
-        self.best_x: Point | None = None
-        self.best_y = math.inf
 
     def __call__(self, x: Point) -> float:
         if x not in self.seen:
-            y = self.f(x)
-            self.seen[x] = y
-            # Ties go to the smaller argument for determinism.
-            if y < self.best_y or (y == self.best_y and
-                                   (self.best_x is None or x < self.best_x)):
-                self.best_x, self.best_y = x, y
+            self.seen[x] = self.f(x)
         return self.seen[x]
+
+    def best(self) -> tuple[Point, float]:
+        """The point with the least error seen, and that error; ties go to
+        the smaller point, for determinism."""
+        error, x = min((y, x) for x, y in self.seen.items())
+        return x, error
+
+
+def grid_points(start: float, stop: float, step: float,
+                what: str) -> tuple[float, ...]:
+    """The inclusive grid ``start + i*step`` up to ``stop`` (``i*step``, not
+    accumulation, so the grid does not drift); one with more than
+    ``MAX_GRID_POINTS`` points is an ``InputError`` whose message begins
+    with ``what``."""
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:   # also rejects inf and nan
+        raise InputError(f"{what} has more than {MAX_GRID_POINTS} points")
+    return tuple(start + i * step for i in range(int(steps) + 1))
 
 
 def _grid_scan(f: _Cached, lo: float, hi: float, step: float) -> None:
-    steps = (hi - lo) / step + 1e-9
-    if not steps < MAX_GRID_POINTS:   # also rejects inf
-        raise InputError(f"the error-vs-K curve is not unimodal, and a grid scan of "
-                         f"[{lo!r}, {hi!r}] at --k-step {step!r} has more than "
-                         f"{MAX_GRID_POINTS} points")
-    # i*step, not accumulation, so the grid does not drift.
-    for i in range(int(math.floor(steps)) + 1):
-        f(min(lo + i * step, hi))
+    for k in grid_points(lo, hi, step, f"the error-vs-K curve is not unimodal, "
+                         f"and a grid scan of [{lo!r}, {hi!r}] at --k-step {step!r}"):
+        f(min(k, hi))
     f(hi)
 
 
@@ -137,7 +143,7 @@ def _optimize_k(f: Callable[[float], float], k_min: float, k_max: float,
     if k_max - k_min <= k_step:
         cached(k_min)
         cached(k_max)
-        return cached.best_x, cached.best_y
+        return cached.best()
 
     probes = [k_min + (k_max - k_min) * i / 4.0 for i in range(5)]
     values = [cached(x) for x in probes]
@@ -146,7 +152,7 @@ def _optimize_k(f: Callable[[float], float], k_min: float, k_max: float,
         all(values[i] <= values[i + 1] for i in range(low, 4))
     if not unimodal:
         _grid_scan(cached, k_min, k_max, k_step)
-        return cached.best_x, cached.best_y
+        return cached.best()
 
     a = probes[max(low - 1, 0)]
     b = probes[min(low + 1, 4)]
@@ -159,7 +165,7 @@ def _optimize_k(f: Callable[[float], float], k_min: float, k_max: float,
         else:
             a, c = c, d
             d = a + _GOLDEN * (b - a)
-    return cached.best_x, cached.best_y
+    return cached.best()
 
 
 def _sweep_point(spec: SweepSpec, value: float, objective: Objective) -> SweepPoint:

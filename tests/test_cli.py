@@ -698,6 +698,21 @@ class TestSimulateAndExport:
         out = capsys.readouterr().out
         assert out.startswith("round_id,division,player_id,score\n")
 
+    @pytest.mark.parametrize("output", [[], ["--output", "-"]])
+    def test_simulate_refuses_two_csvs_on_stdout(self, capsys, output):
+        assert run(["simulate", "--players", "3", "--rounds", "1",
+                    "--skills-out", "-"] + output) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--skills-out - and the rounds CSV would share stdout" in captured.err
+
+    def test_simulate_skills_to_stdout_with_rounds_to_a_file(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--players", "3", "--rounds", "1", "--seed", "2",
+                    "--output", str(out), "--skills-out", "-"]) == 0
+        assert capsys.readouterr().out.startswith("player_id,skill\np000000,")
+        assert out.read_text().startswith("round_id,division,player_id,score\n")
+
     def test_export_csv_and_table(self, history_file, tmp_path, capsys):
         snap = tmp_path / "state.snap"
         assert run(["rate", "--input", str(history_file),

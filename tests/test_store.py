@@ -20,9 +20,11 @@ from rankelo import (
     SnapshotError,
     export_snapshot,
     generate_history,
+    get_or_create_player,
     load_snapshot,
     parse_rounds,
     parse_timeline,
+    rate_round,
     replay,
     save_snapshot,
     write_rounds,
@@ -414,6 +416,44 @@ class TestSnapshots:
             load_snapshot(path)
 
 
+class TestRegistration:
+    """``get_or_create_player`` registers an id in every column at once: the
+    state it leaves saves, loads, exports and rates like any other."""
+
+    @staticmethod
+    def start(kind: str, tmp_path) -> EngineState:
+        if kind == "fresh":
+            return EngineState.fresh(ELO2)
+        save_snapshot(replay(replay_history(rounds=3), ELO2).state, tmp_path / "start.snap")
+        return load_snapshot(tmp_path / "start.snap")
+
+    @pytest.mark.parametrize("kind", ["fresh", "snapshot"])
+    def test_registered_state_is_whole(self, tmp_path, kind):
+        state = self.start(kind, tmp_path)
+        known = len(state.ids)
+        assert get_or_create_player(state, "x") == known
+        assert len(state.ids) == state.rating.size == state.num_rounds.size == known + 1
+        assert (state.rating[known], state.num_rounds[known]) == (state.r1, 0)
+        assert state.players["x"] == PlayerState(state.r1, 0)
+        save_snapshot(state, tmp_path / "x.snap")
+        assert states_equal(load_snapshot(tmp_path / "x.snap"), state)
+        buf = io.StringIO()
+        export_snapshot(state, buf)
+        assert f"x,{state.r1!r},0" in buf.getvalue().splitlines()
+
+    @pytest.mark.parametrize("kind", ["fresh", "snapshot"])
+    def test_rating_after_registration_is_unchanged(self, tmp_path, kind):
+        plain, registered = self.start(kind, tmp_path), self.start(kind, tmp_path)
+        get_or_create_player(registered, "x")
+        entries = [("x", 3.0)] + [(p, 2.0) for p in plain.ids[:2]] + [("y", 1.0)]
+        round_input = RoundInput("next", [DivisionResult(1, entries)])
+        want, = rate_round(round_input, plain, ELO2)
+        got, = rate_round(round_input, registered, ELO2)
+        assert registered == plain
+        for name in ("rating_before", "nr", "delta_r"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 class TestSnapshotVersions:
     def test_v2_layout(self, tmp_path):
         state = EngineState(ids=["b", "ä", ""], rating=[1300.5, -2.0, 1e300],
@@ -623,6 +663,63 @@ class TestSnapshotFuzz:
             assert run(argv) in (0, 1)
 
         check()
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` with bytes flipped, spans cut, or CSV-significant bytes
+    inserted, anywhere in the file."""
+    text = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("flip", "cut", "insert")))
+        at = draw(st.integers(0, len(text)))
+        if kind == "flip" and at < len(text):
+            text[at] ^= draw(st.integers(1, 255))
+        elif kind == "cut":
+            del text[at:draw(st.integers(at, len(text)))]
+        elif kind == "insert":
+            text[at:at] = draw(st.lists(st.sampled_from(b'\0\r\n,"\xff'),
+                                        min_size=1, max_size=4))
+    return bytes(text)
+
+
+class TestTextInputFuzz:
+    """A damaged rounds file or timeline is bad input: ``rate``, ``eval
+    --timeline`` and ``compare --vs-timeline`` exit 0 or 1, never 2."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("text_fuzz")
+        rounds = generate_history(SimConfig(players=5, rounds=3, participation=0.9,
+                                            tie_step=50.0, seed=4)).rounds
+        write_rounds(rounds, root / "rounds.csv")
+        (root / "timeline.csv").write_text("round_id,player_id,rating_before\n" + "".join(
+            f"{r.round_id},{p},{1200.0 + 10 * k}\n"
+            for r in rounds for d in r.divisions for k, (p, _) in enumerate(d.entries)))
+        return root
+
+    @pytest.mark.parametrize("target", ["rounds.csv", "timeline.csv"])
+    def test_exit_code_is_0_or_1(self, files, target):
+        rounds, timeline, out = files / "rounds.csv", files / "timeline.csv", files / "out"
+        argvs = [["rate", "--input", str(rounds)],
+                 ["eval", "--input", str(rounds), "--timeline", str(timeline),
+                  "--report", "rounds", "--output", str(out)],
+                 ["compare", "--input", str(rounds), "--vs-timeline", str(timeline),
+                  "--output", str(out)]]
+        assert [run(argv) for argv in argvs] == [0, 0, 0]
+        original = (files / target).read_bytes()
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(data=mutated(original))
+        def check(data):
+            (files / target).write_bytes(data)
+            for argv in argvs:
+                assert run(argv) in (0, 1)
+
+        try:
+            check()
+        finally:
+            (files / target).write_bytes(original)
 
 
 class TestExportSnapshot:
