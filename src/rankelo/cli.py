@@ -10,6 +10,7 @@ bytes, so ``--format csv`` doubles as the plotting data contract.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import astuple, fields, replace
 from typing import IO, Callable, Sequence
@@ -32,12 +33,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text: str, flag: str) -> tuple[float, ...]:
-    """Parse '1,2,3' or an inclusive 'start:stop:step' range."""
+    """Parse '1,2,3' or an inclusive 'start:stop:step' range; no NaN, and a
+    finite step."""
     try:
-        if ":" not in text:
-            return tuple(float(part) for part in text.split(","))
-        start, stop, step = (float(part) for part in text.split(":"))
-        if step <= 0 or stop < start:
+        ranged = ":" in text
+        values = tuple(float(part) for part in text.split(":" if ranged else ","))
+        if any(math.isnan(value) for value in values):
+            raise ValueError
+        if not ranged:
+            return values
+        start, stop, step = values
+        if not 0 < step < math.inf or stop < start:
             raise ValueError
     except ValueError:
         raise InputError(f"{flag} expects comma-separated numbers or "

@@ -6,25 +6,37 @@ every rated round.  Rank correlations are the tie-corrected Kendall tau-b
 and the mid-rank (average-rank) Spearman rho; scores tie often enough in
 contest data that the untied variants degenerate.
 
-Both correlations are plain numpy.  Tau-b counts tied and discordant
-pairs exactly, as integers, in O(n log n): a sort for the ties and a
-bottom-up merge count for the discordant pairs (Knight 1966), then takes
+Both correlations are plain numpy, and one pass over a whole history
+(``_correlations``) gives every division's tau-b and rho from one set of
+sorts that the two statistics share; ``kendall_tau`` and ``spearman_rho``
+are its one-division calls.  Integer (division, value) keys, below the
+number of divisions times the number of entries, give the (division,
+score) and (division, rating, score) orders.  Tau-b counts tied pairs
+from their run lengths and discordant pairs with a bottom-up merge count
+(Knight 1966) over all divisions at once, exactly, as integers, in
+O(n log n), then takes
 ``(tot - xtie - ytie + ntie - 2 dis) / sqrt(tot - xtie) / sqrt(tot - ytie)``.
-Rho is ``np.corrcoef`` of the two mid-rank columns.  These are the steps
-and final expressions of ``scipy.stats.kendalltau`` and ``spearmanr``,
-so the results carry the same bits.
+Rho repeats the last steps of ``np.corrcoef`` on the two mid-rank columns.
+Centred mid-ranks are multiples of 0.5, so each sum of their products is
+a multiple of 0.25 of at most ``(n**3 - n) / 12`` and exact below 2**51:
+for every division of up to 300,079 entries, the sums, and so the bits,
+are those of ``np.corrcoef``.  Past that bound they round, as
+``np.corrcoef``'s own dot product does.  These are the steps and final
+expressions of ``scipy.stats.kendalltau`` and ``spearmanr``, so the
+results carry the same bits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .rating import CompiledHistory, DivisionResult, RoundInput, canonical_ranks
+from .rating import (CompiledHistory, CompiledRound, DivisionResult, RoundInput,
+                     canonical_ranks)
 # division_ranks is not called here; bench/test_bench.py traces this binding.
 from .rating import division_ranks  # noqa: F401
 from .replay import DivisionReplay, ReplayResult, compile_history, division_errors, fold
@@ -51,58 +63,143 @@ SIZE_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
 )
 
 
-def _aligned(predicted: Sequence[float],
-             actual: Sequence[float]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Both orderings as float64 arrays, or None when no correlation is
-    defined: fewer than two players, a NaN, or one side entirely tied."""
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks from 0 in which equal values share one rank (each NaN its own)."""
+    order = np.argsort(values)
+    ordered = values[order]
+    ranks = np.empty(values.size, dtype=np.int64)
+    ranks[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+    return ranks
+
+
+def _runs(steps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and lengths of the runs of ``n`` equal sorted keys, where
+    ``steps[i]`` marks a new key between sorted positions ``i`` and ``i + 1``
+    and every division boundary is a step."""
+    starts = np.flatnonzero(np.concatenate(([True], steps)))
+    return starts, np.diff(np.append(starts, n))
+
+
+def _tied_pairs(runs: tuple[np.ndarray, np.ndarray], bounds: np.ndarray) -> np.ndarray:
+    """Pairs of entries in one run, per division."""
+    starts, lengths = runs
+    pairs = np.cumsum(np.concatenate(([0], lengths * (lengths - 1) // 2)))
+    return np.diff(pairs[np.searchsorted(starts, bounds)])
+
+
+def _midranks(runs: tuple[np.ndarray, np.ndarray], bounds: np.ndarray) -> np.ndarray:
+    """Each sorted position's mid-rank less its division's mean rank: a run
+    at positions ``s .. s+l-1`` of division ``a:b`` has mid-rank
+    ``s - a + (l + 1)/2`` and the mean rank is ``(b - a + 1)/2``, so the
+    centred mid-rank is ``(2s + l - a - b) / 2``, a multiple of 0.5."""
+    starts, lengths = runs
+    twice = (np.repeat(2 * starts + lengths, lengths)
+             - np.repeat(bounds[:-1] + bounds[1:], np.diff(bounds)))
+    return twice / 2
+
+
+def _discordant_pairs(ranks: np.ndarray, bounds: np.ndarray, top: int) -> np.ndarray:
+    """Pairs ``i < j`` of one division with ``ranks[i] > ranks[j]``, counted
+    exactly per division; every rank is below ``top``.
+
+    A bottom-up merge sort (Knight 1966) of every division at once.  Each
+    division fills a block of the next power of two entries, padded with
+    ``top``; blocks are laid out largest first, so each starts at a multiple
+    of its size and a merge level's rows of ``2 * width`` entries each lie in
+    one block.  A row sorts the keys ``2 * rank + side`` (side 0 for its left
+    run, 1 for its right), so on equal ranks its left entries come first and
+    the right run's ``k``-th entry, merged to position ``q``, has
+    ``width - (q - k)`` greater left entries: the row counts
+    ``width**2 + width * (width - 1) / 2`` less its right entries' positions.
+    """
+    sizes = np.diff(bounds)
+    blocks = 1 << np.frexp(np.maximum(sizes - 1, 0))[1].astype(np.int64)
+    layout = np.argsort(-blocks, kind="stable")
+    laid = blocks[layout]
+    first = np.empty_like(blocks)
+    first[layout] = np.cumsum(laid) - laid
+    runs = np.full(int(laid.sum()), top, dtype=np.int64)
+    runs[np.arange(ranks.size) + np.repeat(first - bounds[:-1], sizes)] = ranks
+    side = np.array([[0], [1]])
+    discordant = np.zeros(sizes.size, dtype=np.int64)
+    width = 1
+    while 2 * width <= laid[0]:
+        merging = np.count_nonzero(laid >= 2 * width)   # a prefix of the layout
+        rows_per_block = laid[:merging] // (2 * width)
+        end = int(laid[:merging].sum())
+        rows = np.sort((runs[:end].reshape(-1, 2, width) << 1 | side)
+                       .reshape(-1, 2 * width), axis=1)
+        counts = width * (3 * width - 1) // 2 - (rows & 1) @ np.arange(2 * width)
+        discordant[layout[:merging]] += np.add.reduceat(
+            counts, np.cumsum(rows_per_block) - rows_per_block)
+        runs[:end] = (rows >> 1).ravel()
+        width *= 2
+    return discordant
+
+
+def _correlations(ratings: np.ndarray, scores: np.ndarray, bounds: Sequence[int]
+                  ) -> tuple[list[float | None], list[float | None]]:
+    """Kendall tau-b and Spearman rho between ``ratings`` and ``scores`` for
+    every division ``k``, whose entries are ``bounds[k]:bounds[k + 1]``; None
+    where undefined (fewer than two entries, a NaN, or one side all tied).
+
+    Both statistics share one set of sorts: (division, value) keys, below
+    the number of divisions times the number of entries, give the
+    (division, score) order, and a stable re-sort of it by rating the
+    (division, rating, score) order.
+    """
+    x = np.asarray(ratings, dtype=np.float64)
+    y = np.asarray(scores, dtype=np.float64)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    n, sizes = x.size, np.diff(bounds)
+    division = np.repeat(np.arange(sizes.size), sizes)
+    y_ranks = _dense_ranks(y)
+    x_keys = division * n + _dense_ranks(x)
+    y_keys = division * n + y_ranks
+    by_y = np.argsort(y_keys)
+    by_xy = by_y[np.argsort(x_keys[by_y], kind="stable")]
+
+    y_sorted = y_keys[by_y]
+    y_runs = _runs(y_sorted[1:] != y_sorted[:-1], n)
+    x_sorted, y_ranks = x_keys[by_xy], y_ranks[by_xy]
+    x_steps = x_sorted[1:] != x_sorted[:-1]
+    x_runs = _runs(x_steps, n)
+    joint_runs = _runs(x_steps | (y_ranks[1:] != y_ranks[:-1]), n)
+
+    tot = sizes * (sizes - 1) // 2
+    x_ties, y_ties = _tied_pairs(x_runs, bounds), _tied_pairs(y_runs, bounds)
+    con_minus_dis = (tot - x_ties - y_ties + _tied_pairs(joint_runs, bounds)
+                     - 2 * _discordant_pairs(y_ranks, bounds, n))
+
+    # Exact sums of multiples of 0.25 below 2**51 (see the module docstring).
+    x_centred = _midranks(x_runs, bounds)
+    y_centred = np.empty(n)
+    y_centred[by_y] = _midranks(y_runs, bounds)
+    y_centred = y_centred[by_xy]
+    sxy, syy, sxx, nans = (
+        # The appended 0 keeps an empty last division's start in range; an
+        # empty division is undefined, so its sums are never read.
+        np.add.reduceat(np.append(column, 0), bounds[:-1])
+        for column in (x_centred * y_centred, y_centred * y_centred,
+                       x_centred * x_centred, np.isnan(x) | np.isnan(y)))
+
+    defined = ((x_ties < tot) & (y_ties < tot) & (nans == 0)).tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = con_minus_dis / np.sqrt(tot - x_ties) / np.sqrt(tot - y_ties)
+        f = 1 / (sizes - 1)   # np.corrcoef's steps, in its order
+        rho = sxy * f / np.sqrt(syy * f) / np.sqrt(sxx * f)
+    return tuple([value if ok else None for value, ok in
+                  zip(np.clip(column, -1.0, 1.0).tolist(), defined)]
+                 for column in (tau, rho))
+
+
+def _one_division(predicted: Sequence[float], actual: Sequence[float]):
+    """``_correlations`` of two aligned orderings as one division."""
     x = np.asarray(predicted, dtype=np.float64)
     y = np.asarray(actual, dtype=np.float64)
     if x.shape != y.shape:
         raise InputError("rankings must be the same length")
-    for values in (x, y):
-        # min and max are both NaN when any value is
-        if values.size < 2 or not values.min() < values.max():
-            return None
-    return x, y
-
-
-def _run_lengths(steps: np.ndarray) -> np.ndarray:
-    """Lengths of the runs of equal sorted values; ``steps[i]`` marks a new
-    value between sorted positions ``i`` and ``i + 1``."""
-    return np.diff(np.flatnonzero(np.concatenate(([True], steps, [True]))))
-
-
-def _tied_pairs(steps: np.ndarray) -> int:
-    counts = _run_lengths(steps)
-    return int(counts @ (counts - 1)) // 2
-
-
-def _discordant_pairs(ranks: np.ndarray) -> int:
-    """Pairs ``i < j`` with ``ranks[i] > ranks[j]``, counted exactly.
-
-    Bottom-up merge sort (Knight 1966): padded to a power of two with a
-    value above every rank, each level holds sorted runs of ``width``
-    entries, and one ``searchsorted`` of every right run into its left
-    partner counts the left entries greater than each right entry.  Keys
-    are offset by pair so that all left runs form one sorted array.
-    """
-    span = int(ranks.max()) + 2
-    size = 1 << (ranks.size - 1).bit_length()
-    runs = np.full(size, span - 1, dtype=np.int64)
-    runs[:ranks.size] = ranks
-    offsets = np.arange(0, size // 2 * span, span)[:, None, None]
-    discordant = 0
-    width = 1
-    while width < size:
-        pairs = size // (2 * width)
-        keyed = runs.reshape(pairs, 2, width) + offsets[:pairs]
-        # A right entry of pair p lands after p * width + (left entries <= it)
-        # left keys; (p + 1) * width minus that is its count of greater ones.
-        landed = np.searchsorted(keyed[:, 0].ravel(), keyed[:, 1], side="right")
-        discordant += width * width * pairs * (pairs + 1) // 2 - int(landed.sum())
-        runs = np.sort(runs.reshape(pairs, 2 * width), axis=1)
-        width *= 2
-    return discordant
+    return _correlations(x, y, (0, x.size))
 
 
 def kendall_tau(predicted: Sequence[float], actual: Sequence[float]) -> float | None:
@@ -113,48 +210,12 @@ def kendall_tau(predicted: Sequence[float], actual: Sequence[float]) -> float | 
     when undefined: fewer than two players, a NaN, or one side entirely
     tied.
     """
-    aligned = _aligned(predicted, actual)
-    if aligned is None:
-        return None
-    x, y = aligned
-    # Dense-rank y, then stable-sort by x: tied (x, y) pairs end up adjacent.
-    order = np.argsort(y, kind="stable")
-    x, y = x[order], y[order]
-    y_steps = y[1:] != y[:-1]
-    y_ranks = np.concatenate(([0], np.cumsum(y_steps)))
-    order = np.argsort(x, kind="stable")
-    x, y_ranks = x[order], y_ranks[order]
-    x_steps = x[1:] != x[:-1]
-    joint_steps = x_steps | (y_ranks[1:] != y_ranks[:-1])
-
-    tot = x.size * (x.size - 1) // 2
-    x_ties = _tied_pairs(x_steps)
-    y_ties = _tied_pairs(y_steps)
-    both_ties = _tied_pairs(joint_steps)
-    con_minus_dis = (tot - x_ties - y_ties + both_ties
-                     - 2 * _discordant_pairs(y_ranks))
-    tau = con_minus_dis / math.sqrt(tot - x_ties) / math.sqrt(tot - y_ties)
-    return min(1.0, max(-1.0, tau))
-
-
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    counts = _run_lengths(ordered[1:] != ordered[:-1])
-    ranks = np.empty(values.size)
-    ranks[order] = np.repeat(np.cumsum(counts) - (counts - 1) / 2, counts)
-    return ranks
+    return _one_division(predicted, actual)[0][0]
 
 
 def spearman_rho(predicted: Sequence[float], actual: Sequence[float]) -> float | None:
     """Spearman rho with average ranks for ties; None when undefined."""
-    aligned = _aligned(predicted, actual)
-    if aligned is None:
-        return None
-    x, y = aligned
-    ranks = np.column_stack((_midranks(x), _midranks(y)))
-    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+    return _one_division(predicted, actual)[1][0]
 
 
 @dataclass(frozen=True)
@@ -169,16 +230,30 @@ class RoundMetrics:
     spearman: float | None
 
 
-def _round_metrics(round_id: str, division: int, error_sum: float,
-                   scores: Sequence[float], ratings: Sequence[float]) -> RoundMetrics:
-    return RoundMetrics(
-        round_id=round_id,
-        division=division,
-        n=len(scores),
-        mean_error=error_sum / len(scores),
-        kendall=kendall_tau(ratings, scores),
-        spearman=spearman_rho(ratings, scores),
-    )
+def _round_metrics(rows: Sequence[tuple[str, int, int, float]],
+                   ratings: Sequence[np.ndarray], scores: Iterable[float]
+                   ) -> list[RoundMetrics]:
+    """The metrics of each ``(round_id, division, n, error_sum)`` row, whose
+    ``n`` entries follow the previous row's in the concatenated ``ratings``
+    and in ``scores``: one correlation pass for them all."""
+    if not rows:
+        return []
+    bounds = np.cumsum([0] + [n for _, _, n, _ in rows])
+    kendall, spearman = _correlations(
+        np.concatenate(ratings), np.fromiter(scores, np.float64, bounds[-1]), bounds)
+    return [RoundMetrics(round_id=round_id, division=division, n=n,
+                         mean_error=error_sum / n, kendall=tau, spearman=rho)
+            for (round_id, division, n, error_sum), tau, rho
+            in zip(rows, kendall, spearman)]
+
+
+def _ranked_divisions(compiled: CompiledRound, ratings: np.ndarray):
+    """``(number, scores, n, error)`` per non-empty division of ``compiled``
+    under the pre-round ``ratings`` (entry order): ranked, and its ``|perf|``
+    folded, exactly as ``replay`` does."""
+    *_, perf = canonical_ranks(compiled, ratings)
+    return [(number, scores, b - a, error)
+            for _, number, _, scores, a, b, error in division_errors(compiled, perf)]
 
 
 def division_metrics(round_id: str, division: int, scores: Sequence[float],
@@ -193,9 +268,13 @@ def division_metrics(round_id: str, division: int, scores: Sequence[float],
     ids = range(n) if player_ids is None else player_ids
     if len(ratings) != n or len(ids) != n:
         raise InputError("ratings are not aligned with scores")
-    return evaluate_timeline(
-        [RoundInput(round_id, [DivisionResult(division, list(zip(ids, scores)))])],
-        {(round_id, player_id): rating for player_id, rating in zip(ids, ratings)})[0]
+    compiled, = compile_history(
+        [RoundInput(round_id, [DivisionResult(division, list(zip(ids, scores)))])]).rounds
+    ratings = np.asarray(ratings, dtype=np.float64)
+    (_, _, _, error), = _ranked_divisions(compiled, ratings)
+    return RoundMetrics(round_id=round_id, division=division, n=n, mean_error=error / n,
+                        kendall=kendall_tau(ratings, scores),
+                        spearman=spearman_rho(ratings, scores))
 
 
 def evaluate_replay(result: ReplayResult) -> list[RoundMetrics]:
@@ -206,9 +285,11 @@ def evaluate_replay(result: ReplayResult) -> list[RoundMetrics]:
     """
     if result.count and not result.divisions:
         raise InputError("replay was run with keep_observations=False")
-    return [_round_metrics(record.round_id, record.division, record.error_sum,
-                           record.scores, record.breakdown.rating_before)
-            for record in result.divisions]
+    records = result.divisions
+    return _round_metrics(
+        [(r.round_id, r.division, len(r.scores), r.error_sum) for r in records],
+        [r.breakdown.rating_before for r in records],
+        chain.from_iterable(r.scores for r in records))
 
 
 def evaluate_timeline(rounds: Iterable[RoundInput] | CompiledHistory,
@@ -219,18 +300,19 @@ def evaluate_timeline(rounds: Iterable[RoundInput] | CompiledHistory,
     reproduces ``evaluate_replay`` bit for bit, and it refuses what ``replay`` refuses."""
     if not isinstance(rounds, CompiledHistory):
         rounds = compile_history(rounds)
-    out = []
+    rows, ratings, scores = [], [], []
     for compiled in rounds.rounds:
         try:
-            ratings = np.array([timeline[compiled.round_id, player_id] for _, ids, _
-                                in compiled.divisions for player_id in ids], np.float64)
+            ratings.append(np.array([timeline[compiled.round_id, player_id]
+                                     for _, ids, _ in compiled.divisions
+                                     for player_id in ids], np.float64))
         except KeyError as exc:
             raise InputError(f"timeline has no rating for player {exc.args[0][1]!r} "
                              f"in round {compiled.round_id!r}") from None
-        *_, perf = canonical_ranks(compiled, ratings)
-        out += (_round_metrics(compiled.round_id, number, error, scores, ratings[a:b])
-                for _, number, _, scores, a, b, error in division_errors(compiled, perf))
-    return out
+        for number, division_scores, n, error in _ranked_divisions(compiled, ratings[-1]):
+            rows.append((compiled.round_id, number, n, error))
+            scores.append(division_scores)
+    return _round_metrics(rows, ratings, chain.from_iterable(scores))
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,20 @@ class TestExitCodes:
                     "--target", "bonus", "--grid", ""]) == 1
         assert "--grid expects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--target", "bonus", "--grid"],
+        ["--target", "joint", "--bonus-grid", "0", "--inflation-grid"],
+        ["--target", "joint", "--inflation-grid", "0", "--bonus-grid"],
+    ], ids=["grid", "inflation_grid", "bonus_grid"])
+    @pytest.mark.parametrize("text", ["0:10:inf", "0:10:-inf", "nan:1:1", "0:nan:1",
+                                      "0:1:nan", "nan,1", "1,nan", "nan"])
+    def test_nan_or_infinite_step_grid_is_refused(self, history_file, capsys,
+                                                  flags, text):
+        assert run(["sweep", "--input", str(history_file), *flags, text]) == 1
+        flag = flags[-1]
+        assert capsys.readouterr().err == (
+            f"error: {flag} expects comma-separated numbers or start:stop:step\n")
+
     def test_overflowing_k_factor(self, history_file, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

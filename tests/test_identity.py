@@ -2,12 +2,14 @@
 
 Every digest in ``FROZEN`` was frozen from the output of the commit before
 the engine state became columnar, every digest in ``LONG_FROZEN`` from
-the commit before the reports became masked folds, and every digest in
+the commit before the reports became masked folds, every digest in
 ``LOG_FROZEN`` from the commit before canonical order became private to
-the rank pass.  A refactor that keeps the maths must keep every one of
-them; a change that moves output bits on purpose updates the digest here
-and declares the change.  Snapshot bytes are not pinned: their layout is
-versioned separately (see ``tests/test_store.py``).
+the rank pass, and every digest in ``LARGE_FROZEN`` from commit
+``810aa43``, before the correlations became one pass per history.  A
+refactor that keeps the maths must keep every one of them; a change that
+moves output bits on purpose updates the digest here and declares the
+change.  Snapshot bytes are not pinned: their layout is versioned
+separately (see ``tests/test_store.py``).
 """
 
 import contextlib
@@ -112,6 +114,21 @@ LOG_FROZEN = {
 }
 
 
+# Three rounds of two tie-free divisions of 1,075 to 1,086 players: each
+# division's discordant-pair count runs through 11 merge levels.
+LARGE_COMMANDS = (
+    ("simulate", ["simulate", "--players", "2400", "--rounds", "3",
+                  "--participation", "0.9", "--div1-fraction", "0.5",
+                  "--seed", "7"]),
+    ("eval_rounds", dict(COMMANDS)["eval_rounds"]),
+)
+
+LARGE_FROZEN = {
+    "simulate": "d545b8d8ed602a7d5bf755526d13d95764161cd0fd2d95b605f982cf8a1c9043",
+    "eval_rounds": "a4bd31cd0ca3af5fcf48fd5d80b3c9dc3b5e6fff406dd1be67be3eeb95990537",
+}
+
+
 def _split_history(root):
     """Write the history's first and second halves, by round."""
     rounds = parse_rounds(str(root / "simulate.out"))
@@ -169,6 +186,11 @@ def log_digests(tmp_path_factory):
     return _run_all(tmp_path_factory.mktemp("identity_log"), LOG_COMMANDS)
 
 
+@pytest.fixture(scope="module")
+def large_digests(tmp_path_factory):
+    return _run_all(tmp_path_factory.mktemp("identity_large"), LARGE_COMMANDS)
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_output_bytes_are_frozen(digests, name):
     assert digests[name] == FROZEN[name]
@@ -194,3 +216,12 @@ def test_replay_log_and_timeline_bytes_are_frozen(log_digests, name):
 
 def test_every_replay_log_and_timeline_output_is_pinned(log_digests):
     assert sorted(log_digests) == sorted(LOG_FROZEN)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_FROZEN))
+def test_large_division_bytes_are_frozen(large_digests, name):
+    assert large_digests[name] == LARGE_FROZEN[name]
+
+
+def test_every_large_division_output_is_pinned(large_digests):
+    assert sorted(large_digests) == sorted(LARGE_FROZEN)

@@ -2,9 +2,11 @@
 
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankelo import (
     DivisionResult,
@@ -29,7 +31,7 @@ from rankelo import (
 )
 import rankelo.rating
 from rankelo.replay import compile_history
-from rankelo.metrics import BucketRow, BucketedReport, ComparisonRow
+from rankelo.metrics import BucketRow, BucketedReport, ComparisonRow, _correlations
 from oracles import oracle_kendall_tau, oracle_relative_performance, oracle_spearman_rho
 
 ELO = PROFILES["elo"]
@@ -183,7 +185,89 @@ def test_correlations_match_oracles_across_merge_levels(n, tied):
             assert got == pytest.approx(want, abs=1e-12)
 
 
+def bits(value):
+    """A float's exact bits (``-0.0`` apart from ``0.0``); anything else as is."""
+    return float(value).hex() if isinstance(value, float) else value
+
+
+@st.composite
+def division_layouts(draw):
+    """(ratings, scores) per division: one entry, fully tied on one side or
+    both, NaN-bearing, distinct, or drawn from a five-value pool; a division
+    may open with the previous one's last pair, so equal ratings and scores
+    sit on both sides of its boundary."""
+    pool = st.sampled_from([0.0, -0.0, 1.0, 2.0, 5.0])
+    divisions = []
+    for kind in draw(st.lists(st.sampled_from(["single", "tied", "nan", "pool",
+                                               "distinct"]), min_size=1, max_size=8)):
+        n = 1 if kind == "single" else draw(st.integers(2, 30))
+        if kind == "distinct":
+            ratings = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n,
+                                    unique=True))
+            scores = [float(v) for v in draw(st.permutations(range(n)))]
+        else:
+            ratings, scores = (draw(st.lists(pool, min_size=n, max_size=n))
+                               for _ in range(2))
+        if kind == "tied":
+            for side in draw(st.sampled_from([[ratings], [scores], [ratings, scores]])):
+                side[:] = side[:1] * n
+        if kind == "nan":
+            for _ in range(draw(st.integers(1, 3))):
+                side = draw(st.sampled_from([ratings, scores]))
+                side[draw(st.integers(0, n - 1))] = math.nan
+        if divisions and draw(st.booleans()):
+            ratings[0], scores[0] = divisions[-1][0][-1], divisions[-1][1][-1]
+        divisions.append((ratings, scores))
+    return divisions
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_layouts())
+def test_history_pass_is_each_division_alone(divisions):
+    ratings = np.array([r for x, _ in divisions for r in x])
+    scores = np.array([s for _, y in divisions for s in y])
+    bounds = np.cumsum([0] + [len(x) for x, _ in divisions])
+    kendall, spearman = _correlations(ratings, scores, bounds)
+    assert len(kendall) == len(spearman) == len(divisions)
+    for (x, y), tau, rho in zip(divisions, kendall, spearman):
+        assert bits(tau) == bits(kendall_tau(x, y))
+        assert bits(rho) == bits(spearman_rho(x, y))
+        if any(math.isnan(v) for v in x + y):
+            assert tau is None and rho is None
+            continue
+        for got, oracle in ((tau, oracle_kendall_tau), (rho, oracle_spearman_rho)):
+            want = oracle(x, y)
+            if want is None:
+                assert got is None
+            else:
+                assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_rho_past_the_exact_sum_bound():
+    # Tie-free, rho's sums reach (n**3 - n) / 12: past 2**51 they round, as
+    # the sums of np.corrcoef's dot product do.
+    n = 320_000
+    assert (n ** 3 - n) / 12 > 2 ** 51
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=n)
+    y = x + rng.normal(size=n)
+    assert np.unique(x).size == np.unique(y).size == n
+    midranks = [np.argsort(np.argsort(v)) + 1.0 for v in (x, y)]
+    assert spearman_rho(x, y) == pytest.approx(np.corrcoef(*midranks)[0, 1], rel=1e-12)
+
+
 class TestDivisionMetrics:
+    @pytest.mark.parametrize("tied", [True, False], ids=["tie_heavy", "tie_free"])
+    @pytest.mark.parametrize("n", [2, 3, 17, 64, 65, 300])
+    def test_row_is_evaluate_timelines_row(self, n, tied):
+        ratings, scores = division_like(n, tied, seed=100 + n)
+        ids = [f"p{i:03d}" for i in np.random.default_rng(n).permutation(n)]
+        row = division_metrics("r1", 7, scores, ratings, ids)
+        timeline_row, = evaluate_timeline(
+            [RoundInput("r1", [DivisionResult(7, list(zip(ids, scores)))])],
+            {("r1", player_id): rating for player_id, rating in zip(ids, ratings)})
+        assert list(map(bits, astuple(row))) == list(map(bits, astuple(timeline_row)))
+
     def test_perfectly_predicted_division(self):
         # equal ratings and tied scores: expected rank == actual rank == 2
         metrics = division_metrics("r1", 1, [5.0, 5.0, 5.0],
@@ -260,6 +344,26 @@ class TestEvaluateReplayAndTimeline:
         metrics = evaluate_replay(result)
         for m, division in zip(metrics, result.divisions):
             assert m.mean_error == division.error_sum / m.n
+
+    def test_history_metrics_make_one_correlation_pass(self, monkeypatch):
+        rounds = small_history()
+        result = replay(rounds, ELO)
+        timeline = {(record.round_id, player_id): rating
+                    for record in result.divisions
+                    for player_id, rating in zip(
+                        record.player_ids, record.breakdown.rating_before.tolist())}
+        want = evaluate_replay(result), evaluate_timeline(rounds, timeline)
+        assert any(m.kendall is not None for m in want[0])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a correlation call per division")
+
+        for function in (kendall_tau, spearman_rho):
+            for name, module in list(sys.modules.items()):
+                if (name.split(".")[0] == "rankelo"
+                        and getattr(module, function.__name__, None) is function):
+                    monkeypatch.setattr(module, function.__name__, forbidden)
+        assert (evaluate_replay(result), evaluate_timeline(rounds, timeline)) == want
 
     def test_replay_without_divisions_rejected(self):
         result = replay(small_history(), ELO, keep_observations=False)
