@@ -49,7 +49,6 @@ from .rating import (
     rate_round,
 )
 from .replay import (
-    DivisionReplay,
     ReplayResult,
     replay,
     write_replay_log,
@@ -85,7 +84,6 @@ __all__ = [
     "BucketedReport",
     "ComparisonReport",
     "ComparisonRow",
-    "DivisionReplay",
     "DivisionResult",
     "ELO_SCALE",
     "EXPERIENCE_BUCKETS",

@@ -154,7 +154,7 @@ def _cmd_rate(args) -> int:
     result = replay(rounds, params, state=state,
                     keep_observations=args.output is not None)
     if args.output is not None:
-        write_replay_log(result.divisions, _dest(args.output))
+        write_replay_log(result.rounds, _dest(args.output))
     if args.snapshot_out:
         store.save_snapshot(result.state, args.snapshot_out)
     error = result.mean_error
@@ -190,7 +190,7 @@ def _cmd_eval(args) -> int:
         _emit(args, ("stat", "value"), rows,
               lambda r: (r[0], _cell(r[1], 4)))
         return 0
-    report = metrics_mod.aggregate_error(result.divisions)
+    report = metrics_mod.aggregate_error(result.rounds)
     _emit(args, ("bucket", "count", "mean_delta_r", "mean_perf", "mean_error"),
           [astuple(row) for row in report.rows],
           lambda r: (r[0], str(r[1]), _cell(r[2], 2), _cell(r[3], 4),

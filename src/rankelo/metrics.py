@@ -35,11 +35,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError
-from .rating import (CompiledHistory, CompiledRound, DivisionResult, RoundInput,
-                     canonical_ranks)
+from .rating import (CompiledHistory, CompiledRound, DivisionResult,
+                     PerformanceBreakdown, RoundInput, canonical_ranks)
 # division_ranks is not called here; bench/test_bench.py traces this binding.
 from .rating import division_ranks  # noqa: F401
-from .replay import DivisionReplay, ReplayResult, compile_history, division_errors, fold
+from .replay import ReplayResult, compile_history, division_errors, fold
 
 # Experience rows: (label, lowest round number, highest round number).
 EXPERIENCE_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
@@ -195,10 +195,14 @@ def _correlations(ratings: np.ndarray, scores: np.ndarray, bounds: Sequence[int]
 
 def _one_division(predicted: Sequence[float], actual: Sequence[float]):
     """``_correlations`` of two aligned orderings as one division."""
-    x = np.asarray(predicted, dtype=np.float64)
-    y = np.asarray(actual, dtype=np.float64)
-    if x.shape != y.shape:
-        raise InputError("rankings must be the same length")
+    message = "rankings must be two 1-D sequences of numbers of the same length"
+    try:
+        x = np.asarray(predicted, dtype=np.float64)
+        y = np.asarray(actual, dtype=np.float64)
+    except (TypeError, ValueError):   # not numbers, or ragged
+        raise InputError(message) from None
+    if x.ndim != 1 or x.shape != y.shape:
+        raise InputError(message)
     return _correlations(x, y, (0, x.size))
 
 
@@ -230,30 +234,28 @@ class RoundMetrics:
     spearman: float | None
 
 
-def _round_metrics(rows: Sequence[tuple[str, int, int, float]],
-                   ratings: Sequence[np.ndarray], scores: Iterable[float]
+def _round_metrics(rounds: Iterable[tuple[CompiledRound, np.ndarray, np.ndarray]]
                    ) -> list[RoundMetrics]:
-    """The metrics of each ``(round_id, division, n, error_sum)`` row, whose
-    ``n`` entries follow the previous row's in the concatenated ``ratings``
-    and in ``scores``: one correlation pass for them all."""
+    """The metrics of every non-empty division of each ``(compiled, ratings,
+    perf)`` round, whose pre-round ``ratings`` and ``perf`` are in entry
+    order: ``|perf|`` folded per division, as ``replay`` does, and one
+    correlation pass for them all."""
+    rows, ratings, scores = [], [], []
+    for compiled, before, perf in rounds:
+        ratings.append(before)
+        for number, _, division_scores, a, b, error in division_errors(compiled, perf):
+            rows.append((compiled.round_id, number, b - a, error))
+            scores.append(division_scores)
     if not rows:
         return []
     bounds = np.cumsum([0] + [n for _, _, n, _ in rows])
     kendall, spearman = _correlations(
-        np.concatenate(ratings), np.fromiter(scores, np.float64, bounds[-1]), bounds)
+        np.concatenate(ratings), np.fromiter(chain.from_iterable(scores), np.float64,
+                                             bounds[-1]), bounds)
     return [RoundMetrics(round_id=round_id, division=division, n=n,
                          mean_error=error_sum / n, kendall=tau, spearman=rho)
             for (round_id, division, n, error_sum), tau, rho
             in zip(rows, kendall, spearman)]
-
-
-def _ranked_divisions(compiled: CompiledRound, ratings: np.ndarray):
-    """``(number, scores, n, error)`` per non-empty division of ``compiled``
-    under the pre-round ``ratings`` (entry order): ranked, and its ``|perf|``
-    folded, exactly as ``replay`` does."""
-    *_, perf = canonical_ranks(compiled, ratings)
-    return [(number, scores, b - a, error)
-            for _, number, _, scores, a, b, error in division_errors(compiled, perf)]
 
 
 def division_metrics(round_id: str, division: int, scores: Sequence[float],
@@ -271,25 +273,22 @@ def division_metrics(round_id: str, division: int, scores: Sequence[float],
     compiled, = compile_history(
         [RoundInput(round_id, [DivisionResult(division, list(zip(ids, scores)))])]).rounds
     ratings = np.asarray(ratings, dtype=np.float64)
-    (_, _, _, error), = _ranked_divisions(compiled, ratings)
+    (*_, error), = division_errors(compiled, canonical_ranks(compiled, ratings)[-1])
     return RoundMetrics(round_id=round_id, division=division, n=n, mean_error=error / n,
                         kendall=kendall_tau(ratings, scores),
                         spearman=spearman_rho(ratings, scores))
 
 
 def evaluate_replay(result: ReplayResult) -> list[RoundMetrics]:
-    """Per-division metrics from a replay's kept division records.
+    """Per-division metrics from a replay's kept rounds.
 
-    The mean error reuses the replay's own per-division sum of the
-    engine's ``|perf|`` values; no rank pass runs a second time.
+    The mean error folds the engine's own ``|perf|`` values, as the replay
+    did; no rank pass runs a second time.
     """
-    if result.count and not result.divisions:
+    if result.count and not result.rounds:
         raise InputError("replay was run with keep_observations=False")
-    records = result.divisions
-    return _round_metrics(
-        [(r.round_id, r.division, len(r.scores), r.error_sum) for r in records],
-        [r.breakdown.rating_before for r in records],
-        chain.from_iterable(r.scores for r in records))
+    return _round_metrics((compiled, breakdown.rating_before, breakdown.perf)
+                          for compiled, breakdown in result.rounds)
 
 
 def evaluate_timeline(rounds: Iterable[RoundInput] | CompiledHistory,
@@ -300,19 +299,17 @@ def evaluate_timeline(rounds: Iterable[RoundInput] | CompiledHistory,
     reproduces ``evaluate_replay`` bit for bit, and it refuses what ``replay`` refuses."""
     if not isinstance(rounds, CompiledHistory):
         rounds = compile_history(rounds)
-    rows, ratings, scores = [], [], []
+    ranked = []
     for compiled in rounds.rounds:
         try:
-            ratings.append(np.array([timeline[compiled.round_id, player_id]
-                                     for _, ids, _ in compiled.divisions
-                                     for player_id in ids], np.float64))
+            ratings = np.array([timeline[compiled.round_id, player_id]
+                                for _, ids, _ in compiled.divisions
+                                for player_id in ids], np.float64)
         except KeyError as exc:
             raise InputError(f"timeline has no rating for player {exc.args[0][1]!r} "
                              f"in round {compiled.round_id!r}") from None
-        for number, division_scores, n, error in _ranked_divisions(compiled, ratings[-1]):
-            rows.append((compiled.round_id, number, n, error))
-            scores.append(division_scores)
-    return _round_metrics(rows, ratings, chain.from_iterable(scores))
+        ranked.append((compiled, ratings, canonical_ranks(compiled, ratings)[-1]))
+    return _round_metrics(ranked)
 
 
 @dataclass(frozen=True)
@@ -362,28 +359,32 @@ def _division_positions(numbers: Sequence[int]) -> tuple[list[int], np.ndarray]:
     return distinct, np.array([index[number] for number in numbers], dtype=np.int64)
 
 
-def aggregate_error(divisions: Iterable[DivisionReplay],
+def aggregate_error(rounds: Iterable[tuple[CompiledRound, PerformanceBreakdown]],
                     experience_buckets=EXPERIENCE_BUCKETS) -> BucketedReport:
-    """Bucketed means over a stream of division records.
+    """Bucketed means over a stream of ``(compiled, breakdown)`` rounds, as
+    ``ReplayResult.rounds`` keeps them.
 
     Row layout: an ``All`` row; experience buckets that partition it by
     the player's round number; an ``Existing`` row (second round onward);
     per-division rows and their top/bottom half-rank splits, both covering
     existing players only.  Top half is actual rank <= n/2; a rank exactly
     at the (n+1)/2 midpoint lands in the bottom half.  Each row is a mask
-    over the records' entries laid end to end, and every sum is a ``fold``
+    over the rounds' entries laid end to end, and every sum is a ``fold``
     of the masked entries in replay order.
     """
-    records = list(divisions)
-    sizes = np.array([record.breakdown.nr.size for record in records], dtype=np.int64)
+    records = list(rounds)
+    sizes = np.array([b - a for compiled, _ in records
+                      for a, b in zip(compiled.bounds, compiled.bounds[1:])],
+                     dtype=np.int64)
     if not sizes.sum():
         return BucketedReport(rows=())
     delta_r, perf, nr, actual_rank = (
-        np.concatenate([getattr(record.breakdown, name) for record in records])
+        np.concatenate([getattr(breakdown, name) for _, breakdown in records])
         for name in ("delta_r", "perf", "nr", "actual_rank"))
     top = actual_rank <= np.repeat(sizes, sizes) / 2
     seasoned = nr >= 2
-    numbers, position = _division_positions([record.division for record in records])
+    numbers, position = _division_positions(
+        [number for compiled, _ in records for number, _, _ in compiled.divisions])
     position = np.repeat(position, sizes)
 
     masks = [("All", np.ones(nr.size, dtype=bool)),

@@ -180,10 +180,11 @@ class EngineState:
 
 @dataclass(frozen=True, eq=False)
 class PerformanceBreakdown:
-    """Every entry's intermediate values for one rated division.
+    """Every entry's intermediate values for one rated round or division.
 
-    Each field is an array aligned with ``division.entries``: ``nr`` is
-    int64, the rest float64.  Field order is the replay log's column order.
+    Each field is an array in entry order (a round's divisions one after
+    another, each in its entries' order): ``nr`` is int64, the rest
+    float64.  Field order is the replay log's column order.
     """
 
     nr: np.ndarray               # the player's round number, completed rounds + 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -32,34 +32,23 @@ def fold(total: float, values: np.ndarray) -> float:
 
 
 def division_errors(compiled: CompiledRound, perf: np.ndarray):
-    """``(k, number, ids, scores, a, b, error)`` per non-empty division ``k`` of
+    """``(number, ids, scores, a, b, error)`` per non-empty division of
     ``compiled``: entries ``a:b``, and ``error`` the ``fold`` of their ``|perf|``."""
     errors = np.abs(perf)
-    for k, ((number, ids, scores), a, b) in enumerate(
-            zip(compiled.divisions, compiled.bounds, compiled.bounds[1:])):
+    for (number, ids, scores), a, b in zip(compiled.divisions, compiled.bounds,
+                                           compiled.bounds[1:]):
         if a != b:
-            yield k, number, ids, scores, a, b, fold(0.0, errors[a:b])
-
-
-@dataclass(frozen=True)
-class DivisionReplay:
-    """One rated division: its entries and the engine's breakdown of them."""
-
-    round_index: int
-    round_id: str
-    division: int
-    player_ids: tuple[str, ...]
-    scores: tuple[float, ...]
-    breakdown: PerformanceBreakdown   # columns aligned with player_ids
-    error_sum: float                  # |perf| summed in entry order
+            yield number, ids, scores, a, b, fold(0.0, errors[a:b])
 
 
 @dataclass
 class ReplayResult:
-    """Final engine state plus streaming accumulators from a replay."""
+    """Final engine state, each replayed round beside its breakdown (entry
+    order; division ``k`` is entries ``bounds[k]:bounds[k + 1]``), and the
+    error and rating-change totals of every round."""
 
     state: EngineState
-    divisions: list[DivisionReplay] = field(default_factory=list)
+    rounds: list[tuple[CompiledRound, PerformanceBreakdown]] = field(default_factory=list)
     round_errors: list[tuple[str, float, int]] = field(default_factory=list)
     error_sum: float = 0.0
     count: int = 0
@@ -90,9 +79,9 @@ def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
 
     ``rounds`` is compiled here unless it already is a ``CompiledHistory``,
     which must have been compiled against ``state``'s registry.  Always
-    accumulates the mean prediction error and rating-change stats; the
-    per-division records (``result.divisions``) are kept only with
-    ``keep_observations`` (sweeps skip them for speed).
+    accumulates the mean prediction error and rating-change stats;
+    ``keep_observations`` decides only whether each round's
+    ``(compiled, breakdown)`` pair is appended to ``result.rounds``.
     """
     if not isinstance(rounds, CompiledHistory):
         rounds = compile_history(rounds, state)
@@ -101,9 +90,8 @@ def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
     if state.ids != rounds.registry:
         raise InputError("the history was compiled against another player registry")
     result = ReplayResult(state=state)
-    start = state.rounds_processed
 
-    for offset, compiled in enumerate(rounds.rounds):
+    for compiled in rounds.rounds:
         breakdown = rate_compiled_round(compiled, state, params)
         deltas = breakdown.delta_r
         result.delta_sum = fold(result.delta_sum, deltas)
@@ -112,33 +100,26 @@ def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
             highest = float(deltas.max())
             if result.delta_max is None or highest > result.delta_max:
                 result.delta_max = highest
-        breakdowns = compiled.split(breakdown) if keep_observations else None
         round_error = 0.0
-        for k, number, ids, scores, _, _, division_error in division_errors(
-                compiled, breakdown.perf):
+        for *_, division_error in division_errors(compiled, breakdown.perf):
             round_error += division_error
-            if keep_observations:
-                result.divisions.append(DivisionReplay(
-                    round_index=start + offset,
-                    round_id=compiled.round_id,
-                    division=number,
-                    player_ids=ids,
-                    scores=scores,
-                    breakdown=breakdowns[k],
-                    error_sum=division_error,
-                ))
         result.error_sum += round_error
         result.count += deltas.size
         result.round_errors.append((compiled.round_id, round_error, deltas.size))
+        if keep_observations:
+            result.rounds.append((compiled, breakdown))
     return result
 
 
-def write_replay_log(divisions: Sequence[DivisionReplay], dest) -> None:
-    """Persist every entry of every record as CSV; floats use shortest round-trip repr."""
+def write_replay_log(rounds: Iterable[tuple[CompiledRound, PerformanceBreakdown]],
+                     dest) -> None:
+    """Persist every entry of every ``(compiled, breakdown)`` round as CSV, one
+    division after another; floats use shortest round-trip repr."""
     with open_text(dest, "w") as stream:
         write_divisions(stream, REPLAY_LOG_HEADER, (
-            (record.round_id, record.division, record.player_ids,
-             repeat(str(len(record.player_ids))),
-             *(map(repr, getattr(record.breakdown, name).tolist())
+            (compiled.round_id, number, ids, repeat(str(b - a)),
+             *(map(repr, getattr(breakdown, name)[a:b].tolist())
                for name in _LOG_COLUMNS))
-            for record in divisions))
+            for compiled, breakdown in rounds
+            for (number, ids, _), a, b in zip(compiled.divisions, compiled.bounds,
+                                              compiled.bounds[1:])))

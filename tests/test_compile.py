@@ -26,7 +26,7 @@ from rankelo import (
 )
 from rankelo.cli import run
 from rankelo.rating import rate_compiled_round
-from rankelo.replay import ReplayResult, compile_history
+from rankelo.replay import ReplayResult, compile_history, division_errors
 from rankelo.store import write_csv
 
 ELO = PROFILES["elo"]
@@ -65,13 +65,14 @@ def assert_same_replay(got: ReplayResult, want: ReplayResult):
     for name in ("round_errors", "error_sum", "count", "delta_sum",
                  "delta_sq_sum", "delta_max"):
         assert getattr(got, name) == getattr(want, name), name
-    assert len(got.divisions) == len(want.divisions)
-    for a, b in zip(got.divisions, want.divisions):
-        assert (a.round_index, a.round_id, a.division, a.player_ids, a.scores,
-                a.error_sum) == (b.round_index, b.round_id, b.division,
-                                 b.player_ids, b.scores, b.error_sum)
-        for f in fields(a.breakdown):
-            x, y = getattr(a.breakdown, f.name), getattr(b.breakdown, f.name)
+    assert len(got.rounds) == len(want.rounds)
+    for (a, a_breakdown), (b, b_breakdown) in zip(got.rounds, want.rounds):
+        assert (a.round_id, a.divisions, a.bounds,
+                list(division_errors(a, a_breakdown.perf))) == \
+            (b.round_id, b.divisions, b.bounds,
+             list(division_errors(b, b_breakdown.perf)))
+        for f in fields(a_breakdown):
+            x, y = getattr(a_breakdown, f.name), getattr(b_breakdown, f.name)
             assert x.dtype == y.dtype and np.array_equal(x, y), f.name
 
 
@@ -93,7 +94,8 @@ class TestCompiledReplay:
         # arithmetic) from the pre-round ratings the replay gathered
         rounds = shuffled_history(seed)
         result = replay(compile_history(rounds), ELO2)
-        records = iter(result.divisions)
+        records = iter([part for compiled, breakdown in result.rounds
+                        for part in compiled.split(breakdown) if part.nr.size])
         ids, rating, num_rounds = [], np.empty(0), np.empty(0, np.int64)
         for played, round_input in enumerate(rounds):
             r1 = ELO2.initial_rating + ELO2.inflation / 100.0 * played
@@ -107,7 +109,7 @@ class TestCompiledReplay:
                 want = rate_division(division, state, ELO2)
                 if not division.entries:
                     continue
-                got = next(records).breakdown
+                got = next(records)
                 for f in fields(want):
                     assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
                 index = [state.index[pid] for pid, _ in division.entries]

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import rankelo
 from rankelo import (
     BITS_TO_RATING,
     DivisionResult,
@@ -33,6 +34,15 @@ from oracles import (
 
 ELO = PROFILES["elo"]
 ELO2 = PROFILES["elo2"]
+
+
+def test_every_public_name_resolves_once():
+    # ``from rankelo import *`` fails on a listed name the package lacks
+    assert len(set(rankelo.__all__)) == len(rankelo.__all__)
+    assert [name for name in rankelo.__all__ if not hasattr(rankelo, name)] == []
+    namespace = {}
+    exec("from rankelo import *", namespace)
+    assert set(rankelo.__all__) <= set(namespace)
 
 
 def two_player_division(score_a=100.0, score_b=50.0):
@@ -460,8 +470,9 @@ class TestGetOrCreatePlayer:
         assert result.state.ids == registered
         assert result.state.index == {"a": 0, "b": 1, "c": 2}
         # a player first seen in round two starts at that round's r1
-        record = result.divisions[1]
-        assert record.player_ids == ("b", "c")
-        assert record.breakdown.nr.tolist() == [2, 1]
-        assert record.breakdown.rating_before[1] == \
+        compiled_round, breakdown = result.rounds[1]
+        a, b = compiled_round.bounds[:2]
+        assert compiled_round.divisions[0][1] == ("b", "c")
+        assert breakdown.nr[a:b].tolist() == [2, 1]
+        assert breakdown.rating_before[a:b][1] == \
             ELO2.initial_rating + ELO2.inflation / 100.0

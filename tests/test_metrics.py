@@ -1,5 +1,7 @@
 """Evaluation metrics: correlation oracles, bucketing, and system comparison."""
 
+import hashlib
+import io
 import math
 import sys
 from dataclasses import astuple
@@ -28,6 +30,7 @@ from rankelo import (
     replay,
     save_snapshot,
     spearman_rho,
+    write_replay_log,
 )
 import rankelo.rating
 from rankelo.replay import compile_history
@@ -52,6 +55,15 @@ def small_history(n_rounds=8, n_players=12, seed=3):
     return rounds
 
 
+def pre_round_timeline(result):
+    """``(round_id, player_id) -> rating_before`` of every kept round."""
+    return {(compiled.round_id, player_id): rating
+            for compiled, breakdown in result.rounds
+            for player_id, rating in zip(
+                (p for _, ids, _ in compiled.divisions for p in ids),
+                breakdown.rating_before.tolist())}
+
+
 def prediction_error(expected_rank, actual_rank):
     """Absolute log-rank error in bits: ``|log2(expected / actual)|``."""
     return abs(oracle_relative_performance(expected_rank, actual_rank))
@@ -70,6 +82,20 @@ class TestPredictionError:
 
     def test_symmetric_in_direction(self):
         assert prediction_error(1.5, 4.0) == prediction_error(4.0, 1.5)
+
+
+# Input to the correlation functions that is not two 1-D sequences of
+# numbers of one length.
+NOT_TWO_ALIGNED_SEQUENCES = [
+    ([1.0, 2.0], [1.0]),
+    (1.0, 2.0),
+    ([[1, 2], [3, 4]], [[1, 2], [3, 4]]),
+    ([[1, 2, 3]], [[3, 2, 1]]),
+    ([[1, 2], [3]], [1, 2]),
+    (["a", "b"], [1, 2]),
+]
+NOT_TWO_ALIGNED_SEQUENCE_IDS = ["unequal_lengths", "scalars", "square_matrices",
+                                "one_row_matrices", "ragged", "not_numbers"]
 
 
 class TestKendallTau:
@@ -95,9 +121,11 @@ class TestKendallTau:
     def test_undefined_cases(self, x, y):
         assert kendall_tau(x, y) is None
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("x,y", NOT_TWO_ALIGNED_SEQUENCES,
+                             ids=NOT_TWO_ALIGNED_SEQUENCE_IDS)
+    def test_length_mismatch(self, x, y):
         with pytest.raises(InputError):
-            kendall_tau([1.0, 2.0], [1.0])
+            kendall_tau(x, y)
 
     def test_random_tied_rankings_match_oracle(self):
         rng = np.random.default_rng(11)
@@ -139,6 +167,12 @@ class TestSpearmanRho:
     def test_undefined_cases(self):
         assert spearman_rho([1.0], [1.0]) is None
         assert spearman_rho([2.0, 2.0], [1.0, 3.0]) is None
+
+    @pytest.mark.parametrize("x,y", NOT_TWO_ALIGNED_SEQUENCES,
+                             ids=NOT_TWO_ALIGNED_SEQUENCE_IDS)
+    def test_length_mismatch(self, x, y):
+        with pytest.raises(InputError):
+            spearman_rho(x, y)
 
     def test_random_tied_rankings_match_oracle(self):
         rng = np.random.default_rng(19)
@@ -314,10 +348,7 @@ class TestEvaluateReplayAndTimeline:
             result = replay(history, ELO)
             via_replay = evaluate_replay(result)
 
-            timeline = {(record.round_id, player_id): rating
-                        for record in result.divisions
-                        for player_id, rating in zip(
-                            record.player_ids, record.breakdown.rating_before.tolist())}
+            timeline = pre_round_timeline(result)
             via_timeline = evaluate_timeline(history, timeline)
             # a compiled history is the same input: the same bits
             via_compiled = evaluate_timeline(compile_history(history), timeline)
@@ -342,16 +373,21 @@ class TestEvaluateReplayAndTimeline:
                     module, "division_ranks", None) is rankelo.rating.division_ranks):
                 monkeypatch.setattr(module, "division_ranks", forbidden)
         metrics = evaluate_replay(result)
-        for m, division in zip(metrics, result.divisions):
-            assert m.mean_error == division.error_sum / m.n
+        error_sums = []
+        for compiled, breakdown in result.rounds:
+            for a, b in zip(compiled.bounds, compiled.bounds[1:]):
+                total = 0.0   # |perf| summed in entry order, one add at a time
+                for value in np.abs(breakdown.perf[a:b]).tolist():
+                    total += value
+                error_sums.append(total)
+        assert len(metrics) == len(error_sums)
+        for m, error_sum in zip(metrics, error_sums):
+            assert m.mean_error == error_sum / m.n
 
     def test_history_metrics_make_one_correlation_pass(self, monkeypatch):
         rounds = small_history()
         result = replay(rounds, ELO)
-        timeline = {(record.round_id, player_id): rating
-                    for record in result.divisions
-                    for player_id, rating in zip(
-                        record.player_ids, record.breakdown.rating_before.tolist())}
+        timeline = pre_round_timeline(result)
         want = evaluate_replay(result), evaluate_timeline(rounds, timeline)
         assert any(m.kendall is not None for m in want[0])
 
@@ -395,7 +431,7 @@ class TestAggregateError:
 
     def test_single_observation(self):
         rounds = [RoundInput("r1", [DivisionResult(1, [("a", 1.0)])])]
-        report = aggregate_error(replay(rounds, ELO).divisions)
+        report = aggregate_error(replay(rounds, ELO).rounds)
         assert report.row("All").count == 1
         assert report.row("All").mean_error == 0.0
         assert report.row("First round").count == 1
@@ -409,7 +445,7 @@ class TestAggregateError:
         for t in range(30):
             rounds.append(RoundInput(f"r{t:03d}", [DivisionResult(
                 1, [("old", float(t % 3)), ("older", float((t + 1) % 3))])]))
-        report = aggregate_error(replay(rounds, ELO).divisions)
+        report = aggregate_error(replay(rounds, ELO).rounds)
         # rounds 1..30 for each player: 1 first, 6 in 2-7, 17 in 8-24, 6 in 25-74
         assert report.row("First round").count == 2
         assert report.row("2-7 rounds").count == 12
@@ -420,7 +456,7 @@ class TestAggregateError:
 
     def test_experience_buckets_partition_the_all_row(self):
         result = replay(small_history(n_rounds=12), ELO)
-        report = aggregate_error(result.divisions)
+        report = aggregate_error(result.rounds)
         total = sum(report.row(label).count
                     for label, _, _ in EXPERIENCE_BUCKETS
                     if any(r.label == label for r in report.rows))
@@ -428,7 +464,7 @@ class TestAggregateError:
 
     def test_division_rows_cover_existing_players_only(self):
         result = replay(small_history(n_rounds=10), ELO)
-        report = aggregate_error(result.divisions)
+        report = aggregate_error(result.rounds)
         existing = report.row("Existing").count
         by_division = sum(r.count for r in report.rows
                           if r.label.startswith("Division "))
@@ -445,7 +481,7 @@ class TestAggregateError:
             RoundInput("r1", [DivisionResult(1, [("a", 3.0), ("b", 2.0), ("c", 1.0)])]),
             RoundInput("r2", [DivisionResult(1, [("a", 3.0), ("b", 2.0), ("c", 1.0)])]),
         ]
-        report = aggregate_error(replay(rounds, ELO).divisions)
+        report = aggregate_error(replay(rounds, ELO).rounds)
         assert report.row("D1 H1").count == 1  # only the round-2 winner
         assert report.row("D1 H2").count == 2
 
@@ -453,7 +489,7 @@ class TestAggregateError:
         # overlapping custom buckets: an entry lands in the first that matches
         buckets = (("Early", 1, 3), ("Overlap", 2, 5), ("Late", 4, None))
         result = replay(small_history(n_rounds=10), ELO2)
-        report = aggregate_error(result.divisions, experience_buckets=buckets)
+        report = aggregate_error(result.rounds, experience_buckets=buckets)
 
         sums: dict[str, list] = {}
 
@@ -464,20 +500,22 @@ class TestAggregateError:
             acc[2] += perf
             acc[3] += abs(perf)
 
-        for record in result.divisions:
-            b = record.breakdown
-            n = len(record.player_ids)
-            for nr, delta, perf, actual in zip(b.nr.tolist(), b.delta_r.tolist(),
-                                               b.perf.tolist(), b.actual_rank.tolist()):
-                add("All", delta, perf)
-                label = next(label for label, lo, hi in buckets
-                             if nr >= lo and (hi is None or nr <= hi))
-                add(label, delta, perf)
-                if nr < 2:
-                    continue
-                add("Existing", delta, perf)
-                add(f"Division {record.division}", delta, perf)
-                add(f"D{record.division} H{1 if actual <= n / 2 else 2}", delta, perf)
+        for compiled, b in result.rounds:
+            for (division, _, _), start, end in zip(compiled.divisions, compiled.bounds,
+                                                    compiled.bounds[1:]):
+                n = end - start
+                for nr, delta, perf, actual in zip(
+                        b.nr[start:end].tolist(), b.delta_r[start:end].tolist(),
+                        b.perf[start:end].tolist(), b.actual_rank[start:end].tolist()):
+                    add("All", delta, perf)
+                    label = next(label for label, lo, hi in buckets
+                                 if nr >= lo and (hi is None or nr <= hi))
+                    add(label, delta, perf)
+                    if nr < 2:
+                        continue
+                    add("Existing", delta, perf)
+                    add(f"Division {division}", delta, perf)
+                    add(f"D{division} H{1 if actual <= n / 2 else 2}", delta, perf)
         assert sorted(report.labels()) == sorted(sums)
         for label, (count, delta, perf, error) in sums.items():
             row = report.row(label)
@@ -485,14 +523,14 @@ class TestAggregateError:
                 (count, delta / count, perf / count, error / count)
 
     def test_reads_a_one_shot_iterable(self):
-        records = replay(small_history(n_rounds=10), ELO2).divisions
+        records = replay(small_history(n_rounds=10), ELO2).rounds
         assert aggregate_error(iter(records)) == aggregate_error(records)
 
     def test_merge_is_count_weighted(self):
         result = replay(small_history(n_rounds=10), ELO)
-        records = result.divisions
-        even = [r for r in records if r.round_index % 2 == 0]
-        odd = [r for r in records if r.round_index % 2 == 1]
+        records = result.rounds
+        even = [r for round_index, r in enumerate(records) if round_index % 2 == 0]
+        odd = [r for round_index, r in enumerate(records) if round_index % 2 == 1]
         whole = aggregate_error(records)
         part_a = aggregate_error(even)
         part_b = aggregate_error(odd)
@@ -523,8 +561,70 @@ class TestReplayRetention:
         for name in ("mean_error", "delta_mean", "delta_std", "delta_max",
                      "round_errors", "count"):
             assert getattr(kept, name) == getattr(lean, name), name
-        assert lean.divisions == []
-        assert sum(len(r.player_ids) for r in kept.divisions) == kept.count > 0
+        assert lean.rounds == []
+        assert len(kept.rounds) == len(rounds)   # one record per round
+        assert sum(compiled.bounds[-1] for compiled, _ in kept.rounds) == kept.count > 0
+
+
+class TestEmptyDivisions:
+    """Empty divisions beside rated ones, and a round of one empty division.
+    Every report walks the division bounds, and its bytes and rows are
+    those frozen at commit ``de43363``, before the replay kept one record
+    per round instead of one per non-empty division."""
+
+    ROUNDS = [
+        RoundInput("r1", [DivisionResult(2, []),
+                          DivisionResult(1, [("a", 3.0), ("b", 1.0), ("c", 1.0)]),
+                          DivisionResult(7, [])]),
+        RoundInput("r2", [DivisionResult(1, [("b", 2.0), ("a", 2.0)]),
+                          DivisionResult(9, []),
+                          DivisionResult(2, [("c", 4.0), ("d", 1.0), ("e", 0.5)])]),
+        RoundInput("r3", [DivisionResult(3, [])]),
+        RoundInput("r4", [DivisionResult(2, [("a", 1.0), ("e", 2.0), ("d", 3.0)]),
+                          DivisionResult(1, [("c", 2.0), ("b", 5.0)]),
+                          DivisionResult(4, [])]),
+    ]
+
+    def test_replay_log_bytes(self):
+        result = replay(self.ROUNDS, ELO2)
+        log = io.StringIO()
+        write_replay_log(result.rounds, log)
+        rows = log.getvalue().splitlines()
+        assert [tuple(row.split(",")[:3]) for row in rows[1:]] == [
+            ("r1", "1", "a"), ("r1", "1", "b"), ("r1", "1", "c"),
+            ("r2", "1", "b"), ("r2", "1", "a"),
+            ("r2", "2", "c"), ("r2", "2", "d"), ("r2", "2", "e"),
+            ("r4", "2", "a"), ("r4", "2", "e"), ("r4", "2", "d"),
+            ("r4", "1", "c"), ("r4", "1", "b")]
+        assert hashlib.sha256(log.getvalue().encode()).hexdigest() == \
+            "f918842fe2aff43b5a18fff6f8fa19a7b23f5b9b399857aa1c0fa919c0f10be7"
+
+    def test_evaluate_replay_rows(self):
+        result = replay(self.ROUNDS, ELO2)
+        assert result.round_errors[2] == ("r3", 0.0, 0)
+        assert [astuple(m) for m in evaluate_replay(result)] == [
+            ("r1", 1, 3, 0.5479520632582414, None, None),
+            ("r2", 1, 2, 0.0, None, None),
+            ("r2", 2, 3, 0.5602310447615279, -0.816496580927726, -0.8660254037844387),
+            ("r4", 2, 3, 0.7700440652870272, -0.33333333333333337, -0.5),
+            ("r4", 1, 2, 0.6280685720970788, -1.0, -0.9999999999999999),
+        ]
+
+    def test_aggregate_error_rows(self):
+        report = aggregate_error(replay(self.ROUNDS, ELO2).rounds)
+        assert [astuple(row) for row in report.rows] == [
+            ("All", 13, 28.023109700069163, 0.09733391844081891, 0.5300629741626575),
+            ("First round", 5, 12.910687813538255, -0.055455565306049545,
+             0.4554555653060495),
+            ("2-7 rounds", 8, 37.46837337915099, 0.1928273457826117, 0.5766926046980374),
+            ("Existing", 8, 37.46837337915099, 0.1928273457826117, 0.5766926046980374),
+            ("Division 1", 4, 19.34465605578606, 0.03964280171921436, 0.3140342860485394),
+            ("D1 H1", 1, 66.87180623507881, 0.7073541755355075, 0.7073541755355075),
+            ("D1 H2", 3, 3.5022726626884775, -0.18292765621955, 0.18292765621955),
+            ("Division 2", 4, 55.59209070251592, 0.34601188984600906, 0.8393509233475355),
+            ("D2 H1", 2, 113.5453856597357, 1.0526069680098027, 1.0526069680098027),
+            ("D2 H2", 2, -2.36120425470385, -0.3605831883177846, 0.6260948786852681),
+        ]
 
 
 def metrics_row(round_id, division, n, err, tau, rho):
@@ -624,7 +724,7 @@ class TestRatingStats:
         rounds = [RoundInput("r1", [DivisionResult(1, [("a", 2.0), ("b", 1.0)])])]
         result = replay(rounds, ELO)
         stats = rating_stats(result)
-        deltas = result.divisions[0].breakdown.delta_r.tolist()
+        deltas = result.rounds[0][1].delta_r.tolist()
         assert stats.count == 2
         assert stats.delta_mean == pytest.approx(sum(deltas) / 2.0, abs=1e-12)
         assert stats.delta_max == pytest.approx(max(deltas), abs=1e-12)
@@ -647,10 +747,10 @@ class TestRatingStats:
     def test_matches_one_pass_oracle_recomputation(self):
         result = replay(small_history(n_rounds=10), ELO)
         stats = rating_stats(result)
-        deltas = [delta for record in result.divisions
-                  for delta in record.breakdown.delta_r.tolist()]
-        errors = [abs(perf) for record in result.divisions
-                  for perf in record.breakdown.perf.tolist()]
+        deltas = [delta for _, breakdown in result.rounds
+                  for delta in breakdown.delta_r.tolist()]
+        errors = [abs(perf) for _, breakdown in result.rounds
+                  for perf in breakdown.perf.tolist()]
         mean = sum(deltas) / len(deltas)
         sigma = math.sqrt(sum((d - mean) ** 2 for d in deltas) / len(deltas))
         assert stats.mean_error == pytest.approx(
