@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import astuple, fields, replace
-from typing import IO, Callable, Sequence
+from dataclasses import MISSING, astuple, fields, replace
+from typing import IO, Callable, Sequence, get_type_hints
 
 from . import metrics as metrics_mod
 from . import simulate as simulate_mod
@@ -261,12 +261,8 @@ def _cmd_simulate(args) -> int:
     if args.skills_out == "-" and _dest(args.output) is sys.stdout:
         raise InputError("--skills-out - and the rounds CSV would share stdout; "
                          "write one of them to a file")
-    config = simulate_mod.SimConfig(
-        players=args.players, rounds=args.rounds, skill_mean=args.skill_mean,
-        skill_std=args.skill_std, noise_std=args.noise_std,
-        participation=args.participation, drift_std=args.drift_std,
-        arrival_rate=args.arrival_rate, div1_fraction=args.div1_fraction,
-        tie_step=args.tie_step, seed=args.seed)
+    config = simulate_mod.SimConfig(**{f.name: getattr(args, f.name)
+                                       for f in fields(simulate_mod.SimConfig)})
     result = simulate_mod.generate_history(config)
     store.write_rounds(result.rounds, _dest(args.output))
     if args.skills_out:
@@ -284,7 +280,7 @@ def _cmd_export(args) -> int:
 
 def _add_profile_flags(parser, prefix: str = "") -> None:
     flag = f"--{prefix}profile" if prefix else "--profile"
-    parser.add_argument(flag, choices=("elo", "elo2", "custom"),
+    parser.add_argument(flag, choices=(*PROFILES, "custom"),
                         help="parameter profile (default elo; custom = "
                              "defaults plus overrides)")
     parser.add_argument(f"--{prefix}param" if prefix else "--param",
@@ -344,24 +340,19 @@ def _build_parser() -> _Parser:
     sw.add_argument("--grid", help="values to sweep: '1,2,3' or start:stop:step")
     sw.add_argument("--inflation-grid", help="inflation grid for --target joint")
     sw.add_argument("--bonus-grid", help="bonus grid for --target joint")
-    sw.add_argument("--k-min", type=float, default=25.0)
-    sw.add_argument("--k-max", type=float, default=1500.0)
-    sw.add_argument("--k-step", type=float, default=5.0)
+    k_min, k_max = sweep_mod.SweepSpec.k_range
+    sw.add_argument("--k-min", type=float, default=k_min)
+    sw.add_argument("--k-max", type=float, default=k_max)
+    sw.add_argument("--k-step", type=float, default=sweep_mod.SweepSpec.k_step)
     common(sw)
     sw.set_defaults(func=_cmd_sweep)
 
     sim = sub.add_parser("simulate", help="generate a synthetic rounds file")
-    sim.add_argument("--players", type=int, required=True)
-    sim.add_argument("--rounds", type=int, required=True)
-    sim.add_argument("--skill-mean", type=float, default=1500.0)
-    sim.add_argument("--skill-std", type=float, default=300.0)
-    sim.add_argument("--noise-std", type=float, default=200.0)
-    sim.add_argument("--participation", type=float, default=1.0)
-    sim.add_argument("--drift-std", type=float, default=0.0)
-    sim.add_argument("--arrival-rate", type=float, default=0.0)
-    sim.add_argument("--div1-fraction", type=float, default=0.0)
-    sim.add_argument("--tie-step", type=float, default=0.0)
-    sim.add_argument("--seed", type=int, default=0)
+    types = get_type_hints(simulate_mod.SimConfig)
+    for f in fields(simulate_mod.SimConfig):   # one flag per field, in field order
+        required = f.default is MISSING
+        sim.add_argument(f"--{f.name.replace('_', '-')}", type=types[f.name],
+                         required=required, default=None if required else f.default)
     sim.add_argument("--skills-out", help="also write final latent skills here")
     common(sim, formats=False)
     sim.set_defaults(func=_cmd_simulate)

@@ -29,7 +29,6 @@ results carry the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -243,15 +242,14 @@ def _round_metrics(rounds: Iterable[tuple[CompiledRound, np.ndarray, np.ndarray]
     rows, ratings, scores = [], [], []
     for compiled, before, perf in rounds:
         ratings.append(before)
-        for number, _, division_scores, a, b, error in division_errors(compiled, perf):
-            rows.append((compiled.round_id, number, b - a, error))
-            scores.append(division_scores)
+        scores.append(compiled.scores)
+        rows += ((compiled.round_id, number, b - a, error)
+                 for number, a, b, error in division_errors(compiled, perf))
     if not rows:
         return []
     bounds = np.cumsum([0] + [n for _, _, n, _ in rows])
-    kendall, spearman = _correlations(
-        np.concatenate(ratings), np.fromiter(chain.from_iterable(scores), np.float64,
-                                             bounds[-1]), bounds)
+    kendall, spearman = _correlations(np.concatenate(ratings), np.concatenate(scores),
+                                      bounds)
     return [RoundMetrics(round_id=round_id, division=division, n=n,
                          mean_error=error_sum / n, kendall=tau, spearman=rho)
             for (round_id, division, n, error_sum), tau, rho
@@ -279,16 +277,21 @@ def division_metrics(round_id: str, division: int, scores: Sequence[float],
                         spearman=spearman_rho(ratings, scores))
 
 
+def _kept_rounds(result: ReplayResult):
+    """``result.rounds``, refused when the replay kept none of its entries."""
+    if result.count and not result.rounds:
+        raise InputError("replay was run with keep_observations=False")
+    return result.rounds
+
+
 def evaluate_replay(result: ReplayResult) -> list[RoundMetrics]:
     """Per-division metrics from a replay's kept rounds.
 
     The mean error folds the engine's own ``|perf|`` values, as the replay
     did; no rank pass runs a second time.
     """
-    if result.count and not result.rounds:
-        raise InputError("replay was run with keep_observations=False")
     return _round_metrics((compiled, breakdown.rating_before, breakdown.perf)
-                          for compiled, breakdown in result.rounds)
+                          for compiled, breakdown in _kept_rounds(result))
 
 
 def evaluate_timeline(rounds: Iterable[RoundInput] | CompiledHistory,
@@ -303,8 +306,7 @@ def evaluate_timeline(rounds: Iterable[RoundInput] | CompiledHistory,
     for compiled in rounds.rounds:
         try:
             ratings = np.array([timeline[compiled.round_id, player_id]
-                                for _, ids, _ in compiled.divisions
-                                for player_id in ids], np.float64)
+                                for player_id in compiled.ids], np.float64)
         except KeyError as exc:
             raise InputError(f"timeline has no rating for player {exc.args[0][1]!r} "
                              f"in round {compiled.round_id!r}") from None
@@ -384,7 +386,7 @@ def aggregate_error(rounds: Iterable[tuple[CompiledRound, PerformanceBreakdown]]
     top = actual_rank <= np.repeat(sizes, sizes) / 2
     seasoned = nr >= 2
     numbers, position = _division_positions(
-        [number for compiled, _ in records for number, _, _ in compiled.divisions])
+        [number for compiled, _ in records for number in compiled.numbers])
     position = np.repeat(position, sizes)
 
     masks = [("All", np.ones(nr.size, dtype=bool)),
@@ -497,19 +499,21 @@ class RatingStats:
 
 
 def rating_stats(result: ReplayResult) -> RatingStats:
-    """Summarize a full replay; empty history yields an all-None summary."""
-    ratings = result.state.rating
-    if not result.count and not ratings.size:
-        return RatingStats(count=0, mean_error=None, delta_mean=None,
-                           delta_std=None, delta_max=None, initial_rating=None,
-                           rating_median=None, rating_max=None)
+    """Summarize a full replay from its kept rounds; an empty history yields
+    an all-None summary.  The rating-change sums ``fold`` every entry's
+    ``delta_r``, and its square, in replay order."""
+    deltas = np.concatenate([np.empty(0)] + [breakdown.delta_r for _, breakdown
+                                             in _kept_rounds(result)])
+    count, ratings = result.count, result.state.rating
+    mean = fold(0.0, deltas) / count if count else None
     return RatingStats(
-        count=result.count,
+        count=count,
         mean_error=result.mean_error,
-        delta_mean=result.delta_mean,
-        delta_std=result.delta_std,
-        delta_max=result.delta_max,
-        initial_rating=result.state.r1,
+        delta_mean=mean,
+        delta_std=(max(fold(0.0, deltas * deltas) / count - mean * mean, 0.0) ** 0.5
+                   if count else None),
+        delta_max=float(deltas.max()) if count else None,
+        initial_rating=result.state.r1 if count or ratings.size else None,
         rating_median=float(np.median(ratings)) if ratings.size else None,
         rating_max=float(ratings.max()) if ratings.size else None,
     )

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain
-from typing import Iterable
+from itertools import accumulate, chain, compress
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -201,7 +201,7 @@ class PerformanceBreakdown:
     var: np.ndarray              # 1 + sum of w * (1 - w) over all opponents
 
 
-def _register(state: EngineState, new_ids: tuple[str, ...]) -> None:
+def _register(state: EngineState, new_ids: Sequence[str]) -> None:
     """Append ``new_ids`` (none already in ``state``) to the registry: their
     ids, their index entries, a rating of ``r1`` and no completed rounds."""
     start, new = len(state.ids), len(new_ids)
@@ -296,17 +296,18 @@ def _require_finite(values, what: str, division: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class CompiledRound:
-    """One round of a compiled history, in entry order: division ``k`` holds
-    entries ``bounds[k]:bounds[k + 1]``.  ``order`` and ``ranked_scores``
-    are the rank pass's canonical order, read only by ``canonical_ranks``."""
+    """One round of a compiled history, in entry order: division ``k`` is
+    number ``numbers[k]`` and holds entries ``bounds[k]:bounds[k + 1]``.
+    ``order`` is the rank pass's canonical order, read only by
+    ``canonical_ranks``."""
 
     round_id: str
-    divisions: tuple[tuple[int, tuple, tuple], ...]   # (number, ids, scores)
+    numbers: tuple[int, ...]    # division numbers
     bounds: tuple[int, ...]
-    new_ids: tuple[str, ...]    # players first seen here, in order of appearance
+    ids: tuple[str, ...]        # player id of each entry
+    scores: np.ndarray          # score of each entry
     players: np.ndarray         # registry index of each entry
     order: np.ndarray           # entry positions, in canonical order
-    ranked_scores: np.ndarray   # scores, in canonical order
 
     def split(self, breakdown: PerformanceBreakdown) -> list[PerformanceBreakdown]:
         """A round ``breakdown`` as one breakdown per division."""
@@ -340,34 +341,35 @@ def compile_history(rounds: Iterable[RoundInput],
     for round_input in rounds:
         divisions = tuple((d.division, *(tuple(zip(*d.entries)) or ((), ())))
                           for d in round_input.divisions)
-        round_ids = [p for _, ids, _ in divisions for p in ids]
+        round_ids = tuple(p for _, ids, _ in divisions for p in ids)
         if len(set(round_ids)) < len(round_ids):   # name the earliest repeat
             repeated = next(p for k, p in enumerate(round_ids) if p in round_ids[:k])
             raise InputError(f"player {repeated!r} appears twice "
                              f"in round {round_input.round_id!r}")
         for number, _, values in divisions:
             _require_finite(values, "score", number)
-        new_ids = tuple(p for p in round_ids if p not in known)
-        known.update(zip(new_ids, range(len(known), len(known) + len(new_ids))))
-        shapes.append((round_input.round_id, divisions, new_ids))
+        for player_id in round_ids:   # new ids, in order of first appearance
+            known.setdefault(player_id, len(known))
+        numbers = tuple(number for number, _, _ in divisions)
+        bounds = tuple(accumulate((len(ids) for _, ids, _ in divisions), initial=0))
+        shapes.append((round_input.round_id, numbers, bounds, round_ids))
         everyone += round_ids
         scores += chain.from_iterable(values for _, _, values in divisions)
 
     # Canonical order: by division, then (-score, id).  Ids rank as Python
     # strs: a numpy ``U`` array drops trailing NULs, so "a" would tie "a\0".
     rank = {player_id: k for k, player_id in enumerate(sorted(set(everyone)))}
-    sizes = [len(ids) for _, divisions, _ in shapes for _, ids, _ in divisions]
+    sizes = [b - a for _, _, bounds, _ in shapes for a, b in zip(bounds, bounds[1:])]
     players = np.fromiter(map(known.__getitem__, everyone), np.int64, len(everyone))
     scores = np.array(scores, np.float64)
     order = np.lexsort((np.fromiter(map(rank.__getitem__, everyone), np.int64),
                         np.negative(scores), np.repeat(np.arange(len(sizes)), sizes)))
     compiled, start = [], 0
-    for round_id, divisions, new_ids in shapes:
-        bounds = tuple(accumulate((len(ids) for _, ids, _ in divisions), initial=0))
+    for round_id, numbers, bounds, round_ids in shapes:
         end = start + bounds[-1]
-        compiled.append(CompiledRound(round_id, divisions, bounds, new_ids,
-                                      players[start:end], order[start:end] - start,
-                                      scores[order[start:end]]))
+        compiled.append(CompiledRound(round_id, numbers, bounds, round_ids,
+                                      scores[start:end], players[start:end],
+                                      order[start:end] - start))
         start = end
     return CompiledHistory(registry, tuple(compiled))
 
@@ -379,11 +381,11 @@ def canonical_ranks(compiled: CompiledRound, ratings: np.ndarray):
     reader of canonical order: it gathers ``ratings`` into it once, ranks
     each division there, and scatters the rank columns back."""
     order, bounds = compiled.order, compiled.bounds
-    ranked = ratings[order]
+    ranked, scores = ratings[order], compiled.scores[order]
     ranks = np.empty((4, order.size))
-    for (number, _, _), a, b in zip(compiled.divisions, bounds, bounds[1:]):
+    for number, a, b in zip(compiled.numbers, bounds, bounds[1:]):
         _require_finite(ranked[a:b], "rating", number)
-        ranks[:, order[a:b]] = division_ranks(compiled.ranked_scores[a:b], ranked[a:b])
+        ranks[:, order[a:b]] = division_ranks(scores[a:b], ranked[a:b])
     actual, expected, mu, var = ranks
     return actual, expected, mu, var, np.log(expected / actual) * _LOG2E
 
@@ -426,8 +428,9 @@ def rate_division(division: DivisionResult, state: EngineState,
     columns.
     """
     compiled, = compile_history([RoundInput("", [division])], state).rounds
-    if compiled.new_ids:
-        raise InputError(f"no state registered for player {compiled.new_ids[0]!r}")
+    new = np.flatnonzero(compiled.players >= len(state.ids))   # past the registry
+    if new.size:
+        raise InputError(f"no state registered for player {compiled.ids[new[0]]!r}")
     return _breakdown(compiled, state, params)
 
 
@@ -441,8 +444,10 @@ def rate_compiled_round(compiled: CompiledRound, state: EngineState,
     participant's round count increments, and ``r1`` advances by
     ``inflation / 100``.
     """
-    if compiled.new_ids:
-        _register(state, compiled.new_ids)
+    # new players: numbered past the registry, in entry (first appearance) order
+    new = (compiled.players >= len(state.ids)).tolist()
+    if any(new):
+        _register(state, list(compress(compiled.ids, new)))
     breakdown = _breakdown(compiled, state, params)
     state.rating[compiled.players] += breakdown.delta_r   # a player is in one division
     state.num_rounds[compiled.players] += 1

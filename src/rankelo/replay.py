@@ -32,44 +32,33 @@ def fold(total: float, values: np.ndarray) -> float:
 
 
 def division_errors(compiled: CompiledRound, perf: np.ndarray):
-    """``(number, ids, scores, a, b, error)`` per non-empty division of
-    ``compiled``: entries ``a:b``, and ``error`` the ``fold`` of their ``|perf|``."""
+    """``(number, a, b, error)`` per non-empty division of ``compiled``:
+    entries ``a:b``, and ``error`` the ``fold`` of their ``|perf|``."""
     errors = np.abs(perf)
-    for (number, ids, scores), a, b in zip(compiled.divisions, compiled.bounds,
-                                           compiled.bounds[1:]):
+    for number, a, b in zip(compiled.numbers, compiled.bounds, compiled.bounds[1:]):
         if a != b:
-            yield number, ids, scores, a, b, fold(0.0, errors[a:b])
+            yield number, a, b, fold(0.0, errors[a:b])
 
 
 @dataclass
 class ReplayResult:
     """Final engine state, each replayed round beside its breakdown (entry
-    order; division ``k`` is entries ``bounds[k]:bounds[k + 1]``), and the
-    error and rating-change totals of every round."""
+    order; division ``k`` is entries ``bounds[k]:bounds[k + 1]``), and each
+    round's ``(round_id, error, n)``: the sum of its divisions' ``|perf|``
+    folds, and its entry count."""
 
     state: EngineState
     rounds: list[tuple[CompiledRound, PerformanceBreakdown]] = field(default_factory=list)
     round_errors: list[tuple[str, float, int]] = field(default_factory=list)
-    error_sum: float = 0.0
-    count: int = 0
-    delta_sum: float = 0.0
-    delta_sq_sum: float = 0.0
-    delta_max: float | None = None
+
+    @property
+    def count(self) -> int:
+        return sum(n for _, _, n in self.round_errors)
 
     @property
     def mean_error(self) -> float | None:
-        return self.error_sum / self.count if self.count else None
-
-    @property
-    def delta_mean(self) -> float | None:
-        return self.delta_sum / self.count if self.count else None
-
-    @property
-    def delta_std(self) -> float | None:
-        if not self.count:
-            return None
-        mean = self.delta_sum / self.count
-        return max(self.delta_sq_sum / self.count - mean * mean, 0.0) ** 0.5
+        errors = [error for _, error, _ in self.round_errors]
+        return fold(0.0, errors) / self.count if self.count else None
 
 
 def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
@@ -79,9 +68,9 @@ def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
 
     ``rounds`` is compiled here unless it already is a ``CompiledHistory``,
     which must have been compiled against ``state``'s registry.  Always
-    accumulates the mean prediction error and rating-change stats;
-    ``keep_observations`` decides only whether each round's
-    ``(compiled, breakdown)`` pair is appended to ``result.rounds``.
+    records each round's ``round_errors``; ``keep_observations`` decides
+    only whether each round's ``(compiled, breakdown)`` pair is appended to
+    ``result.rounds``.
     """
     if not isinstance(rounds, CompiledHistory):
         rounds = compile_history(rounds, state)
@@ -93,19 +82,10 @@ def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
 
     for compiled in rounds.rounds:
         breakdown = rate_compiled_round(compiled, state, params)
-        deltas = breakdown.delta_r
-        result.delta_sum = fold(result.delta_sum, deltas)
-        result.delta_sq_sum = fold(result.delta_sq_sum, deltas * deltas)
-        if deltas.size:
-            highest = float(deltas.max())
-            if result.delta_max is None or highest > result.delta_max:
-                result.delta_max = highest
         round_error = 0.0
         for *_, division_error in division_errors(compiled, breakdown.perf):
             round_error += division_error
-        result.error_sum += round_error
-        result.count += deltas.size
-        result.round_errors.append((compiled.round_id, round_error, deltas.size))
+        result.round_errors.append((compiled.round_id, round_error, compiled.bounds[-1]))
         if keep_observations:
             result.rounds.append((compiled, breakdown))
     return result
@@ -117,9 +97,8 @@ def write_replay_log(rounds: Iterable[tuple[CompiledRound, PerformanceBreakdown]
     division after another; floats use shortest round-trip repr."""
     with open_text(dest, "w") as stream:
         write_divisions(stream, REPLAY_LOG_HEADER, (
-            (compiled.round_id, number, ids, repeat(str(b - a)),
+            (compiled.round_id, number, compiled.ids[a:b], repeat(str(b - a)),
              *(map(repr, getattr(breakdown, name)[a:b].tolist())
                for name in _LOG_COLUMNS))
             for compiled, breakdown in rounds
-            for (number, ids, _), a, b in zip(compiled.divisions, compiled.bounds,
-                                              compiled.bounds[1:])))
+            for number, a, b in zip(compiled.numbers, compiled.bounds, compiled.bounds[1:])))

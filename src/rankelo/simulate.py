@@ -12,6 +12,7 @@ features are switched on.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,23 +62,36 @@ class SimResult:
     skills: dict[str, float]
 
 
+@contextmanager
+def _sized_by(name: str):
+    """Numpy refusing a size or rate from config field ``name`` (a
+    ``ValueError``, or a ``MemoryError``) as an ``InputError`` naming it."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise InputError(f"{name} is too large to simulate: {exc}") from None
+
+
 def generate_history(config: SimConfig) -> SimResult:
     """Simulate a contest history; see the module docstring for the model."""
     rng = np.random.default_rng(config.seed)
-    skills = rng.normal(config.skill_mean, config.skill_std,
-                        size=config.players)
+    with _sized_by("players"):
+        skills = rng.normal(config.skill_mean, config.skill_std,
+                            size=config.players)
 
     rounds: list[RoundInput] = []
     for t in range(config.rounds):
-        arrivals = int(rng.poisson(config.arrival_rate))
-        if arrivals:
-            skills = np.concatenate(
-                [skills, rng.normal(config.skill_mean, config.skill_std,
-                                    size=arrivals)])
+        with _sized_by("arrival_rate"):
+            arrivals = int(rng.poisson(config.arrival_rate))
+            if arrivals:
+                skills = np.concatenate(
+                    [skills, rng.normal(config.skill_mean, config.skill_std,
+                                        size=arrivals)])
         n = skills.size
-        playing = rng.random(n) < config.participation
-        noise = rng.normal(0.0, config.noise_std, size=n)
-        drift = rng.normal(0.0, config.drift_std, size=n)
+        with _sized_by("players"):
+            playing = rng.random(n) < config.participation
+            noise = rng.normal(0.0, config.noise_std, size=n)
+            drift = rng.normal(0.0, config.drift_std, size=n)
 
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
             scores = skills + noise

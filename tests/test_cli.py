@@ -8,8 +8,10 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rankelo
@@ -17,13 +19,15 @@ from rankelo import (
     EngineState,
     InputError,
     PROFILES,
+    SimConfig,
+    SweepSpec,
     load_snapshot,
     parse_rounds,
     save_snapshot,
     write_rounds,
 )
 from rankelo.replay import REPLAY_LOG_HEADER
-from rankelo.cli import _float_list, run
+from rankelo.cli import _build_parser, _float_list, run
 
 
 @pytest.fixture(scope="module")
@@ -766,6 +770,58 @@ class TestSimulateAndExport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--players", "1" + "0" * 30], "players"),   # Maximum allowed dimension
+        (["--players", "3", "--arrival-rate", "1e30"], "arrival_rate"),   # lam
+    ], ids=["players", "arrival_rate"])
+    def test_simulate_refuses_sizes_numpy_refuses(self, capsys, flags, field):
+        assert run(["simulate", "--rounds", "1"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} is too large to simulate: ")
+
+    @pytest.mark.parametrize("players,arrivals,field", [
+        (10**11, 0, "players"), (3, 10**11, "arrival_rate"),
+    ], ids=["players", "arrival_rate"])
+    def test_simulate_refuses_sizes_it_cannot_allocate(self, monkeypatch, capsys,
+                                                       players, arrivals, field):
+        class Refusing:
+            """Draws nothing larger than a million values, as if memory ran out."""
+
+            def __init__(self, seed):
+                pass
+
+            def normal(self, loc, scale, size):
+                if size > 10**6:
+                    raise MemoryError(f"Unable to allocate {size * 8 / 2**30:.0f}. GiB")
+                return np.full(size, float(loc))
+
+            def poisson(self, lam):
+                return arrivals
+
+        monkeypatch.setattr(np.random, "default_rng", Refusing)
+        assert run(["simulate", "--players", str(players), "--rounds", "1",
+                    "--arrival-rate", "1"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {field} is too large to simulate: Unable to allocate ")
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    parser = _build_parser()
+    simulate = vars(parser.parse_args(["simulate", "--players", "4", "--rounds", "2"]))
+    parsed = SimConfig(**{f.name: simulate[f.name] for f in fields(SimConfig)})
+    assert repr(parsed) == repr(SimConfig(players=4, rounds=2))   # values and types
+    for flags in (["--players", "4"], ["--rounds", "2"]):
+        with pytest.raises(InputError, match="required"):
+            parser.parse_args(["simulate", *flags])
+    sweep = parser.parse_args(["sweep"])
+    spec = SweepSpec(target="k_factor", grid=(1.0,))
+    assert ((sweep.k_min, sweep.k_max), sweep.k_step) == (spec.k_range, spec.k_step)
+    assert parser.parse_args(["rate", "--profile", "custom"]).profile == "custom"
+    for name in PROFILES:
+        assert parser.parse_args(["rate", "--profile", name]).profile == name
 
 
 @pytest.mark.parametrize("writer", ["write_rounds", "export", "eval_rounds", "compare"])

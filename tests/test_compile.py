@@ -20,6 +20,7 @@ from rankelo import (
     joint_search,
     rate_division,
     rate_round,
+    rating_stats,
     replay,
     run_sweep,
     write_rounds,
@@ -62,15 +63,16 @@ def shuffled_history(seed, rounds=12):
 def assert_same_replay(got: ReplayResult, want: ReplayResult):
     assert got.state == want.state
     assert got.state.index == want.state.index
-    for name in ("round_errors", "error_sum", "count", "delta_sum",
-                 "delta_sq_sum", "delta_max"):
+    for name in ("round_errors", "count", "mean_error"):
         assert getattr(got, name) == getattr(want, name), name
+    assert rating_stats(got) == rating_stats(want)
     assert len(got.rounds) == len(want.rounds)
     for (a, a_breakdown), (b, b_breakdown) in zip(got.rounds, want.rounds):
-        assert (a.round_id, a.divisions, a.bounds,
+        assert (a.round_id, a.numbers, a.bounds, a.ids,
                 list(division_errors(a, a_breakdown.perf))) == \
-            (b.round_id, b.divisions, b.bounds,
+            (b.round_id, b.numbers, b.bounds, b.ids,
              list(division_errors(b, b_breakdown.perf)))
+        assert a.scores.dtype == b.scores.dtype and np.array_equal(a.scores, b.scores)
         for f in fields(a_breakdown):
             x, y = getattr(a_breakdown, f.name), getattr(b_breakdown, f.name)
             assert x.dtype == y.dtype and np.array_equal(x, y), f.name
@@ -143,7 +145,8 @@ class TestCompiledReplay:
         scores = [1.0] * len(ids)
         compiled_round, = compile_history(
             [RoundInput("r", [DivisionResult(1, list(zip(ids, scores)))])]).rounds
-        assert compiled_round.new_ids == tuple(ids)   # order of first appearance
+        # a fresh registry: every id is new, numbered in order of first appearance
+        assert [compiled_round.ids[k] for k in np.argsort(compiled_round.players)] == ids
         assert compiled_round.players.tolist() == list(range(len(ids)))   # entry order
         assert [ids[k] for k in compiled_round.order] == sorted(ids)
 
@@ -152,7 +155,8 @@ class TestCompiledReplay:
         compiled_round, = compile_history(
             [RoundInput("r", [DivisionResult(7, entries)])]).rounds
         assert [entries[k][0] for k in compiled_round.order] == ["c", "a", "b", "d", "e"]
-        assert compiled_round.ranked_scores.tolist() == [5.0, 2.0, 2.0, -0.0, 0.0]
+        assert compiled_round.scores[compiled_round.order].tolist() == \
+            [5.0, 2.0, 2.0, -0.0, 0.0]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_round_breakdown_is_in_entry_order(self, seed):

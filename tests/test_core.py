@@ -460,8 +460,11 @@ class TestGetOrCreatePlayer:
         ]
         compiled = compile_history(rounds)
         # one position per distinct id, numbered in order of first appearance
-        registered = [player_id for compiled_round in compiled.rounds
-                      for player_id in compiled_round.new_ids]
+        registered = []
+        for compiled_round in compiled.rounds:   # new: numbered past the registry
+            start = len(registered)
+            registered += [player_id for player_id, i in zip(
+                compiled_round.ids, compiled_round.players.tolist()) if i >= start]
         assert registered == ["a", "b", "c"]
         entries = [[registered[i] for i in compiled_round.players]
                    for compiled_round in compiled.rounds]
@@ -472,7 +475,7 @@ class TestGetOrCreatePlayer:
         # a player first seen in round two starts at that round's r1
         compiled_round, breakdown = result.rounds[1]
         a, b = compiled_round.bounds[:2]
-        assert compiled_round.divisions[0][1] == ("b", "c")
+        assert compiled_round.ids[a:b] == ("b", "c")
         assert breakdown.nr[a:b].tolist() == [2, 1]
         assert breakdown.rating_before[a:b][1] == \
             ELO2.initial_rating + ELO2.inflation / 100.0

@@ -59,9 +59,7 @@ def pre_round_timeline(result):
     """``(round_id, player_id) -> rating_before`` of every kept round."""
     return {(compiled.round_id, player_id): rating
             for compiled, breakdown in result.rounds
-            for player_id, rating in zip(
-                (p for _, ids, _ in compiled.divisions for p in ids),
-                breakdown.rating_before.tolist())}
+            for player_id, rating in zip(compiled.ids, breakdown.rating_before.tolist())}
 
 
 def prediction_error(expected_rank, actual_rank):
@@ -501,8 +499,8 @@ class TestAggregateError:
             acc[3] += abs(perf)
 
         for compiled, b in result.rounds:
-            for (division, _, _), start, end in zip(compiled.divisions, compiled.bounds,
-                                                    compiled.bounds[1:]):
+            for division, start, end in zip(compiled.numbers, compiled.bounds,
+                                            compiled.bounds[1:]):
                 n = end - start
                 for nr, delta, perf, actual in zip(
                         b.nr[start:end].tolist(), b.delta_r[start:end].tolist(),
@@ -558,8 +556,7 @@ class TestReplayRetention:
         assert (tmp_path / "kept.snap").read_bytes() == \
             (tmp_path / "lean.snap").read_bytes()
         assert kept.state == lean.state
-        for name in ("mean_error", "delta_mean", "delta_std", "delta_max",
-                     "round_errors", "count"):
+        for name in ("mean_error", "round_errors", "count"):
             assert getattr(kept, name) == getattr(lean, name), name
         assert lean.rounds == []
         assert len(kept.rounds) == len(rounds)   # one record per round
@@ -762,6 +759,42 @@ class TestRatingStats:
         assert stats.rating_max == ratings[-1]
         assert stats.rating_median == pytest.approx(
             float(np.median(ratings)), abs=1e-12)
+
+    def test_derived_statistics_are_sequential_folds(self):
+        # each sum adds one value at a time in replay order: |perf| per
+        # division, those per round, those over rounds; delta_r per entry
+        rounds = small_history(n_rounds=10)
+        assert sum(len(d.entries) - len({score for _, score in d.entries})
+                   for r in rounds for d in r.divisions) > 20   # ties throughout
+        result = replay(rounds, ELO2)
+        stats = rating_stats(result)
+        error, count, total, squares, highest = 0.0, 0, 0.0, 0.0, None
+        for compiled, breakdown in result.rounds:
+            round_error = 0.0
+            for a, b in zip(compiled.bounds, compiled.bounds[1:]):
+                division_error = 0.0
+                for perf in breakdown.perf[a:b].tolist():
+                    division_error += abs(perf)
+                round_error += division_error
+            error += round_error
+            for delta in breakdown.delta_r.tolist():
+                count += 1
+                total += delta
+                squares += delta * delta
+                if highest is None or delta > highest:
+                    highest = delta
+        mean = total / count
+        assert stats.count == result.count == count
+        assert stats.mean_error == result.mean_error == error / count
+        assert stats.delta_mean == mean
+        assert stats.delta_std == max(squares / count - mean * mean, 0.0) ** 0.5
+        assert stats.delta_max == highest
+
+    def test_lean_replay_refused(self):
+        lean = replay(small_history(), ELO, keep_observations=False)
+        assert lean.mean_error is not None
+        with pytest.raises(InputError, match="keep_observations=False"):
+            rating_stats(lean)
 
     def test_report_row_lookup(self):
         report = BucketedReport(rows=(BucketRow("All", 1, 0.0, 0.0, 0.7),))
