@@ -341,14 +341,11 @@ class BucketedReport:
 
 def _bucket_masks(values: np.ndarray, buckets):
     """``(label, mask)`` per bucket ``(label, lo, hi)``: ``lo <= value <= hi``,
-    with no upper bound when ``hi`` is None.  A value that fits several
-    buckets counts in the first."""
-    free = np.ones(values.size, dtype=bool)
+    with no upper bound when ``hi`` is None."""
     for label, lo, hi in buckets:
-        mask = free & (values >= lo)
+        mask = values >= lo
         if hi is not None:
             mask &= values <= hi
-        free &= ~mask
         yield label, mask
 
 
@@ -361,8 +358,8 @@ def _division_positions(numbers: Sequence[int]) -> tuple[list[int], np.ndarray]:
     return distinct, np.array([index[number] for number in numbers], dtype=np.int64)
 
 
-def aggregate_error(rounds: Iterable[tuple[CompiledRound, PerformanceBreakdown]],
-                    experience_buckets=EXPERIENCE_BUCKETS) -> BucketedReport:
+def aggregate_error(
+        rounds: Iterable[tuple[CompiledRound, PerformanceBreakdown]]) -> BucketedReport:
     """Bucketed means over a stream of ``(compiled, breakdown)`` rounds, as
     ``ReplayResult.rounds`` keeps them.
 
@@ -390,7 +387,7 @@ def aggregate_error(rounds: Iterable[tuple[CompiledRound, PerformanceBreakdown]]
     position = np.repeat(position, sizes)
 
     masks = [("All", np.ones(nr.size, dtype=bool)),
-             *_bucket_masks(nr, experience_buckets), ("Existing", seasoned)]
+             *_bucket_masks(nr, EXPERIENCE_BUCKETS), ("Existing", seasoned)]
     for k, number in enumerate(numbers):
         division = seasoned & (position == k)
         masks += [(f"Division {number}", division), (f"D{number} H1", division & top),
@@ -514,6 +511,7 @@ def rating_stats(result: ReplayResult) -> RatingStats:
                    if count else None),
         delta_max=float(deltas.max()) if count else None,
         initial_rating=result.state.r1 if count or ratings.size else None,
-        rating_median=float(np.median(ratings)) if ratings.size else None,
+        # halved first: the mean of two near-max middle ratings cannot overflow
+        rating_median=float(np.median(ratings * 0.5) * 2) if ratings.size else None,
         rating_max=float(ratings.max()) if ratings.size else None,
     )

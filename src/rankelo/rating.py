@@ -20,8 +20,8 @@ every division of the round has been computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain, compress
+from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate, chain, compress, count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +46,13 @@ MAX_LOGIT = 36.0
 # scratch arrays stay resident in a core's L2 cache whatever n is.  Each
 # row is still reduced on its own, so the block size never changes a bit.
 _BLOCK_BYTES = 512 * 1024
+
+# The most that |initial_rating|, inflation, bonus, perf_cap and
+# k_factor * perf_cap may be: far above any rating scale, far below the
+# float range.  Within it, r1 after 2**53 rounds (below 1e114), every
+# rating (r1 plus at most 2**53 changes, each |delta_r| < k_factor *
+# perf_cap), every delta_r**2 (below 1e200) and their folds stay finite.
+PARAM_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,12 @@ class RatingParams:
         # bounds every |delta_r| (|adjusted_perf| < perf_cap, divisors >= 1)
         if not math.isfinite(self.k_factor * self.perf_cap):
             raise InputError("k_factor * perf_cap must be finite")
+        for name, value in (("initial_rating", abs(self.initial_rating)),
+                            ("inflation", self.inflation), ("bonus", self.bonus),
+                            ("perf_cap", self.perf_cap),
+                            ("k_factor * perf_cap", self.k_factor * self.perf_cap)):
+            if value > PARAM_LIMIT:
+                raise InputError(f"{name} must be at most {PARAM_LIMIT:g} in magnitude")
 
 
 PROFILES: dict[str, RatingParams] = {
@@ -306,7 +319,7 @@ class CompiledRound:
     bounds: tuple[int, ...]
     ids: tuple[str, ...]        # player id of each entry
     scores: np.ndarray          # score of each entry
-    players: np.ndarray         # registry index of each entry
+    players: np.ndarray         # registry index of each entry, once bound
     order: np.ndarray           # entry positions, in canonical order
 
     def split(self, breakdown: PerformanceBreakdown) -> list[PerformanceBreakdown]:
@@ -318,25 +331,22 @@ class CompiledRound:
 
 @dataclass(frozen=True, eq=False)
 class CompiledHistory:
-    """Rounds ready to replay under any ``RatingParams``, from the registry
-    whose ids were ``registry`` when they were compiled."""
+    """Rounds to replay under any ``RatingParams`` from any state; until ``bind``,
+    each round's ``players`` column indexes ``players``, ids by first appearance."""
 
-    registry: list[str]
+    players: tuple[str, ...]
     rounds: tuple[CompiledRound, ...]
 
 
-def compile_history(rounds: Iterable[RoundInput],
-                    state: EngineState | None = None) -> CompiledHistory:
-    """Every step of replaying ``rounds`` that no ``RatingParams`` affects.
+def compile_history(rounds: Iterable[RoundInput]) -> CompiledHistory:
+    """Every step of replaying ``rounds`` that no parameter or state affects.
 
-    Each entry gets its player's index in ``state``'s registry (an empty
-    one for None), new ids numbered in order of first appearance; each
+    Each entry gets its player's number in order of first appearance; each
     round is checked for a repeated player and non-finite scores, so a bad
     round raises before any round is rated; and one ``lexsort`` over the
-    history gives every division's canonical order.  ``state`` is unchanged.
+    history gives every division's canonical order.
     """
-    registry = [] if state is None else list(state.ids)
-    known = {} if state is None else dict(state.index)   # id -> registry index
+    known = {}   # id -> number, in order of first appearance
     shapes, everyone, scores = [], [], []
     for round_input in rounds:
         divisions = tuple((d.division, *(tuple(zip(*d.entries)) or ((), ())))
@@ -348,7 +358,7 @@ def compile_history(rounds: Iterable[RoundInput],
                              f"in round {round_input.round_id!r}")
         for number, _, values in divisions:
             _require_finite(values, "score", number)
-        for player_id in round_ids:   # new ids, in order of first appearance
+        for player_id in round_ids:
             known.setdefault(player_id, len(known))
         numbers = tuple(number for number, _, _ in divisions)
         bounds = tuple(accumulate((len(ids) for _, ids, _ in divisions), initial=0))
@@ -358,7 +368,7 @@ def compile_history(rounds: Iterable[RoundInput],
 
     # Canonical order: by division, then (-score, id).  Ids rank as Python
     # strs: a numpy ``U`` array drops trailing NULs, so "a" would tie "a\0".
-    rank = {player_id: k for k, player_id in enumerate(sorted(set(everyone)))}
+    rank = {player_id: k for k, player_id in enumerate(sorted(known))}
     sizes = [b - a for _, _, bounds, _ in shapes for a, b in zip(bounds, bounds[1:])]
     players = np.fromiter(map(known.__getitem__, everyone), np.int64, len(everyone))
     scores = np.array(scores, np.float64)
@@ -371,7 +381,19 @@ def compile_history(rounds: Iterable[RoundInput],
                                       scores[start:end], players[start:end],
                                       order[start:end] - start))
         start = end
-    return CompiledHistory(registry, tuple(compiled))
+    return CompiledHistory(tuple(known), tuple(compiled))
+
+
+def bind(history: CompiledHistory, state: EngineState) -> tuple[CompiledRound, ...]:
+    """``history.rounds`` with ``players`` renumbered in ``state``'s registry, new
+    ids past it in order of first appearance (the rounds as is for an empty one)."""
+    if not state.ids:
+        return history.rounds
+    new = count(len(state.ids))
+    index = np.fromiter((state.index[p] if p in state.index else next(new)
+                         for p in history.players), np.int64, len(history.players))
+    return tuple(replace(compiled, players=index[compiled.players])
+                 for compiled in history.rounds)
 
 
 def canonical_ranks(compiled: CompiledRound, ratings: np.ndarray):
@@ -427,7 +449,7 @@ def rate_division(division: DivisionResult, state: EngineState,
     is aligned with ``division.entries``; an empty division gives empty
     columns.
     """
-    compiled, = compile_history([RoundInput("", [division])], state).rounds
+    compiled, = bind(compile_history([RoundInput("", [division])]), state)
     new = np.flatnonzero(compiled.players >= len(state.ids))   # past the registry
     if new.size:
         raise InputError(f"no state registered for player {compiled.ids[new[0]]!r}")
@@ -461,10 +483,10 @@ def rate_compiled_round(compiled: CompiledRound, state: EngineState,
 
 def rate_round(round_input: RoundInput, state: EngineState,
                params: RatingParams) -> list[PerformanceBreakdown]:
-    """Rate one round and apply it to the engine state: compile it against
-    ``state`` and run ``rate_compiled_round``, the step ``replay`` runs for
+    """Rate one round and apply it to the engine state: compile it, bind it
+    to ``state`` and run ``rate_compiled_round``, the step ``replay`` runs for
     every round (``r1`` advances once per round, not per division).
     Returns one breakdown per division of ``round_input``.
     """
-    compiled, = compile_history([round_input], state).rounds
+    compiled, = bind(compile_history([round_input]), state)
     return compiled.split(rate_compiled_round(compiled, state, params))

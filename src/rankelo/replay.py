@@ -8,7 +8,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InputError
 from .rating import (
     CompiledHistory,
     CompiledRound,
@@ -16,6 +15,7 @@ from .rating import (
     PerformanceBreakdown,
     RatingParams,
     RoundInput,
+    bind,
     compile_history,
     rate_compiled_round,
 )
@@ -67,20 +67,17 @@ def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
     """Rate every round in order, starting from ``state`` or a fresh engine.
 
     ``rounds`` is compiled here unless it already is a ``CompiledHistory``,
-    which must have been compiled against ``state``'s registry.  Always
-    records each round's ``round_errors``; ``keep_observations`` decides
-    only whether each round's ``(compiled, breakdown)`` pair is appended to
-    ``result.rounds``.
+    and is bound to ``state``'s registry.  Always records each round's
+    ``round_errors``; ``keep_observations`` decides only whether each
+    round's ``(compiled, breakdown)`` pair is appended to ``result.rounds``.
     """
     if not isinstance(rounds, CompiledHistory):
-        rounds = compile_history(rounds, state)
+        rounds = compile_history(rounds)
     if state is None:
         state = EngineState.fresh(params)
-    if state.ids != rounds.registry:
-        raise InputError("the history was compiled against another player registry")
     result = ReplayResult(state=state)
 
-    for compiled in rounds.rounds:
+    for compiled in bind(rounds, state):
         breakdown = rate_compiled_round(compiled, state, params)
         round_error = 0.0
         for *_, division_error in division_errors(compiled, breakdown.perf):

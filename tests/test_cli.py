@@ -149,6 +149,38 @@ class TestExitCodes:
         assert caught == []
         assert "k_factor * perf_cap must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,field", [
+        (["rate", "--param", "initial_rating=1.7e308", "--param", "inflation=1e308"],
+         "initial_rating"),
+        (["eval", "--report", "stats", "--param", "k_factor=1e300"],
+         "k_factor * perf_cap"),
+        (["rate", "--param", "perf_cap=1e300", "--param", "bonus=1e308",
+          "--param", "k_factor=1e-300"], "bonus"),
+    ], ids=["new_player_rating", "delta_squared", "adjusted_perf"])
+    def test_parameters_that_would_overflow_are_refused(self, history_file, tmp_path,
+                                                        capsys, argv, field):
+        snap = tmp_path / "out.snap"
+        extra = ["--snapshot-out", str(snap)] if argv[0] == "rate" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([*argv, *extra, "--input", str(history_file)])
+        assert code == 1 and caught == []
+        assert capsys.readouterr().err == \
+            f"error: {field} must be at most 1e+100 in magnitude\n"
+        assert not snap.exists()
+
+    def test_median_of_near_max_ratings_is_finite(self, history_file, tmp_path, capsys):
+        snap = tmp_path / "near_max.snap"
+        ratings = [1.7e308, 1.6e308] * 20   # the middle ratings of the final state,
+        # and the sum of any two of them overflows
+        save_snapshot(EngineState(ids=[f"x{k}" for k in range(40)], rating=ratings,
+                                  num_rounds=[1] * 40), snap)
+        assert run(["eval", "--report", "stats", "--input", str(history_file),
+                    "--snapshot-in", str(snap)]) == 0
+        stats = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert 1.6e308 <= float(stats["rating_median"]) <= 1.7e308
+        assert float(stats["rating_max"]) == 1.7e308
+
     @pytest.mark.parametrize("old,new,message", [
         (b"p000001", b"p00000\xff", "not valid UTF-8"),
         (b"RSNP\x02" + struct.pack("<Q", 0), b"RSNP\x02" + struct.pack("<Q", 2 ** 64 - 1),

@@ -1,12 +1,15 @@
 """Compiled histories: compile once, replay many times, with the same bits."""
 
+import copy
 import math
 import random
 import sys
 from dataclasses import fields
+from itertools import count
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankelo import (
     DivisionResult,
@@ -26,7 +29,7 @@ from rankelo import (
     write_rounds,
 )
 from rankelo.cli import run
-from rankelo.rating import rate_compiled_round
+from rankelo.rating import bind, rate_compiled_round
 from rankelo.replay import ReplayResult, compile_history, division_errors
 from rankelo.store import write_csv
 
@@ -76,6 +79,16 @@ def assert_same_replay(got: ReplayResult, want: ReplayResult):
         for f in fields(a_breakdown):
             x, y = getattr(a_breakdown, f.name), getattr(b_breakdown, f.name)
             assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+
+
+def assert_bitwise_replay(got: ReplayResult, want: ReplayResult):
+    """Equal states, round errors and, byte for byte, breakdown columns."""
+    assert got.state == want.state
+    assert got.round_errors == want.round_errors
+    assert len(got.rounds) == len(want.rounds)
+    for (_, a), (_, b) in zip(got.rounds, want.rounds):
+        for f in fields(a):
+            assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
 
 
 class TestCompiledReplay:
@@ -130,14 +143,57 @@ class TestCompiledReplay:
             rate_round(round_input, state, ELO2)
         assert state == replay(rounds, ELO2).state
 
-    def test_resume_compiles_against_the_snapshot_registry(self):
+    def test_resume_binds_to_the_snapshot_registry(self):
         rounds = shuffled_history(6)
         head = replay(rounds[:5], ELO2).state
-        compiled = compile_history(rounds[5:], head)
-        assert compiled.registry == head.ids
-        assert compiled.registry is not head.ids
+        compiled = compile_history(rounds[5:])
+        # known ids at their registry index, new ids past it by first appearance
+        new = [p for p in compiled.players if p not in head.index]
+        number = {**head.index, **dict(zip(new, count(len(head.ids))))}
+        assert new and len(new) < len(compiled.players)   # both kinds
+        for compiled_round in bind(compiled, head):
+            assert compiled_round.players.tolist() == \
+                [number[p] for p in compiled_round.ids]
         resumed = replay(compiled, ELO2, head, keep_observations=False).state
         assert resumed == replay(rounds, ELO2).state
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_a_split_replay_from_the_head_state_is_the_whole_replay(self, data):
+        # ids shared across rounds, new ids, NUL and non-ASCII ids; tied scores
+        pool = ODD_IDS + [f"p{k}" for k in range(6)]
+        rounds = []
+        for r in range(data.draw(st.integers(1, 6), label="rounds")):
+            ids = data.draw(st.lists(st.sampled_from(pool), max_size=9, unique=True))
+            cut = data.draw(st.integers(0, len(ids)))
+            scores = data.draw(st.lists(st.integers(0, 3).map(float),
+                                        min_size=len(ids), max_size=len(ids)))
+            entries = list(zip(ids, scores))
+            rounds.append(RoundInput(f"r{r}", [DivisionResult(1, entries[:cut]),
+                                               DivisionResult(2, entries[cut:])]))
+        k = data.draw(st.integers(0, len(rounds)), label="k")
+        params = data.draw(st.sampled_from([ELO, ELO2]), label="params")
+        whole = replay(rounds, params)
+        head = replay(rounds[:k], params).state
+        tail = compile_history(rounds[k:])
+        assert bind(tail, EngineState.fresh(params)) is tail.rounds
+        got = replay(tail, params, head)
+        assert_bitwise_replay(got, ReplayResult(whole.state, whole.rounds[k:],
+                                                whole.round_errors[k:]))
+
+    def test_one_compiled_history_replays_from_any_state(self):
+        rounds = [RoundInput("r0", [DivisionResult(1, [("a", 2.0), ("b", 1.0)])]),
+                  RoundInput("r1", [DivisionResult(1, [("c", 2.0), ("a", 1.0)])])]
+        compiled = compile_history(rounds)
+        growing = EngineState(ids=["b", "z"], rating=[1300.0, 1700.0],
+                              num_rounds=[2, 5], r1=1250.0)
+        for state in (EngineState.fresh(ELO2),
+                      EngineState(ids=["z"], rating=[1500.0], num_rounds=[1]),
+                      EngineState(ids=["z", "a"], rating=[1500.0, 1400.0],
+                                  num_rounds=[1, 3]),
+                      growing, growing):   # the second run finds a, b and c known
+            want = replay(rounds, ELO2, copy.deepcopy(state))
+            assert_bitwise_replay(replay(compiled, ELO2, state), want)
 
     @pytest.mark.parametrize("ids", [list(reversed(ODD_IDS)), ["a\0", "a"]],
                              ids=["odd", "trailing_nul"])
@@ -166,7 +222,7 @@ class TestCompiledReplay:
         for played, round_input in enumerate(rounds):
             state = replay(rounds[:played], ELO2).state
             other = replay(rounds[:played], ELO2).state
-            compiled, = compile_history([round_input], state).rounds
+            compiled, = bind(compile_history([round_input]), state)
             got = rate_compiled_round(compiled, state, ELO2)
             want = rate_round(round_input, other, ELO2)
             assert len(want) == len(round_input.divisions) > 1
@@ -249,19 +305,6 @@ class TestRefusals:
     def rounds(self):
         return [RoundInput("r0", [DivisionResult(1, [("a", 2.0), ("b", 1.0)])]),
                 RoundInput("r1", [DivisionResult(1, [("c", 2.0), ("a", 1.0)])])]
-
-    def test_foreign_registry_refused(self):
-        compiled = compile_history(self.rounds())
-        other = EngineState(ids=["z"], rating=[1500.0], num_rounds=[1])
-        with pytest.raises(InputError, match="compiled against another player registry"):
-            replay(compiled, ELO, other)
-        state = EngineState(ids=["a"], rating=[1500.0], num_rounds=[1])
-        against_state = compile_history(self.rounds(), state)
-        with pytest.raises(InputError, match="compiled against another player registry"):
-            replay(against_state, ELO)   # a fresh registry is another one
-        replay(against_state, ELO, state)
-        with pytest.raises(InputError, match="compiled against another player registry"):
-            replay(against_state, ELO, state)   # the registry has grown since
 
     @pytest.mark.parametrize("entries,message", [
         ([("a", 1.0), ("a", 2.0)], "player 'a' appears twice in round 'r2'"),

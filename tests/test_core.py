@@ -1,7 +1,7 @@
 """Unit tests for the rating kernel: every documented example plus edges."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +22,7 @@ from rankelo import (
     get_or_create_player,
     rate_division,
     rate_round,
+    rating_stats,
     replay,
 )
 from rankelo.replay import compile_history
@@ -420,10 +421,30 @@ class TestParamsAndProfiles:
         dict(weight_exponent=1.5), dict(weight_exponent=-0.1),
         dict(k_factor=math.inf), dict(initial_rating=math.nan),
         dict(k_factor=1.7e308),
+        dict(initial_rating=1.7e308), dict(initial_rating=-1.1e100),
+        dict(inflation=1e308), dict(bonus=1e308), dict(k_factor=1e300),
+        dict(perf_cap=1e300, k_factor=1e-300),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(InputError):
             RatingParams(**kwargs)
+
+    def test_params_at_the_limit_keep_every_value_finite(self):
+        params = RatingParams(k_factor=1e100 / 8, perf_cap=8.0, initial_rating=-1e100,
+                              inflation=1e100, bonus=1e100)
+        ids = [f"p{k}" for k in range(6)]
+        state = EngineState(ids=ids, rating=[-1e100, 1e100, 0.0, 1e100, -1e100, 5.0],
+                            num_rounds=[0, 3, 1, 7, 2, 0],
+                            rounds_processed=2 ** 53 - 3)
+        rounds = [RoundInput(f"r{n}", [DivisionResult(1, [(p, float((k * n) % 3))
+                                                           for k, p in enumerate(ids)]),
+                                       DivisionResult(2, [(f"new{n}", 1.0)])])
+                  for n in range(3)]
+        result = replay(rounds, params, state)
+        assert result.state.rounds_processed == 2 ** 53
+        assert math.isfinite(result.state.r1) and np.isfinite(result.state.rating).all()
+        assert all(value is None or math.isfinite(value)
+                   for value in astuple(rating_stats(result)))
 
 
 class TestGetOrCreatePlayer:

@@ -484,10 +484,8 @@ class TestAggregateError:
         assert report.row("D1 H2").count == 2
 
     def test_every_bucket_sums_in_replay_order(self):
-        # overlapping custom buckets: an entry lands in the first that matches
-        buckets = (("Early", 1, 3), ("Overlap", 2, 5), ("Late", 4, None))
         result = replay(small_history(n_rounds=10), ELO2)
-        report = aggregate_error(result.rounds, experience_buckets=buckets)
+        report = aggregate_error(result.rounds)
 
         sums: dict[str, list] = {}
 
@@ -506,7 +504,7 @@ class TestAggregateError:
                         b.nr[start:end].tolist(), b.delta_r[start:end].tolist(),
                         b.perf[start:end].tolist(), b.actual_rank[start:end].tolist()):
                     add("All", delta, perf)
-                    label = next(label for label, lo, hi in buckets
+                    label = next(label for label, lo, hi in EXPERIENCE_BUCKETS
                                  if nr >= lo and (hi is None or nr <= hi))
                     add(label, delta, perf)
                     if nr < 2:
