@@ -47,11 +47,12 @@ MAX_LOGIT = 36.0
 # row is still reduced on its own, so the block size never changes a bit.
 _BLOCK_BYTES = 512 * 1024
 
-# The most that |initial_rating|, inflation, bonus, perf_cap and
-# k_factor * perf_cap may be: far above any rating scale, far below the
-# float range.  Within it, r1 after 2**53 rounds (below 1e114), every
-# rating (r1 plus at most 2**53 changes, each |delta_r| < k_factor *
-# perf_cap), every delta_r**2 (below 1e200) and their folds stay finite.
+# The most that |initial_rating|, inflation, bonus, perf_cap,
+# variance_weight and k_factor * perf_cap may be: far above any rating
+# scale, far below the float range.  Within it, r1 after 2**53 rounds
+# (below 1e114), every rating (r1 plus at most 2**53 changes, each
+# |delta_r| < k_factor * perf_cap), every delta_r**2 (below 1e200),
+# every variance_factor * weight (below 1e116) and their folds stay finite.
 PARAM_LIMIT = 1e100
 
 
@@ -93,6 +94,7 @@ class RatingParams:
         for name, value in (("initial_rating", abs(self.initial_rating)),
                             ("inflation", self.inflation), ("bonus", self.bonus),
                             ("perf_cap", self.perf_cap),
+                            ("variance_weight", self.variance_weight),
                             ("k_factor * perf_cap", self.k_factor * self.perf_cap)):
             if value > PARAM_LIMIT:
                 raise InputError(f"{name} must be at most {PARAM_LIMIT:g} in magnitude")
@@ -258,13 +260,18 @@ def division_ranks(scores: np.ndarray, ratings: np.ndarray):
 
     One ``exp`` per entry gives every ``P(j beats i) = x[j] / (x[i] + x[j])``,
     ``x = exp(ELO_SCALE * r)``; a rating spread past the ``MAX_LOGIT`` clip
-    (~6,254 points) takes the clipped ``_win_matrix`` instead.  The pairwise
-    sums run over row blocks of ``_BLOCK_BYTES`` (512 KiB) per scratch array,
-    or one row when a row is larger, so working memory is two such blocks
-    plus a few length-n arrays (about 1.3 MiB at n = 4,000), not O(n^2).
+    (~6,254 points) takes the clipped ``_win_matrix`` instead.  Equal ratings
+    (every debut division) need no pairwise pass: every ``w`` is exactly 0.5
+    and every sum exact, so ``expected = mu = 1 + (n - 1) / 2`` and
+    ``var = 1 + (n - 1) / 4`` to the bit.  The pairwise sums run over row
+    blocks of ``_BLOCK_BYTES`` (512 KiB) per scratch array, or one row when
+    a row is larger, so working memory is two such blocks plus a few
+    length-n arrays (about 1.3 MiB at n = 4,000), not O(n^2).
     """
     scores = np.ascontiguousarray(scores, dtype=np.float64)
     ratings = np.ascontiguousarray(ratings, dtype=np.float64)
+    if scores.shape != ratings.shape:
+        raise InputError("division_ranks needs one rating per score")
     n = scores.size
     ordered = np.sort(scores)
     at_most = np.searchsorted(ordered, scores, side="right")   # self included
@@ -272,6 +279,11 @@ def division_ranks(scores: np.ndarray, ratings: np.ndarray):
     lo, hi = (ratings.min(), ratings.max()) if n else (0.0, 0.0)
     with np.errstate(over="ignore"):   # a spread past the float range: inf
         separable = (hi - lo) * ELO_SCALE <= MAX_LOGIT
+    actual = 1.0 + (n - at_most) + 0.5 * ties
+    if separable and hi == lo:   # every w is exactly 0.5, so every sum is exact
+        mu = np.full(n, 1.0 + 0.5 * (n - 1))   # tied pairs count 0.5 too: expected = mu
+        var = np.full(n, 1.0 + 0.25 * (n - 1))
+        return actual, mu.copy(), mu, var
     if separable:   # centred: every exponent is within +-MAX_LOGIT / 2
         x = np.exp(ELO_SCALE * (ratings - (lo + 0.5 * (hi - lo))))
     has_ties = ties.any()
@@ -298,7 +310,6 @@ def division_ranks(scores: np.ndarray, ratings: np.ndarray):
             expected[rows] = 1.0 + w.sum(axis=1) + 0.5 * ties[rows]
     mu += 1.0
     var += 1.0
-    actual = 1.0 + (n - at_most) + 0.5 * ties
     return actual, expected if has_ties else mu.copy(), mu, var   # tie-free: expected = mu
 
 

@@ -156,7 +156,11 @@ class TestExitCodes:
          "k_factor * perf_cap"),
         (["rate", "--param", "perf_cap=1e300", "--param", "bonus=1e308",
           "--param", "k_factor=1e-300"], "bonus"),
-    ], ids=["new_player_rating", "delta_squared", "adjusted_perf"])
+        (["rate", "--param", "variance_weight=1e308"], "variance_weight"),
+        (["eval", "--report", "stats", "--param", "variance_weight=1e308"],
+         "variance_weight"),
+    ], ids=["new_player_rating", "delta_squared", "adjusted_perf",
+            "variance_factor_times_weight", "variance_factor_times_weight_eval"])
     def test_parameters_that_would_overflow_are_refused(self, history_file, tmp_path,
                                                         capsys, argv, field):
         snap = tmp_path / "out.snap"

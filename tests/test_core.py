@@ -148,6 +148,14 @@ class TestRankAndExpectedRank:
         with pytest.raises(InputError):
             division_metrics("r1", 1, [1.0, 2.0], [1200.0], ["a", "b"])
 
+    @pytest.mark.parametrize("scores,ratings", [
+        ([3.0, 2.0, 1.0], [1200.0]), ([2.0, 1.0], [1200.0] * 3),
+        ([[2.0, 1.0]], [1200.0, 1200.0]),
+    ])
+    def test_misaligned_division_refused(self, scores, ratings):
+        with pytest.raises(InputError, match="one rating per score"):
+            division_ranks(scores, ratings)
+
 
 class TestRelativePerformance:
     def test_examples(self):
@@ -424,6 +432,7 @@ class TestParamsAndProfiles:
         dict(initial_rating=1.7e308), dict(initial_rating=-1.1e100),
         dict(inflation=1e308), dict(bonus=1e308), dict(k_factor=1e300),
         dict(perf_cap=1e300, k_factor=1e-300),
+        dict(variance_weight=1e308), dict(variance_weight=1.1e100),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(InputError):

@@ -4,8 +4,10 @@ Every digest in ``FROZEN`` was frozen from the output of the commit before
 the engine state became columnar, every digest in ``LONG_FROZEN`` from
 the commit before the reports became masked folds, every digest in
 ``LOG_FROZEN`` from the commit before canonical order became private to
-the rank pass, and every digest in ``LARGE_FROZEN`` from commit
-``810aa43``, before the correlations became one pass per history.  A
+the rank pass, and ``LARGE_FROZEN``'s ``simulate`` and ``eval_rounds`` from
+commit ``810aa43``, before the correlations became one pass per history,
+and its ``rate``, ``rate_summary`` and ``sweep`` from commit ``b14ef0e``,
+before divisions of equal ratings skipped the pairwise pass.  A
 refactor that keeps the maths must keep every one of them; a change that
 moves output bits on purpose updates the digest here and declares the
 change.  Snapshot bytes are not pinned: their layout is versioned
@@ -115,17 +117,23 @@ LOG_FROZEN = {
 
 
 # Three rounds of two tie-free divisions of 1,075 to 1,086 players: each
-# division's discordant-pair count runs through 11 merge levels.
+# division's discordant-pair count runs through 11 merge levels, and round
+# 1's two divisions are debut divisions, every rating in them equal.
 LARGE_COMMANDS = (
     ("simulate", ["simulate", "--players", "2400", "--rounds", "3",
                   "--participation", "0.9", "--div1-fraction", "0.5",
                   "--seed", "7"]),
     ("eval_rounds", dict(COMMANDS)["eval_rounds"]),
+    ("rate", dict(COMMANDS)["rate"]),
+    ("sweep", dict(COMMANDS)["sweep"]),
 )
 
 LARGE_FROZEN = {
     "simulate": "d545b8d8ed602a7d5bf755526d13d95764161cd0fd2d95b605f982cf8a1c9043",
     "eval_rounds": "a4bd31cd0ca3af5fcf48fd5d80b3c9dc3b5e6fff406dd1be67be3eeb95990537",
+    "rate": "dd6201a3cc94b50825e0b2bbc6f1f8f3ddcbcb006a553a5ba235b601defa1ade",
+    "rate_summary": "48e31360a37bf26149f5f6d79a5d10b29b7c994893dc19aefc1d2786261e5287",
+    "sweep": "30fa256c8093a14dfda1836b40d2d8cc338ba2d0c3879297e7517e9a079372ff",
 }
 
 

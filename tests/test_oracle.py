@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rankelo.rating as rating
 from rankelo import (
@@ -212,3 +213,94 @@ def test_only_a_spread_past_the_clip_takes_the_clipped_curve(monkeypatch, margin
                    for j in range(3) if j != i)
         assert mu[i] - 1.0 == pytest.approx(want, abs=1e-12)
     assert calls == ([3] if clipped else [])
+
+
+def pairwise_equal_ratings(scores):
+    """``division_ranks``'s pairwise sums at equal ratings, computed as the
+    pairwise pass computes them: row sums of an n x n matrix of w = 0.5
+    (w * (1 - w) = 0.25 for ``var``) with a zero diagonal, plus 1; for
+    ``expected``, tied pairs zeroed before the row sum and 0.5 per tie added."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.size
+    w = np.full((n, n), 0.5)
+    np.fill_diagonal(w, 0.0)
+    mu = np.add.reduce(w, axis=1) + 1.0
+    var = np.add.reduce((1.0 - w) * w, axis=1) + 1.0
+    tied = scores[:, None] == scores
+    ties = tied.sum(axis=1) - 1
+    above = (scores[None, :] > scores[:, None]).sum(axis=1)
+    expected = 1.0 + np.add.reduce(np.where(tied, 0.0, w), axis=1) + 0.5 * ties
+    return 1.0 + above + 0.5 * ties, expected, mu, var
+
+
+def assert_same_bits(got, want):
+    for got_column, want_column in zip(got, want, strict=True):
+        assert got_column.dtype == np.float64
+        assert got_column.tobytes() == want_column.tobytes()
+
+
+@st.composite
+def equal_rating_divisions(draw, max_n=60):
+    """Scores on a grid from tie-free to all-tied, and one shared finite
+    rating; a zero rating gets a random sign per entry."""
+    n = draw(st.integers(0, max_n))
+    grid = draw(st.sampled_from([None, 1, 3, 20]))   # None: tie-free floats
+    if grid is None:
+        scores = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n,
+                               unique=True))
+    else:
+        scores = draw(st.lists(st.integers(0, grid - 1).map(float),
+                               min_size=n, max_size=n))
+    rating_value = draw(st.one_of(
+        st.sampled_from([-5.5, 0.0, 7e-300, 1200.0, 1e99]),
+        st.floats(allow_nan=False, allow_infinity=False)))
+    ratings = np.full(n, rating_value)
+    if rating_value == 0.0:
+        ratings = np.copysign(ratings, draw(st.lists(st.sampled_from([1.0, -1.0]),
+                                                     min_size=n, max_size=n)))
+    return np.array(scores, dtype=np.float64), ratings
+
+
+class TestEqualRatings:
+    """A division whose entrants all hold one rating, as every debut division
+    does, takes ``division_ranks``'s closed form, bit for bit the pairwise sums."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(equal_rating_divisions())
+    def test_closed_form_is_the_pairwise_sum(self, case):
+        scores, ratings = case
+        got = division_ranks(scores, ratings)
+        assert_same_bits(got, pairwise_equal_ratings(scores))
+        want = oracle_rate_division(scores.tolist(), ratings.tolist(),
+                                    [0] * scores.size, PROFILES["elo"])
+        for column, name in zip(got, ("actual_rank", "expected_rank", "mu", "var")):
+            assert column.tolist() == [entry[name] for entry in want], name
+
+    @pytest.mark.parametrize("scores,ratings", [
+        ([], []),
+        ([4.0], [1200.0]),
+        ([3.0, 3.0, 1.0, 2.0, 3.0], [0.0, -0.0, -0.0, 0.0, 0.0]),
+        ([9.0, 2.0, 2.0, 5.0], [7e-300] * 4),
+        ([1.0, 2.0, 3.0, 3.0], [1e99] * 4),
+    ], ids=["empty", "single", "signed_zeros", "tiny", "huge"])
+    def test_edge_cases(self, scores, ratings):
+        got = division_ranks(scores, ratings)
+        assert_same_bits(got, pairwise_equal_ratings(scores))
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(got)
+                       for b in got[k + 1:])
+
+    def test_only_equal_ratings_skip_the_pairwise_pass(self, monkeypatch):
+        """The pairwise pass zeroes each block's diagonal for every n >= 1."""
+        def raiser(*args, **kwargs):
+            raise AssertionError("pairwise pass")
+
+        monkeypatch.setattr(np, "fill_diagonal", raiser)
+        division_ranks([3.0, 1.0, 3.0], [1500.0] * 3)
+        division_ranks([2.0, 1.0], [0.0, -0.0])
+        state = EngineState.fresh(PROFILES["elo2"])
+        rate_round(RoundInput("r0", [DivisionResult(1, [("a", 1.0), ("b", 2.0)]),
+                                     DivisionResult(2, [("c", 5.0)])]), state,
+                   PROFILES["elo2"])
+        for ratings in ([1500.0, 1500.5], [np.nan, np.nan]):
+            with pytest.raises(AssertionError, match="pairwise pass"):
+                division_ranks([3.0, 1.0], ratings)
