@@ -16,12 +16,11 @@ from .errors import (
     SnapshotError,
 )
 from .metrics import (
-    BucketedReport,
     BucketRow,
-    ComparisonReport,
     ComparisonRow,
     EXPERIENCE_BUCKETS,
     RatingStats,
+    Report,
     RoundMetrics,
     SIZE_BUCKETS,
     aggregate_error,
@@ -81,8 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BITS_TO_RATING",
     "BucketRow",
-    "BucketedReport",
-    "ComparisonReport",
     "ComparisonRow",
     "DivisionResult",
     "ELO_SCALE",
@@ -99,6 +96,7 @@ __all__ = [
     "RatingParams",
     "RatingStats",
     "ReplayResult",
+    "Report",
     "RoundInput",
     "RoundMetrics",
     "SIZE_BUCKETS",

@@ -324,19 +324,14 @@ class BucketRow:
 
 
 @dataclass(frozen=True)
-class BucketedReport:
-    """Mean rating change, performance, and error per player bucket."""
+class Report:
+    """Labelled rows: ``aggregate_error``'s ``BucketRow``s or
+    ``compare_systems``'s ``ComparisonRow``s."""
 
-    rows: tuple[BucketRow, ...]
+    rows: tuple[BucketRow, ...] | tuple[ComparisonRow, ...]
 
-    def row(self, label: str) -> BucketRow:
-        for row in self.rows:
-            if row.label == label:
-                return row
-        raise KeyError(label)
-
-    def labels(self) -> list[str]:
-        return [row.label for row in self.rows]
+    def row(self, label: str) -> BucketRow | ComparisonRow:
+        return {row.label: row for row in self.rows}[label]
 
 
 def _bucket_masks(values: np.ndarray, buckets):
@@ -359,7 +354,7 @@ def _division_positions(numbers: Sequence[int]) -> tuple[list[int], np.ndarray]:
 
 
 def aggregate_error(
-        rounds: Iterable[tuple[CompiledRound, PerformanceBreakdown]]) -> BucketedReport:
+        rounds: Iterable[tuple[CompiledRound, PerformanceBreakdown]]) -> Report:
     """Bucketed means over a stream of ``(compiled, breakdown)`` rounds, as
     ``ReplayResult.rounds`` keeps them.
 
@@ -376,7 +371,7 @@ def aggregate_error(
                       for a, b in zip(compiled.bounds, compiled.bounds[1:])],
                      dtype=np.int64)
     if not sizes.sum():
-        return BucketedReport(rows=())
+        return Report(rows=())
     delta_r, perf, nr, actual_rank = (
         np.concatenate([getattr(breakdown, name) for _, breakdown in records])
         for name in ("delta_r", "perf", "nr", "actual_rank"))
@@ -401,8 +396,7 @@ def aggregate_error(
                          mean_perf=fold(0.0, part) / count,
                          mean_error=fold(0.0, np.abs(part)) / count)
 
-    return BucketedReport(rows=tuple(row(label, mask) for label, mask in masks
-                                     if mask.any()))
+    return Report(rows=tuple(row(label, mask) for label, mask in masks if mask.any()))
 
 
 @dataclass(frozen=True)
@@ -414,17 +408,6 @@ class ComparisonRow:
     error: float | None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple[ComparisonRow, ...]
-
-    def row(self, label: str) -> ComparisonRow:
-        for row in self.rows:
-            if row.label == label:
-                return row
-        raise KeyError(label)
-
-
 def _metric_table(metrics: Sequence[RoundMetrics]) -> np.ndarray:
     """Rows of (kendall, spearman, -mean_error), higher is better in every
     column; NaN where a correlation is undefined (None)."""
@@ -433,7 +416,7 @@ def _metric_table(metrics: Sequence[RoundMetrics]) -> np.ndarray:
 
 
 def compare_systems(metrics_a: Sequence[RoundMetrics],
-                    metrics_b: Sequence[RoundMetrics]) -> ComparisonReport:
+                    metrics_b: Sequence[RoundMetrics]) -> Report:
     """Fraction of rounds where system A predicted better than system B.
 
     Win = 1, tie = 0.5, loss = 0 per round and metric (higher tau/rho is
@@ -478,7 +461,7 @@ def compare_systems(metrics_a: Sequence[RoundMetrics],
         return ComparisonRow(label=label, rounds=int(np.count_nonzero(mask)),
                              kendall=kendall, spearman=spearman, error=error)
 
-    return ComparisonReport(rows=tuple(row(label, mask) for label, mask in masks))
+    return Report(rows=tuple(row(label, mask) for label, mask in masks))
 
 
 @dataclass(frozen=True)

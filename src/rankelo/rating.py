@@ -20,7 +20,7 @@ every division of the round has been computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, compress, count
 from typing import Iterable, Sequence
 
@@ -147,7 +147,7 @@ class EngineState:
     accumulated) so the stored value is exactly reproducible.  ``params``
     and ``last_round_id`` are the parameters and the id of the last round
     applied (None when unknown: a state loaded from a version 1 snapshot,
-    or one never rated).
+    or one never rated).  Round counts are non-negative int64 values.
     """
 
     ids: list[str] = field(default_factory=list)
@@ -162,7 +162,13 @@ class EngineState:
     def __post_init__(self):
         self.ids = list(self.ids)
         self.rating = np.array(self.rating, dtype=np.float64)
-        self.num_rounds = np.array(self.num_rounds, dtype=np.int64)
+        counts = "rounds_processed and num_rounds must be in [0, 2**63)"
+        try:
+            self.num_rounds = np.array(self.num_rounds, dtype=np.int64)
+        except OverflowError:
+            raise InputError(counts) from None
+        if not 0 <= self.rounds_processed < 2 ** 63 or (self.num_rounds < 0).any():
+            raise InputError(counts)
         self.index = dict(zip(self.ids, range(len(self.ids))))
         if not len(self.index) == self.rating.size == self.num_rounds.size == len(self.ids):
             raise InputError("ids must be distinct and match the rating and "
@@ -256,7 +262,8 @@ def division_ranks(scores: np.ndarray, ratings: np.ndarray):
     Ranks follow the tie-splitting convention: each tied opponent
     contributes 0.5 to both the actual and the expected rank, while
     ``mu``/``var`` accumulate the win probabilities of all opponents,
-    tied or not.  Arrays are aligned with the inputs.
+    tied or not.  Arrays are aligned with the inputs.  A NaN or infinite
+    score or rating is an ``InputError``.
 
     One ``exp`` per entry gives every ``P(j beats i) = x[j] / (x[i] + x[j])``,
     ``x = exp(ELO_SCALE * r)``; a rating spread past the ``MAX_LOGIT`` clip
@@ -277,6 +284,8 @@ def division_ranks(scores: np.ndarray, ratings: np.ndarray):
     at_most = np.searchsorted(ordered, scores, side="right")   # self included
     ties = at_most - np.searchsorted(ordered, scores, side="left") - 1
     lo, hi = (ratings.min(), ratings.max()) if n else (0.0, 0.0)
+    if n and not all(map(math.isfinite, (ordered[0], ordered[-1], lo, hi))):
+        raise InputError("division_ranks needs finite scores and ratings")
     with np.errstate(over="ignore"):   # a spread past the float range: inf
         separable = (hi - lo) * ELO_SCALE <= MAX_LOGIT
     actual = 1.0 + (n - at_most) + 0.5 * ties
@@ -332,12 +341,6 @@ class CompiledRound:
     scores: np.ndarray          # score of each entry
     players: np.ndarray         # registry index of each entry, once bound
     order: np.ndarray           # entry positions, in canonical order
-
-    def split(self, breakdown: PerformanceBreakdown) -> list[PerformanceBreakdown]:
-        """A round ``breakdown`` as one breakdown per division."""
-        columns = [getattr(breakdown, f.name) for f in fields(breakdown)]
-        return [PerformanceBreakdown(*(column[a:b] for column in columns))
-                for a, b in zip(self.bounds, self.bounds[1:])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,11 +496,12 @@ def rate_compiled_round(compiled: CompiledRound, state: EngineState,
 
 
 def rate_round(round_input: RoundInput, state: EngineState,
-               params: RatingParams) -> list[PerformanceBreakdown]:
+               params: RatingParams) -> tuple[CompiledRound, PerformanceBreakdown]:
     """Rate one round and apply it to the engine state: compile it, bind it
     to ``state`` and run ``rate_compiled_round``, the step ``replay`` runs for
     every round (``r1`` advances once per round, not per division).
-    Returns one breakdown per division of ``round_input``.
+    Returns the round's ``(compiled, breakdown)`` record, in entry order: the
+    record ``replay`` keeps in ``ReplayResult.rounds``.
     """
     compiled, = bind(compile_history([round_input]), state)
-    return compiled.split(rate_compiled_round(compiled, state, params))
+    return compiled, rate_compiled_round(compiled, state, params)

@@ -1,6 +1,7 @@
 """Compiled histories: compile once, replay many times, with the same bits."""
 
 import copy
+import io
 import math
 import random
 import sys
@@ -19,6 +20,7 @@ from rankelo import (
     RoundInput,
     SimConfig,
     SweepSpec,
+    aggregate_error,
     generate_history,
     joint_search,
     rate_division,
@@ -26,6 +28,7 @@ from rankelo import (
     rating_stats,
     replay,
     run_sweep,
+    write_replay_log,
     write_rounds,
 )
 from rankelo.cli import run
@@ -109,8 +112,10 @@ class TestCompiledReplay:
         # arithmetic) from the pre-round ratings the replay gathered
         rounds = shuffled_history(seed)
         result = replay(compile_history(rounds), ELO2)
-        records = iter([part for compiled, breakdown in result.rounds
-                        for part in compiled.split(breakdown) if part.nr.size])
+        records = iter([{f.name: getattr(breakdown, f.name)[a:b]
+                         for f in fields(breakdown)}
+                        for compiled, breakdown in result.rounds
+                        for a, b in zip(compiled.bounds, compiled.bounds[1:]) if a != b])
         ids, rating, num_rounds = [], np.empty(0), np.empty(0, np.int64)
         for played, round_input in enumerate(rounds):
             r1 = ELO2.initial_rating + ELO2.inflation / 100.0 * played
@@ -126,7 +131,7 @@ class TestCompiledReplay:
                     continue
                 got = next(records)
                 for f in fields(want):
-                    assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+                    assert np.array_equal(got[f.name], getattr(want, f.name))
                 index = [state.index[pid] for pid, _ in division.entries]
                 rating[index] += want.delta_r
                 num_rounds[index] += 1
@@ -217,18 +222,42 @@ class TestCompiledReplay:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_round_breakdown_is_in_entry_order(self, seed):
         # the step's round breakdown lines up with the round's entries:
-        # rate_round's per-division breakdowns, concatenated
+        # rate_round's record, every division in entry order
         rounds = shuffled_history(seed, rounds=4)
         for played, round_input in enumerate(rounds):
             state = replay(rounds[:played], ELO2).state
             other = replay(rounds[:played], ELO2).state
             compiled, = bind(compile_history([round_input]), state)
             got = rate_compiled_round(compiled, state, ELO2)
-            want = rate_round(round_input, other, ELO2)
-            assert len(want) == len(round_input.divisions) > 1
+            want_compiled, want = rate_round(round_input, other, ELO2)
+            assert len(want_compiled.numbers) == len(round_input.divisions) > 1
             for f in fields(got):
-                column = np.concatenate([getattr(b, f.name) for b in want])
-                assert np.array_equal(getattr(got, f.name), column), f.name
+                got_column, want_column = getattr(got, f.name), getattr(want, f.name)
+                assert got_column.tobytes() == want_column.tobytes(), f.name
+
+    @pytest.mark.parametrize("played", [0, 3], ids=["fresh", "resumed"])
+    def test_rate_round_returns_the_replay_record(self, played):
+        # one round from one state: rate_round's record is the pair replay
+        # keeps, and the readers of replay records take it as is
+        rounds = shuffled_history(7, rounds=played + 1)
+        state = replay(rounds[:played], ELO2).state
+        round_input = rounds[-1]
+        assert len(round_input.divisions) > 1
+        result = replay([round_input], ELO2, copy.deepcopy(state))
+        record = rate_round(round_input, state, ELO2)
+        assert state == result.state
+        for got, want in zip(record, *result.rounds, strict=True):
+            for f in fields(got):
+                x, y = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+                else:
+                    assert x == y, f.name
+        assert aggregate_error([record]) == aggregate_error(result.rounds)
+        logs = [io.StringIO(), io.StringIO()]
+        write_replay_log([record], logs[0])
+        write_replay_log(result.rounds, logs[1])
+        assert logs[0].getvalue() == logs[1].getvalue()
 
 
 class TestCompileOnce:

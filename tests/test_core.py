@@ -349,11 +349,26 @@ class TestEngineState:
         with pytest.raises(InputError, match="ids must be distinct"):
             EngineState(ids=ids, rating=rating, num_rounds=num_rounds)
 
+    @pytest.mark.parametrize("num_rounds,rounds_processed", [
+        ([-1, 3], 0), ([-2, 3], 0), ([0, 3], -1), ([2 ** 64, 3], 0), ([2 ** 63, 3], 0),
+        ([0, 3], 2 ** 63),
+    ], ids=["minus_one", "minus_two", "negative_processed", "past_uint64", "past_int64",
+            "processed_past_int64"])
+    def test_round_counts_must_be_non_negative_int64(self, num_rounds, rounds_processed):
+        with pytest.raises(InputError, match=r"must be in \[0, 2\*\*63\)"):
+            EngineState(ids=["a", "b"], rating=[1500.0, 1400.0], num_rounds=num_rounds,
+                        rounds_processed=rounds_processed)
+
+    def test_largest_round_counts_accepted(self):
+        state = EngineState(ids=["a", "b"], rating=[1500.0, 1400.0],
+                            num_rounds=[0, 2 ** 63 - 1], rounds_processed=2 ** 63 - 1)
+        assert state.num_rounds.tolist() == [0, 2 ** 63 - 1]
+
     def test_round_scatters_deltas_onto_the_columns(self):
         state = EngineState(ids=["z", "a", "idle"], rating=[1300.0, 1100.0, 1500.0],
                             num_rounds=[4, 0, 9], r1=1250.0)
         division = DivisionResult(1, [("new", 2.0), ("a", 3.0), ("z", 1.0)])
-        breakdown, = rate_round(RoundInput("r1", [division]), state, ELO)
+        _, breakdown = rate_round(RoundInput("r1", [division]), state, ELO)
         assert state.ids == ["z", "a", "idle", "new"]
         assert breakdown.rating_before.tolist() == [1250.0, 1100.0, 1300.0]
         assert state.rating.tolist() == [
@@ -461,8 +476,8 @@ class TestGetOrCreatePlayer:
         state = EngineState.fresh(ELO)
         assert get_or_create_player(state, "x") == 0
         assert (state.ids, state.index) == (["x"], {"x": 0})
-        breakdown, = rate_round(RoundInput("r0", [DivisionResult(1, [("x", 1.0)])]),
-                                state, ELO)
+        _, breakdown = rate_round(RoundInput("r0", [DivisionResult(1, [("x", 1.0)])]),
+                                  state, ELO)
         assert breakdown.rating_before.tolist() == [1200.0]
         assert state.players == {"x": PlayerState(1200.0, 1)}
 
@@ -471,8 +486,8 @@ class TestGetOrCreatePlayer:
         for n in range(100):
             rate_round(RoundInput(f"r{n}", [DivisionResult(1, [])]), state, ELO2)
         assert state.r1 == 1263.0
-        breakdown, = rate_round(RoundInput("r100", [DivisionResult(1, [("x", 1.0)])]),
-                                state, ELO2)
+        _, breakdown = rate_round(RoundInput("r100", [DivisionResult(1, [("x", 1.0)])]),
+                                  state, ELO2)
         assert breakdown.rating_before.tolist() == [1263.0]
         assert state.players["x"].num_rounds == 1
 

@@ -34,7 +34,7 @@ from rankelo import (
 )
 import rankelo.rating
 from rankelo.replay import compile_history
-from rankelo.metrics import BucketRow, BucketedReport, ComparisonRow, _correlations
+from rankelo.metrics import BucketRow, ComparisonRow, Report, _correlations
 from oracles import oracle_kendall_tau, oracle_relative_performance, oracle_spearman_rho
 
 ELO = PROFILES["elo"]
@@ -512,7 +512,7 @@ class TestAggregateError:
                     add("Existing", delta, perf)
                     add(f"Division {division}", delta, perf)
                     add(f"D{division} H{1 if actual <= n / 2 else 2}", delta, perf)
-        assert sorted(report.labels()) == sorted(sums)
+        assert sorted(row.label for row in report.rows) == sorted(sums)
         for label, (count, delta, perf, error) in sums.items():
             row = report.row(label)
             assert (row.count, row.mean_delta_r, row.mean_perf, row.mean_error) == \
@@ -530,7 +530,7 @@ class TestAggregateError:
         whole = aggregate_error(records)
         part_a = aggregate_error(even)
         part_b = aggregate_error(odd)
-        for label in whole.labels():
+        for label in [row.label for row in whole.rows]:
             counts, sums = [], []
             for part in (part_a, part_b):
                 rows = [r for r in part.rows if r.label == label]
@@ -795,7 +795,7 @@ class TestRatingStats:
             rating_stats(lean)
 
     def test_report_row_lookup(self):
-        report = BucketedReport(rows=(BucketRow("All", 1, 0.0, 0.0, 0.7),))
+        report = Report(rows=(BucketRow("All", 1, 0.0, 0.0, 0.7),))
         assert report.row("All").mean_error == 0.7
         with pytest.raises(KeyError):
             report.row("nope")

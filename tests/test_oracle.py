@@ -1,6 +1,8 @@
 """Agreement between the engine and the brute-force reference implementations."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import rankelo.rating as rating
 from rankelo import (
     DivisionResult,
     EngineState,
+    InputError,
     PROFILES,
     RoundInput,
     division_ranks,
@@ -301,6 +304,50 @@ class TestEqualRatings:
         rate_round(RoundInput("r0", [DivisionResult(1, [("a", 1.0), ("b", 2.0)]),
                                      DivisionResult(2, [("c", 5.0)])]), state,
                    PROFILES["elo2"])
-        for ratings in ([1500.0, 1500.5], [np.nan, np.nan]):
-            with pytest.raises(AssertionError, match="pairwise pass"):
-                division_ranks([3.0, 1.0], ratings)
+        with pytest.raises(AssertionError, match="pairwise pass"):
+            division_ranks([3.0, 1.0], [1500.0, 1500.5])
+        with pytest.raises(InputError, match="finite"):
+            division_ranks([3.0, 1.0], [np.nan, np.nan])
+
+
+class TestNonFiniteInput:
+    """``division_ranks`` refuses a NaN or infinite score or rating before any
+    arithmetic, on the closed-form path and on the pairwise one."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["scores", "ratings"])
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal", "distinct"])
+    def test_refused_without_a_warning(self, bad, where, equal):
+        scores = [3.0, 1.0, 2.0]
+        ratings = [1500.0] * 3 if equal else [1500.0, 1200.0, 1800.0]
+        if where == "scores":
+            scores[:2] = [bad, bad]
+        elif equal:
+            ratings = [bad] * 3
+        else:
+            ratings[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="finite scores and ratings"):
+                division_ranks(scores, ratings)
+
+    def test_extreme_finite_ratings_take_the_clipped_curve(self, monkeypatch):
+        calls = []
+        win_matrix = rating._win_matrix
+
+        def counting_win_matrix(a, b):
+            calls.append(len(a))
+            return win_matrix(a, b)
+
+        monkeypatch.setattr(rating, "_win_matrix", counting_win_matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            actual, expected, mu, var = division_ranks([3.0, 1.0, 2.0],
+                                                       [1.7e308, -1.7e308, 0.0])
+        assert calls == [3]
+        assert actual.tolist() == [1.0, 3.0, 2.0]
+        upset = 1.0 / (1.0 + math.exp(rating.MAX_LOGIT))   # the weaker side wins
+        assert mu.tolist() == pytest.approx([1.0 + 2 * upset, 3.0 - 2 * upset, 2.0],
+                                            abs=1e-15)
+        assert np.array_equal(expected, mu)
+        assert np.isfinite(var).all()

@@ -447,8 +447,8 @@ class TestRegistration:
         get_or_create_player(registered, "x")
         entries = [("x", 3.0)] + [(p, 2.0) for p in plain.ids[:2]] + [("y", 1.0)]
         round_input = RoundInput("next", [DivisionResult(1, entries)])
-        want, = rate_round(round_input, plain, ELO2)
-        got, = rate_round(round_input, registered, ELO2)
+        _, want = rate_round(round_input, plain, ELO2)
+        _, got = rate_round(round_input, registered, ELO2)
         assert registered == plain
         for name in ("rating_before", "nr", "delta_r"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
