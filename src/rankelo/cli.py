@@ -89,18 +89,16 @@ def _refuse_with_timeline(timeline: str | None, timeline_flag: str,
 
 
 def _read_rounds(path: str | None):
-    return store.parse_rounds(sys.stdin if path is None else path)
+    return store.parse_rounds(sys.stdin if path in (None, "-") else path)
 
 
 def _cell(value, decimals: int | None = None, percent: bool = False) -> str:
     if value is None:
         return "-"
-    if isinstance(value, float):
-        if percent:
-            return f"{100.0 * value:.1f}%"
-        if decimals is not None:
-            return f"{value:.{decimals}f}"
-        return repr(value)
+    if percent:
+        return f"{100.0 * value:.1f}%"
+    if decimals is not None and isinstance(value, float):
+        return f"{value:.{decimals}f}"
     return str(value)
 
 

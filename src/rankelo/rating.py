@@ -138,16 +138,16 @@ class RoundInput:
 class EngineState:
     """Player registry, as columns, plus round-level bookkeeping.
 
-    Player ``i`` is ``ids[i]`` (registration order), with rating
-    ``rating[i]`` and ``num_rounds[i]`` completed rated rounds;
-    ``index`` maps each id back to ``i``.  ``r1`` is the
-    inflation-adjusted rating assigned to newly registered players.  It is
-    recomputed after every round as
-    ``initial_rating + inflation/100 * rounds_processed`` (rather than
-    accumulated) so the stored value is exactly reproducible.  ``params``
-    and ``last_round_id`` are the parameters and the id of the last round
-    applied (None when unknown: a state loaded from a version 1 snapshot,
-    or one never rated).  Round counts are non-negative int64 values.
+    Player ``i`` is ``ids[i]`` (registration order; ids are distinct), with
+    finite rating ``rating[i]`` and ``num_rounds[i]`` completed rated
+    rounds; ``index`` maps each id back to ``i``.  ``r1`` is the finite,
+    inflation-adjusted rating assigned to newly registered players,
+    recomputed after every round as ``initial_rating + inflation/100 *
+    rounds_processed`` (not accumulated) so it is exactly reproducible.
+    ``params`` and ``last_round_id`` are the parameters and the id of the
+    last round applied (None when unknown: a state loaded from a version 1
+    snapshot, or one never rated).  Round counts are non-negative int64
+    values; a state that breaks any of this is an ``InputError``.
     """
 
     ids: list[str] = field(default_factory=list)
@@ -169,10 +169,19 @@ class EngineState:
             raise InputError(counts) from None
         if not 0 <= self.rounds_processed < 2 ** 63 or (self.num_rounds < 0).any():
             raise InputError(counts)
-        self.index = dict(zip(self.ids, range(len(self.ids))))
-        if not len(self.index) == self.rating.size == self.num_rounds.size == len(self.ids):
+        if not self.rating.size == self.num_rounds.size == len(self.ids):
             raise InputError("ids must be distinct and match the rating and "
                              "num_rounds columns in length")
+        if not math.isfinite(self.r1):
+            raise InputError(f"non-finite new-player rating {self.r1!r}")
+        bad = np.flatnonzero(~np.isfinite(self.rating))
+        if bad.size:
+            raise InputError(f"non-finite rating for player {self.ids[bad[0]]!r}")
+        self.index = dict(zip(self.ids, range(len(self.ids))))
+        if len(self.index) < len(self.ids):   # name the earliest repeat
+            first: dict[str, int] = {}
+            repeated = next(p for k, p in enumerate(self.ids) if first.setdefault(p, k) < k)
+            raise InputError(f"ids must be distinct: duplicate player {repeated!r}")
 
     def __eq__(self, other):
         """The same players in the same order, with equal columns and bookkeeping."""

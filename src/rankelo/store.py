@@ -237,10 +237,13 @@ def parse_timeline(source) -> dict[tuple[str, str], float]:
 
 def save_snapshot(state: EngineState, path) -> None:
     """Write the engine state as a checksummed, columnar (version 2) snapshot."""
-    raw = [player_id.encode("utf-8") for player_id in state.ids]
+    try:
+        raw = [player_id.encode("utf-8") for player_id in state.ids]
+        last = (state.last_round_id or "").encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputError(f"{exc.object!r} is not valid UTF-8") from None
     ends = np.cumsum(np.fromiter(map(len, raw), np.uint64, len(raw)), dtype="<u8")
     params = (math.nan,) * 7 if state.params is None else astuple(state.params)
-    last = (state.last_round_id or "").encode("utf-8")
     payload = b"".join((
         _SNAPSHOT_MAGIC, bytes([_SNAPSHOT_VERSION]),
         _HEADER.pack(state.rounds_processed, state.r1, len(raw)),
@@ -320,11 +323,11 @@ def _v2_columns(payload: bytes, offset: int, count: int):
 def load_snapshot(path) -> EngineState:
     """Load a snapshot written by ``save_snapshot``, of version 2 or 1.
 
-    Verifies the checksum, that every player id is UTF-8 and distinct, that
-    every rating (``r1`` included) is finite, and that no round count (the
-    engine's ``rounds_processed`` included) is above 2**53; any failure is
-    a ``SnapshotError``.  A version 1 snapshot does not record the
-    parameters or the last round id, which load as None.
+    Verifies the checksum, the layout, that every id is UTF-8, and that no
+    round count (the engine's ``rounds_processed`` included) is above 2**53;
+    any failure, or a state ``EngineState`` refuses, is a ``SnapshotError``.
+    A version 1 snapshot does not record the parameters or the last round
+    id, which load as None.
     """
     data = Path(path).read_bytes()
     if len(data) < len(_SNAPSHOT_MAGIC) + 1 + _HEADER.size + 8:
@@ -341,14 +344,9 @@ def load_snapshot(path) -> EngineState:
     rounds_processed, r1, count = _HEADER.unpack_from(payload, 5)
     if rounds_processed > _MAX_ROUNDS:
         raise SnapshotError(f"rounds_processed {rounds_processed} is above 2**53")
-    if not math.isfinite(r1):
-        raise SnapshotError(f"non-finite new-player rating {r1!r}")
     read = _v1_columns if version == 1 else _v2_columns
     ids, rating, num_rounds, params, last_round_id = read(
         payload, 5 + _HEADER.size, count)
-    bad = np.flatnonzero(~np.isfinite(rating))
-    if bad.size:
-        raise SnapshotError(f"non-finite rating for player {ids[bad[0]]!r}")
     bad = np.flatnonzero(num_rounds > _MAX_ROUNDS)
     if bad.size:
         raise SnapshotError(f"round count {int(num_rounds[bad[0]])} for player "
@@ -357,14 +355,8 @@ def load_snapshot(path) -> EngineState:
         return EngineState(ids=ids, rating=rating, num_rounds=num_rounds, r1=r1,
                            rounds_processed=rounds_processed, params=params,
                            last_round_id=last_round_id)
-    except InputError:   # the only column defect left: an id twice
-        seen: set[str] = set()
-        for player_id in ids:
-            if player_id in seen:
-                raise SnapshotError(
-                    f"duplicate player {player_id!r} in snapshot") from None
-            seen.add(player_id)
-        raise
+    except InputError as exc:   # a state no engine could hold
+        raise SnapshotError(str(exc)) from None
 
 
 def export_snapshot(state: EngineState, dest, fmt: str = "csv") -> None:

@@ -121,6 +121,11 @@ class TestExitCodes:
                     "--param", "k_factor=big"]) == 1
         assert "numeric value" in capsys.readouterr().err
 
+    def test_param_without_equals(self, history_file, capsys):
+        assert run(["rate", "--input", str(history_file), "--param", "k_factor"]) == 1
+        assert capsys.readouterr().err == \
+            "error: --param expects KEY=VALUE, got 'k_factor'\n"
+
     def test_empty_sweep_grid(self, history_file, capsys):
         assert run(["sweep", "--input", str(history_file),
                     "--target", "bonus", "--grid", ""]) == 1
@@ -326,6 +331,15 @@ class TestRate:
         assert captured.err == summary
         assert summary.startswith("rated 10 rounds, 12 players, mean error ")
 
+    @pytest.mark.parametrize("argv", [["rate"], ["compare", "--vs-profile", "elo2"]],
+                             ids=["rate", "compare"])
+    def test_dash_input_reads_stdin(self, history_file, capsys, monkeypatch, argv):
+        assert run([*argv, "--input", str(history_file)]) == 0
+        want = capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO(history_file.read_text()))
+        assert run([*argv, "--input", "-"]) == 0
+        assert capsys.readouterr() == want
+
     def test_replay_log_quotes_ids_like_csv_writer(self, tmp_path, capsys):
         history = tmp_path / "odd.csv"
         write_quoted_history(history, ODD_ROUND_IDS, ODD_PLAYER_IDS)
@@ -469,6 +483,35 @@ class TestEval:
         header, rows = read_csv_rows(out)
         assert header == "round_id,division,n,mean_error,kendall,spearman"
         assert len(rows) == 20    # 10 rounds x 2 divisions
+
+    def test_rounds_report_of_a_header_only_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("round_id,division,player_id,score\n")
+        assert run(["eval", "--input", str(empty), "--report", "rounds"]) == 0
+        assert capsys.readouterr().out == "round_id,division,n,mean_error,kendall,spearman\n"
+
+    @pytest.mark.parametrize("timeline", [False, True], ids=["replay", "timeline"])
+    def test_rounds_report_table(self, tmp_path, capsys, timeline):
+        rounds = tmp_path / "r.csv"
+        rounds.write_text("round_id,division,player_id,score\n"
+                          "r1,1,a,10\nr1,1,b,20\nr1,2,c,5\nr2,1,a,3\nr2,1,b,3\n")
+        flags = []
+        if timeline:
+            path = tmp_path / "t.csv"
+            path.write_text("round_id,player_id,rating_before\n"
+                            "r1,a,1400\nr1,b,1300\nr1,c,1200\nr2,a,1400\nr2,b,1300\n")
+            flags = ["--timeline", str(path)]
+        assert run(["eval", "--input", str(rounds), "--report", "rounds",
+                    "--format", "table", *flags]) == 0
+        # an undefined correlation (a lone player, or tied scores) prints '-'
+        first = ("r1               1  2      0.6351  -1.0000   -1.0000" if timeline
+                 else "r1               1  2      0.5000        -         -")
+        assert capsys.readouterr().out.splitlines() == [
+            "round_id  division  n  mean_error  kendall  spearman",
+            "--------  --------  -  ----------  -------  --------",
+            first,
+            "r1               2  1      0.0000        -         -",
+            "r2               1  2      0.0000        -         -"]
 
     def test_stats_report_table(self, history_file, tmp_path, capsys):
         out = tmp_path / "stats.txt"

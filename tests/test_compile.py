@@ -352,7 +352,10 @@ class TestRefusals:
         assert state == before and state.index == {"b": 0}
 
     def test_non_finite_rating_names_its_division(self):
-        state = EngineState(ids=["a", "b"], rating=[1300.0, math.inf], num_rounds=[1, 1])
+        # EngineState refuses a non-finite rating, so the replay's own check
+        # is reached through a state changed after its construction
+        state = EngineState(ids=["a", "b"], rating=[1300.0, 1300.0], num_rounds=[1, 1])
+        state.rating[1] = math.inf
         round_input = RoundInput("r", [DivisionResult(3, [("a", 1.0)]),
                                        DivisionResult(8, [("b", 1.0), ("c", 2.0)])])
         with pytest.raises(InputError, match="non-finite rating in division 8"):

@@ -359,6 +359,24 @@ class TestEngineState:
             EngineState(ids=["a", "b"], rating=[1500.0, 1400.0], num_rounds=num_rounds,
                         rounds_processed=rounds_processed)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rating_names_the_first_such_player(self, bad):
+        with pytest.raises(InputError) as exc:
+            EngineState(ids=["a", "b", "c"], rating=[1200.0, bad, bad], num_rounds=[0, 0, 0])
+        assert str(exc.value) == "non-finite rating for player 'b'"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_new_player_rating(self, bad):
+        with pytest.raises(InputError) as exc:
+            EngineState(ids=["a"], rating=[1200.0], num_rounds=[0], r1=bad)
+        assert str(exc.value) == f"non-finite new-player rating {bad!r}"
+
+    def test_repeated_id_names_the_earliest_repeat(self):
+        with pytest.raises(InputError) as exc:
+            EngineState(ids=["a", "b", "b", "a"], rating=[1.0, 2.0, 3.0, 4.0],
+                        num_rounds=[0, 0, 0, 0])
+        assert str(exc.value) == "ids must be distinct: duplicate player 'b'"
+
     def test_largest_round_counts_accepted(self):
         state = EngineState(ids=["a", "b"], rating=[1500.0, 1400.0],
                             num_rounds=[0, 2 ** 63 - 1], rounds_processed=2 ** 63 - 1)

@@ -33,7 +33,7 @@ from rankelo import (
     write_replay_log,
 )
 import rankelo.rating
-from rankelo.replay import compile_history
+from rankelo.replay import compile_history, division_errors, fold
 from rankelo.metrics import BucketRow, ComparisonRow, Report, _correlations
 from oracles import oracle_kendall_tau, oracle_relative_performance, oracle_spearman_rho
 
@@ -518,6 +518,19 @@ class TestAggregateError:
             assert (row.count, row.mean_delta_r, row.mean_perf, row.mean_error) == \
                 (count, delta / count, perf / count, error / count)
 
+    def test_replay_mean_error_and_all_row_are_two_folds(self):
+        # The same |perf| values, grouped two ways, read differently here: the
+        # replay folds each round's sum of division folds, the All row every
+        # entry flat.
+        result = replay(small_history(n_rounds=10), ELO2)
+        per_round = [fold(0.0, [error for *_, error in division_errors(compiled, b.perf)])
+                     for compiled, b in result.rounds]
+        flat = np.abs(np.concatenate([b.perf for _, b in result.rounds]))
+        everyone = aggregate_error(result.rounds).row("All").mean_error
+        assert result.mean_error == fold(0.0, per_round) / result.count
+        assert everyone == fold(0.0, flat) / flat.size
+        assert result.mean_error != everyone
+
     def test_reads_a_one_shot_iterable(self):
         records = replay(small_history(n_rounds=10), ELO2).rounds
         assert aggregate_error(iter(records)) == aggregate_error(records)
@@ -706,6 +719,15 @@ class TestCompareSystems:
         b = [metrics_row("r2", 1, 30, 0.4, None, None)]
         with pytest.raises(InputError):
             compare_systems(a, b)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_repeated_round_and_division_rejected(self, side):
+        once = [metrics_row("r1", 1, 30, 0.4, None, None)]
+        twice = once + [metrics_row("r1", 1, 20, 0.5, None, None)]
+        a, b = (twice, once) if side == "A" else (once, twice)
+        with pytest.raises(InputError) as exc:
+            compare_systems(a, b)
+        assert str(exc.value) == f"duplicate (round, division) in system {side} metrics"
 
     def test_mismatched_player_counts_rejected(self):
         a = [metrics_row("r1", 1, 30, 0.4, None, None)]

@@ -415,6 +415,55 @@ class TestSnapshots:
         with pytest.raises(SnapshotError, match="non-finite new-player rating"):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("round_id,player_id", [("r", "x\udcff"), ("r\udcff", "x")],
+                             ids=["player_id", "round_id"])
+    def test_id_that_is_not_utf8_is_refused_on_save(self, tmp_path, round_id, player_id):
+        state = EngineState.fresh(ELO2)
+        rate_round(RoundInput(round_id, [DivisionResult(1, [(player_id, 2.0), ("b", 1.0)])]),
+                   state, ELO2)
+        path = tmp_path / "s.snap"
+        bad = player_id if round_id == "r" else round_id
+        with pytest.raises(InputError) as exc:
+            save_snapshot(state, path)
+        assert str(exc.value) == f"{bad!r} is not valid UTF-8"
+        assert not path.exists()
+
+
+utf8_text = st.text(st.characters(codec="utf-8"), max_size=6)
+
+
+@st.composite
+def engine_states(draw) -> EngineState:
+    """States ``EngineState`` accepts, at the edges a snapshot must hold: ids
+    with NUL and non-ASCII text, ratings at +-1.7e308 and -0.0, and round
+    counts up to the format's 2**53."""
+    ids = draw(st.lists(st.one_of(st.sampled_from(["", "\0", "a\0", "ä", "名前", "🀄"]),
+                                  utf8_text), unique=True, max_size=8))
+    ratings = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([1.7e308, -1.7e308, -0.0]))
+    counts = st.integers(0, 2 ** 53)
+    return EngineState(
+        ids=ids, rating=draw(st.lists(ratings, min_size=len(ids), max_size=len(ids))),
+        num_rounds=draw(st.lists(counts, min_size=len(ids), max_size=len(ids))),
+        r1=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        rounds_processed=draw(counts), params=draw(st.sampled_from([None, *PROFILES.values()])),
+        last_round_id=draw(st.none() | utf8_text.filter(bool)))
+
+
+def test_every_accepted_state_round_trips(tmp_path):
+    path = tmp_path / "s.snap"
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(state=engine_states())
+    def check(state):
+        save_snapshot(state, path)
+        loaded = load_snapshot(path)
+        assert loaded == state and states_equal(loaded, state)
+        assert struct.pack("<d", loaded.r1) == struct.pack("<d", state.r1)
+        assert loaded.index == state.index
+
+    check()
+
 
 class TestRegistration:
     """``get_or_create_player`` registers an id in every column at once: the
