@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 from dataclasses import MISSING, astuple, fields, replace
-from typing import IO, Callable, Sequence, get_type_hints
+from typing import IO, Sequence, get_type_hints
 
 from . import metrics as metrics_mod
 from . import simulate as simulate_mod
@@ -92,10 +92,12 @@ def _read_rounds(path: str | None):
     return store.parse_rounds(sys.stdin if path in (None, "-") else path)
 
 
-def _cell(value, decimals: int | None = None, percent: bool = False) -> str:
+def _cell(value, decimals: int | str | None) -> str:
+    """A table cell: "-" for None; a float to ``decimals`` places, or as a
+    percentage to one place for "%"; anything else as ``str``."""
     if value is None:
         return "-"
-    if percent:
+    if decimals == "%":
         return f"{100.0 * value:.1f}%"
     if decimals is not None and isinstance(value, float):
         return f"{value:.{decimals}f}"
@@ -115,13 +117,12 @@ def _write_table(fh: IO[str], header: Sequence[str],
             fh.write("  ".join("-" * w for w in widths).rstrip() + "\n")
 
 
-def _emit(args, header: Sequence[str], rows,
-          table_row: Callable[[Sequence], Sequence[str]]) -> None:
+def _emit(args, header: Sequence[str], rows, decimals: Sequence[int | str | None]) -> None:
     with store.open_text(_dest(args.output), "w") as fh:
         if args.format == "csv":
             store.write_csv(fh, header, rows)
         else:
-            _write_table(fh, header, [table_row(r) for r in rows])
+            _write_table(fh, header, [list(map(_cell, r, decimals)) for r in rows])
 
 
 def _resume(path: str | None, params: RatingParams, rounds) -> EngineState | None:
@@ -185,22 +186,17 @@ def _cmd_eval(args) -> int:
     if args.report == "stats":
         stats = metrics_mod.rating_stats(result)
         rows = list(zip((f.name for f in fields(stats)), astuple(stats)))
-        _emit(args, ("stat", "value"), rows,
-              lambda r: (r[0], _cell(r[1], 4)))
+        _emit(args, ("stat", "value"), rows, (None, 4))
         return 0
     report = metrics_mod.aggregate_error(result.rounds)
     _emit(args, ("bucket", "count", "mean_delta_r", "mean_perf", "mean_error"),
-          [astuple(row) for row in report.rows],
-          lambda r: (r[0], str(r[1]), _cell(r[2], 2), _cell(r[3], 4),
-                     _cell(r[4], 4)))
+          [astuple(row) for row in report.rows], (None, None, 2, 4, 4))
     return 0
 
 
 def _emit_round_metrics(args, rows) -> int:
     _emit(args, [f.name for f in fields(metrics_mod.RoundMetrics)],
-          [astuple(m) for m in rows],
-          lambda r: (r[0], str(r[1]), str(r[2]), _cell(r[3], 4), _cell(r[4], 4),
-                     _cell(r[5], 4)))
+          [astuple(m) for m in rows], (None, None, None, 4, 4, 4))
     return 0
 
 
@@ -223,9 +219,7 @@ def _cmd_compare(args) -> int:
     report = metrics_mod.compare_systems(metrics_a, metrics_b)
     _emit(args, ("bucket", "rounds", "kendall_win", "spearman_win",
                  "error_win"),
-          [astuple(row) for row in report.rows],
-          lambda r: (r[0], str(r[1]), _cell(r[2], percent=True),
-                     _cell(r[3], percent=True), _cell(r[4], percent=True)))
+          [astuple(row) for row in report.rows], (None, None, "%", "%", "%"))
     return 0
 
 
@@ -240,8 +234,7 @@ def _cmd_sweep(args) -> int:
             _float_list(args.inflation_grid, "--inflation-grid"),
             _float_list(args.bonus_grid, "--bonus-grid"), rounds, base=base)
         rows = [(best.inflation, best.bonus, best.mean_error)]
-        _emit(args, ("inflation", "bonus", "mean_error"), rows,
-              lambda r: (_cell(r[0], 2), _cell(r[1], 2), _cell(r[2], 4)))
+        _emit(args, ("inflation", "bonus", "mean_error"), rows, (2, 2, 4))
         return 0
     if args.grid is None:
         raise InputError("--grid is required")
@@ -250,8 +243,7 @@ def _cmd_sweep(args) -> int:
         k_range=(args.k_min, args.k_max), k_step=args.k_step)
     result = sweep_mod.run_sweep(spec, rounds)
     _emit(args, ("param_value", "best_K", "mean_error"),
-          [astuple(p) for p in result.points],
-          lambda r: (_cell(r[0], 2), _cell(r[1], 2), _cell(r[2], 4)))
+          [astuple(p) for p in result.points], (2, 2, 4))
     return 0
 
 

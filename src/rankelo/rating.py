@@ -47,10 +47,15 @@ MAX_LOGIT = 36.0
 # row is still reduced on its own, so the block size never changes a bit.
 _BLOCK_BYTES = 512 * 1024
 
+# The most rounds the engine, or any one player, may complete: every count
+# up to it is exact as a float, and PARAM_LIMIT's finiteness argument below
+# assumes it.
+MAX_ROUNDS = 2 ** 53
+
 # The most that |initial_rating|, inflation, bonus, perf_cap,
 # variance_weight and k_factor * perf_cap may be: far above any rating
-# scale, far below the float range.  Within it, r1 after 2**53 rounds
-# (below 1e114), every rating (r1 plus at most 2**53 changes, each
+# scale, far below the float range.  Within it, r1 after MAX_ROUNDS rounds
+# (below 1e114), every rating (r1 plus at most MAX_ROUNDS changes, each
 # |delta_r| < k_factor * perf_cap), every delta_r**2 (below 1e200),
 # every variance_factor * weight (below 1e116) and their folds stay finite.
 PARAM_LIMIT = 1e100
@@ -134,6 +139,21 @@ class RoundInput:
     divisions: list[DivisionResult]
 
 
+def _check_counts(counts: np.ndarray, name) -> None:
+    """Refuse the first entry of ``counts`` that is not an integer in [0, MAX_ROUNDS],
+    named ``name(position, value)``.  ``counts`` is uncast, so a uint64 count past
+    int64 is named by its true value."""
+    ok = (counts >= 0) & (counts <= MAX_ROUNDS)
+    if counts.dtype.kind not in "biu":   # floats or Python objects: whole numbers only
+        with np.errstate(invalid="ignore"):   # inf % 1
+            ok &= counts % 1 == 0
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        value = counts.flat[bad[0]]
+        why = "above 2**53" if value > MAX_ROUNDS else "not a non-negative integer"
+        raise InputError(f"{name(bad[0], value)} is {why}")
+
+
 @dataclass(eq=False)
 class EngineState:
     """Player registry, as columns, plus round-level bookkeeping.
@@ -144,10 +164,10 @@ class EngineState:
     inflation-adjusted rating assigned to newly registered players,
     recomputed after every round as ``initial_rating + inflation/100 *
     rounds_processed`` (not accumulated) so it is exactly reproducible.
-    ``params`` and ``last_round_id`` are the parameters and the id of the
-    last round applied (None when unknown: a state loaded from a version 1
-    snapshot, or one never rated).  Round counts are non-negative int64
-    values; a state that breaks any of this is an ``InputError``.
+    ``params`` and ``last_round_id`` are the parameters and the (non-empty)
+    id of the last round applied (None when unknown: a state loaded from a
+    version 1 snapshot, or one never rated).  Round counts are integers in
+    [0, MAX_ROUNDS]; a state that breaks any of this is an ``InputError``.
     """
 
     ids: list[str] = field(default_factory=list)
@@ -162,16 +182,16 @@ class EngineState:
     def __post_init__(self):
         self.ids = list(self.ids)
         self.rating = np.array(self.rating, dtype=np.float64)
-        counts = "rounds_processed and num_rounds must be in [0, 2**63)"
-        try:
-            self.num_rounds = np.array(self.num_rounds, dtype=np.int64)
-        except OverflowError:
-            raise InputError(counts) from None
-        if not 0 <= self.rounds_processed < 2 ** 63 or (self.num_rounds < 0).any():
-            raise InputError(counts)
-        if not self.rating.size == self.num_rounds.size == len(self.ids):
+        counts = np.asarray(self.num_rounds)
+        if not self.rating.size == counts.size == len(self.ids):
             raise InputError("ids must be distinct and match the rating and "
                              "num_rounds columns in length")
+        _check_counts(np.asarray(self.rounds_processed), lambda _, n: f"rounds_processed {n}")
+        _check_counts(counts, lambda k, n: f"round count {n} for player {self.ids[k]!r}")
+        self.rounds_processed = int(self.rounds_processed)
+        self.num_rounds = counts.astype(np.int64)
+        if self.last_round_id == "":
+            raise InputError("last_round_id must be None or non-empty")
         if not math.isfinite(self.r1):
             raise InputError(f"non-finite new-player rating {self.r1!r}")
         bad = np.flatnonzero(~np.isfinite(self.rating))
@@ -365,13 +385,15 @@ def compile_history(rounds: Iterable[RoundInput]) -> CompiledHistory:
     """Every step of replaying ``rounds`` that no parameter or state affects.
 
     Each entry gets its player's number in order of first appearance; each
-    round is checked for a repeated player and non-finite scores, so a bad
-    round raises before any round is rated; and one ``lexsort`` over the
-    history gives every division's canonical order.
+    round is checked for an empty round id, a repeated player and non-finite
+    scores, so a bad round raises before any round is rated; and one
+    ``lexsort`` over the history gives every division's canonical order.
     """
     known = {}   # id -> number, in order of first appearance
     shapes, everyone, scores = [], [], []
     for round_input in rounds:
+        if not round_input.round_id:
+            raise InputError("round ids must be non-empty")
         divisions = tuple((d.division, *(tuple(zip(*d.entries)) or ((), ())))
                           for d in round_input.divisions)
         round_ids = tuple(p for _, ids, _ in divisions for p in ids)
@@ -409,12 +431,19 @@ def compile_history(rounds: Iterable[RoundInput]) -> CompiledHistory:
 
 def bind(history: CompiledHistory, state: EngineState) -> tuple[CompiledRound, ...]:
     """``history.rounds`` with ``players`` renumbered in ``state``'s registry, new
-    ids past it in order of first appearance (the rounds as is for an empty one)."""
+    ids past it in order of first appearance (the rounds as is for an empty one);
+    refused if they could take a round count past MAX_ROUNDS."""
+    more = len(history.rounds)
+    _check_counts(np.asarray(state.rounds_processed + more),
+                  lambda _, n: f"after {more} more round(s), rounds_processed {n}")
     if not state.ids:
         return history.rounds
     new = count(len(state.ids))
     index = np.fromiter((state.index[p] if p in state.index else next(new)
                          for p in history.players), np.int64, len(history.players))
+    known = np.flatnonzero(index < len(state.ids))
+    _check_counts(state.num_rounds[index[known]] + more, lambda k, n: f"after {more} more "
+                  f"round(s), round count {n} for player {history.players[known[k]]!r}")
     return tuple(replace(compiled, players=index[compiled.players])
                  for compiled in history.rounds)
 
@@ -472,7 +501,7 @@ def rate_division(division: DivisionResult, state: EngineState,
     is aligned with ``division.entries``; an empty division gives empty
     columns.
     """
-    compiled, = bind(compile_history([RoundInput("", [division])]), state)
+    compiled, = bind(compile_history([RoundInput("division", [division])]), state)
     new = np.flatnonzero(compiled.players >= len(state.ids))   # past the registry
     if new.size:
         raise InputError(f"no state registered for player {compiled.ids[new[0]]!r}")

@@ -210,6 +210,16 @@ class TestExitCodes:
                     "--snapshot-in", str(path)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_snapshot_at_the_round_cap_is_refused_untouched(self, history_file, tmp_path,
+                                                           capsys):
+        path, out = tmp_path / "cap.snap", tmp_path / "out.snap"
+        save_snapshot(EngineState(rounds_processed=2 ** 53 - 9), path)
+        assert run(["rate", "--input", str(history_file), "--snapshot-in", str(path),
+                    "--snapshot-out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: after 10 more round(s), rounds_processed "
+                                           "9007199254740993 is above 2**53\n")
+        assert not out.exists()
+
     def test_range_grid_size_is_bounded(self):
         assert len(_float_list("1:10000:1", "--grid")) == 10_000
         for text in ("0:10000:1", "0:inf:1", "-inf:0:1"):

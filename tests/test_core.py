@@ -1,6 +1,8 @@
 """Unit tests for the rating kernel: every documented example plus edges."""
 
 import math
+import re
+from copy import deepcopy
 from dataclasses import astuple, fields, replace
 from types import SimpleNamespace
 
@@ -25,6 +27,7 @@ from rankelo import (
     rating_stats,
     replay,
 )
+from rankelo.rating import MAX_ROUNDS
 from rankelo.replay import compile_history
 from oracles import (
     oracle_bonus_performance,
@@ -349,15 +352,35 @@ class TestEngineState:
         with pytest.raises(InputError, match="ids must be distinct"):
             EngineState(ids=ids, rating=rating, num_rounds=num_rounds)
 
-    @pytest.mark.parametrize("num_rounds,rounds_processed", [
-        ([-1, 3], 0), ([-2, 3], 0), ([0, 3], -1), ([2 ** 64, 3], 0), ([2 ** 63, 3], 0),
-        ([0, 3], 2 ** 63),
+    @pytest.mark.parametrize("num_rounds,rounds_processed,message", [
+        ([-1, 3], 0, "round count -1 for player 'a' is not a non-negative integer"),
+        ([-2, 3], 0, "round count -2 for player 'a' is not a non-negative integer"),
+        ([0, 3], -1, "rounds_processed -1 is not a non-negative integer"),
+        ([2 ** 64, 3], 0, "round count 18446744073709551616 for player 'a' is above 2**53"),
+        ([2 ** 63, 3], 0, "for player 'a' is above 2**53"),   # numpy makes the list float
+        ([0, 3], 2 ** 63, "rounds_processed 9223372036854775808 is above 2**53"),
+        ([0, 2 ** 63 - 1], 0, "round count 9223372036854775807 for player 'b' is above 2**53"),
+        ([0, 2 ** 53 + 1], 0, "round count 9007199254740993 for player 'b' is above 2**53"),
+        (np.array([0, 2 ** 64 - 1], np.uint64), 0,
+         "round count 18446744073709551615 for player 'b' is above 2**53"),
+        ([0, 1.5], 0, "round count 1.5 for player 'b' is not a non-negative integer"),
+        ([math.nan, 0], 0, "round count nan for player 'a' is not a non-negative integer"),
+        ([math.inf, 0], 0, "round count inf for player 'a' is above 2**53"),
+        ([0, 3], 1.5, "rounds_processed 1.5 is not a non-negative integer"),
+        ([0, 3], 2 ** 53 + 1, "rounds_processed 9007199254740993 is above 2**53"),
     ], ids=["minus_one", "minus_two", "negative_processed", "past_uint64", "past_int64",
-            "processed_past_int64"])
-    def test_round_counts_must_be_non_negative_int64(self, num_rounds, rounds_processed):
-        with pytest.raises(InputError, match=r"must be in \[0, 2\*\*63\)"):
+            "processed_past_int64", "int64_max", "past_cap", "uint64_max", "fraction", "nan",
+            "inf", "fractional_processed", "processed_past_cap"])
+    def test_round_counts_must_be_non_negative_int64(self, num_rounds, rounds_processed,
+                                                     message):
+        """Round counts are integers in [0, 2**53]; the refusal names the first bad one."""
+        with pytest.raises(InputError, match=re.escape(message)):
             EngineState(ids=["a", "b"], rating=[1500.0, 1400.0], num_rounds=num_rounds,
                         rounds_processed=rounds_processed)
+
+    def test_empty_last_round_id_refused(self):
+        with pytest.raises(InputError, match="last_round_id must be None or non-empty"):
+            EngineState(last_round_id="")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rating_names_the_first_such_player(self, bad):
@@ -379,8 +402,14 @@ class TestEngineState:
 
     def test_largest_round_counts_accepted(self):
         state = EngineState(ids=["a", "b"], rating=[1500.0, 1400.0],
-                            num_rounds=[0, 2 ** 63 - 1], rounds_processed=2 ** 63 - 1)
-        assert state.num_rounds.tolist() == [0, 2 ** 63 - 1]
+                            num_rounds=[0, 2 ** 53], rounds_processed=2 ** 53)
+        assert state.num_rounds.tolist() == [0, 2 ** 53]
+        assert state.rounds_processed == MAX_ROUNDS == 2 ** 53
+
+    def test_whole_float_counts_become_ints(self):
+        state = EngineState(ids=["a"], rating=[1.0], num_rounds=[3.0], rounds_processed=4.0)
+        assert state.num_rounds.dtype == np.int64 and state.num_rounds.tolist() == [3]
+        assert type(state.rounds_processed) is int and state.rounds_processed == 4
 
     def test_round_scatters_deltas_onto_the_columns(self):
         state = EngineState(ids=["z", "a", "idle"], rating=[1300.0, 1100.0, 1500.0],
@@ -396,7 +425,74 @@ class TestEngineState:
         assert (state.params, state.last_round_id) == (ELO, "r1")
 
 
+class TestRoundCap:
+    """``bind`` refuses a history that would take a round count past
+    ``MAX_ROUNDS`` before any round is rated, and leaves the state as it was."""
+
+    @staticmethod
+    def near_cap(b_rounds=2 ** 53 - 1) -> EngineState:
+        return EngineState(ids=["a", "b"], rating=[1500.0, 1400.0],
+                           num_rounds=[0, b_rounds], rounds_processed=5)
+
+    @staticmethod
+    def rounds(n, players=("a", "b")):
+        return [RoundInput(f"r{k}", [DivisionResult(1, [(p, float(j))
+                                                        for j, p in enumerate(players)])])
+                for k in range(n)]
+
+    def test_last_round_below_the_cap_is_rated(self):
+        state = self.near_cap()
+        rate_round(self.rounds(1)[0], state, ELO)
+        assert state.num_rounds.tolist() == [1, 2 ** 53]
+        assert np.isfinite(state.rating).all()
+
+    @pytest.mark.parametrize("call", ["rate_round", "replay", "rate_division"])
+    def test_player_past_the_cap_leaves_the_state_untouched(self, call):
+        state = self.near_cap(b_rounds=2 ** 53)
+        before = deepcopy(state)
+        with pytest.raises(InputError) as exc:
+            if call == "rate_round":
+                rate_round(self.rounds(1)[0], state, ELO)
+            elif call == "replay":
+                replay(self.rounds(1), ELO, state)
+            else:
+                rate_division(self.rounds(1)[0].divisions[0], state, ELO)
+        assert str(exc.value) == ("after 1 more round(s), round count 9007199254740993 "
+                                  "for player 'b' is above 2**53")
+        assert state == before
+
+    def test_history_counts_against_every_registered_player(self):
+        state = self.near_cap()
+        before = deepcopy(state)
+        with pytest.raises(InputError, match="after 2 more round.s., round count "
+                                             "9007199254740993 for player 'b'"):
+            replay(self.rounds(2, players=("new", "a", "b")), ELO, state)
+        assert state == before
+
+    def test_rounds_processed_past_the_cap(self):
+        state = EngineState(rounds_processed=2 ** 53 - 1)
+        before = deepcopy(state)
+        with pytest.raises(InputError) as exc:
+            replay(self.rounds(2), ELO, state)
+        assert str(exc.value) == ("after 2 more round(s), rounds_processed "
+                                  "9007199254740993 is above 2**53")
+        assert state == before
+        replay(self.rounds(1), ELO, state)
+        assert state.rounds_processed == 2 ** 53
+
+
 class TestRateRound:
+    def test_empty_round_id_refused(self):
+        state = EngineState.fresh(ELO)
+        with pytest.raises(InputError, match="round ids must be non-empty"):
+            rate_round(RoundInput("", [DivisionResult(1, [("a", 2.0), ("b", 1.0)])]),
+                       state, ELO)
+        rounds = [RoundInput("r1", [DivisionResult(1, [("a", 2.0), ("b", 1.0)])]),
+                  RoundInput("", [DivisionResult(1, [("a", 1.0), ("b", 2.0)])])]
+        with pytest.raises(InputError, match="round ids must be non-empty"):
+            replay(rounds, ELO, state)
+        assert state == EngineState.fresh(ELO)
+
     def test_registers_new_players_at_current_r1(self):
         state = EngineState(r1=1263.0)
         round_input = RoundInput("r1", [DivisionResult(1, [("a", 2.0), ("b", 1.0)])])

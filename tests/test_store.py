@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import struct
+from copy import deepcopy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -395,7 +396,7 @@ class TestSnapshots:
         path = tmp_path / "k.snap"
         save_snapshot(one_player(num_rounds=2 ** 53), path)
         assert load_snapshot(path).num_rounds.tolist() == [2 ** 53]
-        save_snapshot(one_player(num_rounds=2 ** 53 + 1), path)
+        resign(path, struct.pack("<dQ", 1300.0, 2 ** 53), struct.pack("<dQ", 1300.0, 2 ** 53 + 1))
         with pytest.raises(SnapshotError, match="round count 9007199254740993"):
             load_snapshot(path)
 
@@ -403,7 +404,8 @@ class TestSnapshots:
         path = tmp_path / "p.snap"
         save_snapshot(EngineState(rounds_processed=2 ** 53), path)
         assert load_snapshot(path).rounds_processed == 2 ** 53
-        save_snapshot(EngineState(rounds_processed=2 ** 53 + 1), path)
+        resign(path, b"RSNP\x02" + struct.pack("<Q", 2 ** 53),
+               b"RSNP\x02" + struct.pack("<Q", 2 ** 53 + 1))
         with pytest.raises(SnapshotError, match="rounds_processed 9007199254740993"):
             load_snapshot(path)
 
@@ -433,29 +435,55 @@ utf8_text = st.text(st.characters(codec="utf-8"), max_size=6)
 
 
 @st.composite
-def engine_states(draw) -> EngineState:
-    """States ``EngineState`` accepts, at the edges a snapshot must hold: ids
-    with NUL and non-ASCII text, ratings at +-1.7e308 and -0.0, and round
-    counts up to the format's 2**53."""
+def engine_states(draw) -> dict:
+    """``EngineState`` arguments at the edges a snapshot must hold: ids with
+    NUL and non-ASCII text, ratings at +-1.7e308 and -0.0, round counts
+    anywhere in [0, 2**63) and beside the 2**53 cap, and last round ids
+    that may be empty.  ``EngineState`` refuses some of them."""
     ids = draw(st.lists(st.one_of(st.sampled_from(["", "\0", "a\0", "ä", "名前", "🀄"]),
                                   utf8_text), unique=True, max_size=8))
     ratings = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                         st.sampled_from([1.7e308, -1.7e308, -0.0]))
-    counts = st.integers(0, 2 ** 53)
-    return EngineState(
+    counts = st.one_of(st.integers(0, 2 ** 53), st.integers(0, 2 ** 63 - 1),
+                       st.sampled_from([2 ** 53, 2 ** 53 + 1]))
+    return dict(
         ids=ids, rating=draw(st.lists(ratings, min_size=len(ids), max_size=len(ids))),
         num_rounds=draw(st.lists(counts, min_size=len(ids), max_size=len(ids))),
         r1=draw(st.floats(allow_nan=False, allow_infinity=False)),
         rounds_processed=draw(counts), params=draw(st.sampled_from([None, *PROFILES.values()])),
-        last_round_id=draw(st.none() | utf8_text.filter(bool)))
+        last_round_id=draw(st.none() | utf8_text))
+
+
+@st.composite
+def small_rounds(draw, ids: list[str]) -> RoundInput:
+    """A round, its id sometimes empty, of one division of up to four
+    players, known ones from ``ids`` or new."""
+    players = draw(st.lists(st.sampled_from(ids) | utf8_text if ids else utf8_text,
+                            unique=True, max_size=4))
+    scores = st.sampled_from([0.0, 1.0, 2.5])
+    round_id = draw(utf8_text.filter(bool) | st.just(""))
+    return RoundInput(round_id, [DivisionResult(1, [(p, draw(scores))
+                                                          for p in players])])
 
 
 def test_every_accepted_state_round_trips(tmp_path):
+    """Every drawn state is refused by ``EngineState``, or saves and loads
+    back ``==`` after one round that it rates or refuses untouched."""
     path = tmp_path / "s.snap"
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(state=engine_states())
-    def check(state):
+    @given(drawn=engine_states(), data=st.data())
+    def check(drawn, data):
+        try:
+            state = EngineState(**drawn)
+        except InputError:
+            return
+        before = deepcopy(state)
+        params = data.draw(st.sampled_from(list(PROFILES.values())))
+        try:
+            rate_round(data.draw(small_rounds(state.ids)), state, params)
+        except InputError:
+            assert state == before
         save_snapshot(state, path)
         loaded = load_snapshot(path)
         assert loaded == state and states_equal(loaded, state)
