@@ -20,6 +20,7 @@ every division of the round has been computed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, compress, count
 from typing import Iterable, Sequence
@@ -142,7 +143,13 @@ class RoundInput:
 def _check_counts(counts: np.ndarray, name) -> None:
     """Refuse the first entry of ``counts`` that is not an integer in [0, MAX_ROUNDS],
     named ``name(position, value)``.  ``counts`` is uncast, so a uint64 count past
-    int64 is named by its true value."""
+    int64 is named by its true value; a cell that is no real number (text, None)
+    is refused before any compare."""
+    if counts.dtype.kind not in "biuf":   # Python objects or text
+        values = counts.ravel().tolist()
+        bad = next((k for k, v in enumerate(values) if not isinstance(v, numbers.Real)), None)
+        if bad is not None:
+            raise InputError(f"{name(bad, repr(values[bad]))} is not a real number")
     ok = (counts >= 0) & (counts <= MAX_ROUNDS)
     if counts.dtype.kind not in "biu":   # floats or Python objects: whole numbers only
         with np.errstate(invalid="ignore"):   # inf % 1
@@ -158,7 +165,7 @@ def _check_counts(counts: np.ndarray, name) -> None:
 class EngineState:
     """Player registry, as columns, plus round-level bookkeeping.
 
-    Player ``i`` is ``ids[i]`` (registration order; ids are distinct), with
+    Player ``i`` is ``ids[i]`` (registration order; distinct strings), with
     finite rating ``rating[i]`` and ``num_rounds[i]`` completed rated
     rounds; ``index`` maps each id back to ``i``.  ``r1`` is the finite,
     inflation-adjusted rating assigned to newly registered players,
@@ -181,6 +188,9 @@ class EngineState:
 
     def __post_init__(self):
         self.ids = list(self.ids)
+        if not all(issubclass(t, str) for t in set(map(type, self.ids))):
+            bad = next(p for p in self.ids if not isinstance(p, str))
+            raise InputError(f"player id {bad!r} is not a string")
         self.rating = np.array(self.rating, dtype=np.float64)
         counts = np.asarray(self.num_rounds)
         if not self.rating.size == counts.size == len(self.ids):

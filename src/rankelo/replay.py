@@ -91,11 +91,20 @@ def replay(rounds: Iterable[RoundInput] | CompiledHistory, params: RatingParams,
 def write_replay_log(rounds: Iterable[tuple[CompiledRound, PerformanceBreakdown]],
                      dest) -> None:
     """Persist every entry of every ``(compiled, breakdown)`` round as CSV, one
-    division after another; floats use shortest round-trip repr."""
+    division after another; each cell is its value's ``repr``, formatted once per
+    distinct bit pattern of a division (so ``-0.0`` keeps its sign)."""
     with open_text(dest, "w") as stream:
         write_divisions(stream, REPLAY_LOG_HEADER, (
             (compiled.round_id, number, compiled.ids[a:b], repeat(str(b - a)),
-             *(map(repr, getattr(breakdown, name)[a:b].tolist())
-               for name in _LOG_COLUMNS))
+             map(repr, breakdown.nr[a:b].tolist()),
+             *_reprs(np.stack([getattr(breakdown, name)[a:b] for name in _LOG_COLUMNS[1:]])))
             for compiled, breakdown in rounds
             for number, a, b in zip(compiled.numbers, compiled.bounds, compiled.bounds[1:])))
+
+
+def _reprs(cells: np.ndarray) -> list[list[str]]:
+    """``repr`` of each float64 of the 2-D ``cells``, once per distinct bit pattern
+    (``np.unique`` on the floats would merge ``-0.0`` into ``0.0``)."""
+    keys, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return text[inverse.reshape(cells.shape)].tolist()

@@ -10,13 +10,14 @@ from itertools import count
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankelo import (
     DivisionResult,
     EngineState,
     InputError,
     PROFILES,
+    PerformanceBreakdown,
     RoundInput,
     SimConfig,
     SweepSpec,
@@ -32,8 +33,9 @@ from rankelo import (
     write_rounds,
 )
 from rankelo.cli import run
-from rankelo.rating import bind, rate_compiled_round
-from rankelo.replay import ReplayResult, compile_history, division_errors
+from rankelo.rating import CompiledRound, bind, rate_compiled_round
+from rankelo.replay import (REPLAY_LOG_HEADER, ReplayResult, compile_history,
+                            division_errors)
 from rankelo.store import write_csv
 
 ELO = PROFILES["elo"]
@@ -360,3 +362,69 @@ class TestRefusals:
                                        DivisionResult(8, [("b", 1.0), ("c", 2.0)])])
         with pytest.raises(InputError, match="non-finite rating in division 8"):
             replay([round_input], ELO, state)
+
+
+# Floats the replay log must spell exactly: both zeros, subnormals, the
+# smallest normal, values near the float64 limits, and common cells.
+LOG_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+              1e308, -1e308, 1.0, 0.1, 1200.0, 3.5]
+
+
+def log_record(round_id, divisions):
+    """One ``(CompiledRound, PerformanceBreakdown)`` record from ``(number,
+    entries)`` divisions, each entry ``(id, nr, eleven float cells)``."""
+    entries = [entry for _, division in divisions for entry in division]
+    bounds = np.cumsum([0] + [len(division) for _, division in divisions])
+    n = len(entries)
+    compiled = CompiledRound(round_id, tuple(number for number, _ in divisions),
+                             tuple(bounds.tolist()), tuple(p for p, _, _ in entries),
+                             np.zeros(n), np.arange(n), np.arange(n))
+    cells = np.array([c for _, _, c in entries], dtype=np.float64).reshape(n, 11)
+    return compiled, PerformanceBreakdown(np.array([nr for _, nr, _ in entries], np.int64),
+                                          *cells.T.copy())
+
+
+def naive_replay_log(records) -> str:
+    """The replay log written cell by cell: ``repr`` of each value, and each
+    id or round id quoted, as ``csv.QUOTE_MINIMAL`` with a carriage return."""
+    def quoted(text):
+        return ('"' + text.replace('"', '""') + '"'
+                if any(c in text for c in ',"\r\n') else text)
+    names = [f.name for f in fields(PerformanceBreakdown)]
+    lines = [",".join(REPLAY_LOG_HEADER)]
+    for compiled, breakdown in records:
+        for number, a, b in zip(compiled.numbers, compiled.bounds, compiled.bounds[1:]):
+            for k in range(a, b):
+                lines.append(",".join(
+                    [quoted(compiled.round_id), str(number), quoted(compiled.ids[k]),
+                     str(b - a)] + [repr(getattr(breakdown, name)[k].item()) for name in names]))
+    return "\n".join(lines) + "\n"
+
+
+log_entries = st.lists(st.tuples(
+    st.text(st.sampled_from('ab,"\r\né'), min_size=1, max_size=4),
+    st.integers(-2 ** 63, 2 ** 63 - 1),
+    st.lists(st.one_of(st.sampled_from(LOG_FLOATS), st.floats()), min_size=11, max_size=11)),
+    max_size=6)
+log_records = st.lists(st.builds(log_record, st.text(st.sampled_from('r1,"'), min_size=1),
+                                 st.lists(st.tuples(st.integers(1, 3), log_entries),
+                                          max_size=3)), max_size=3)
+
+
+class TestReplayLog:
+    @settings(max_examples=80, deadline=None)
+    @example([log_record('r,"0"', [
+        # -0.0 and 0.0 in one division, in different columns, beside
+        # repeats, subnormals and +-1e308, under ids that need quotes
+        (1, [('say "hi"', 1, [-0.0, 0.0, 5e-324, 1e308, -1e308, 1e-310,
+                              1.0, 1.0, 0.1, 0.1, -0.0]),
+             ("a,b", 2, [0.0, -0.0, 5e-324, -1e308, 1e308, 1e-310,
+                         1.0, 0.1, 0.1, 1.0, 0.0])]),
+        (2, []),
+        (3, [("plain", 3, [1200.0] * 11), ("x", 1, [-0.0] * 11)]),
+    ])])
+    @given(log_records)
+    def test_every_cell_is_its_values_repr(self, records):
+        log = io.StringIO()
+        write_replay_log(records, log)
+        assert log.getvalue() == naive_replay_log(records)

@@ -378,6 +378,38 @@ class TestEngineState:
             EngineState(ids=["a", "b"], rating=[1500.0, 1400.0], num_rounds=num_rounds,
                         rounds_processed=rounds_processed)
 
+    @pytest.mark.parametrize("num_rounds,rounds_processed,message", [
+        (["1", "2"], 0, "round count '1' for player 'a' is not a real number"),
+        (["x", "y"], 0, "round count 'x' for player 'a' is not a real number"),
+        (np.array([None, None], dtype=object), 0,
+         "round count None for player 'a' is not a real number"),
+        ([0, None], 0, "round count None for player 'b' is not a real number"),
+        ([0, 3], "1", "rounds_processed '1' is not a real number"),
+    ], ids=["digits", "text", "none", "none_after_int", "text_processed"])
+    def test_non_numeric_round_counts_refused(self, num_rounds, rounds_processed, message):
+        """A count that is no number is refused before it is compared with one."""
+        with pytest.raises(InputError) as exc:
+            EngineState(ids=["a", "b"], rating=[1500.0, 1400.0], num_rounds=num_rounds,
+                        rounds_processed=rounds_processed)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("ids,message", [
+        ([1, 2], "player id 1 is not a string"),
+        (["a", None], "player id None is not a string"),
+        (["a", b"b"], "player id b'b' is not a string"),
+    ], ids=["ints", "none", "bytes"])
+    def test_non_string_id_refused(self, ids, message):
+        with pytest.raises(InputError) as exc:
+            EngineState(ids=ids, rating=[1.0, 2.0], num_rounds=[0, 0])
+        assert str(exc.value) == message
+
+    def test_str_subclass_ids_are_accepted(self):
+        class Handle(str):
+            pass
+
+        state = EngineState(ids=[Handle("a"), "b"], rating=[1.0, 2.0], num_rounds=[0, 0])
+        assert state.index == {"a": 0, "b": 1}
+
     def test_empty_last_round_id_refused(self):
         with pytest.raises(InputError, match="last_round_id must be None or non-empty"):
             EngineState(last_round_id="")

@@ -7,7 +7,9 @@ the commit before the reports became masked folds, every digest in
 the rank pass, and ``LARGE_FROZEN``'s ``simulate`` and ``eval_rounds`` from
 commit ``810aa43``, before the correlations became one pass per history,
 and its ``rate``, ``rate_summary`` and ``sweep`` from commit ``b14ef0e``,
-before divisions of equal ratings skipped the pairwise pass.  A
+before divisions of equal ratings skipped the pairwise pass.
+``LOG_FROZEN``'s ``rate_negzero_log`` is from commit ``f64db40``, before
+the replay log formatted each distinct value of a division once.  A
 refactor that keeps the maths must keep every one of them; a change that
 moves output bits on purpose updates the digest here and declares the
 change.  Snapshot bytes are not pinned: their layout is versioned
@@ -101,6 +103,10 @@ LOG_COMMANDS = (
                        "--report", "rounds"]),
     ("compare_timeline", ["compare", "--profile", "elo2", "--input", "{h}",
                           "--vs-timeline", "{t}"]),
+    # round 1's players start at -0.0 (later ones at -0.0 + 0.0 = 0.0), and
+    # two of its divisions also log 0.0: the log must keep each sign
+    ("rate_negzero_log", ["rate", "--param", "initial_rating=-0.0",
+                          "--param", "inflation=0", "--input", "{h}"]),
 )
 
 # compare_timeline equals LONG_FROZEN["compare"]: an elo timeline of the
@@ -113,6 +119,7 @@ LOG_FROZEN = {
     "rate_resumed": "9aacf3f0e978718b68a3f448d5d7703c285fc87fbb267fbaec3e237100bb9de2",
     "eval_timeline": "1122652edbabc37bcbc05af130553f326bde46bb558cdbf3374b68516d8a4248",
     "compare_timeline": "b003c8d6d4ba834585ed9d1fae5def39bb32bafc33df1a470f555e9149106318",
+    "rate_negzero_log": "fecb32b1889d98b7d62013709e3e0586a3f8106f1c68da441e7dd51201a39b37",
 }
 
 
