@@ -140,16 +140,22 @@ class RoundInput:
     divisions: list[DivisionResult]
 
 
+def _check_real(values: np.ndarray, name) -> None:
+    """Refuse the first cell of ``values`` that is not a real number (text,
+    None), named ``name(position, repr)``; a numeric column skips the pass."""
+    if values.dtype.kind not in "biuf":   # Python objects or text
+        cells = values.ravel().tolist()
+        bad = next((k for k, v in enumerate(cells) if not isinstance(v, numbers.Real)), None)
+        if bad is not None:
+            raise InputError(f"{name(bad, repr(cells[bad]))} is not a real number")
+
+
 def _check_counts(counts: np.ndarray, name) -> None:
     """Refuse the first entry of ``counts`` that is not an integer in [0, MAX_ROUNDS],
     named ``name(position, value)``.  ``counts`` is uncast, so a uint64 count past
-    int64 is named by its true value; a cell that is no real number (text, None)
-    is refused before any compare."""
-    if counts.dtype.kind not in "biuf":   # Python objects or text
-        values = counts.ravel().tolist()
-        bad = next((k for k, v in enumerate(values) if not isinstance(v, numbers.Real)), None)
-        if bad is not None:
-            raise InputError(f"{name(bad, repr(values[bad]))} is not a real number")
+    int64 is named by its true value; a cell that is no real number is refused
+    before any compare."""
+    _check_real(counts, name)
     ok = (counts >= 0) & (counts <= MAX_ROUNDS)
     if counts.dtype.kind not in "biu":   # floats or Python objects: whole numbers only
         with np.errstate(invalid="ignore"):   # inf % 1
@@ -166,15 +172,15 @@ class EngineState:
     """Player registry, as columns, plus round-level bookkeeping.
 
     Player ``i`` is ``ids[i]`` (registration order; distinct strings), with
-    finite rating ``rating[i]`` and ``num_rounds[i]`` completed rated
-    rounds; ``index`` maps each id back to ``i``.  ``r1`` is the finite,
+    finite real rating ``rating[i]`` and ``num_rounds[i]`` completed rated
+    rounds; ``index`` maps each id back to ``i``.  ``r1`` is the finite real,
     inflation-adjusted rating assigned to newly registered players,
     recomputed after every round as ``initial_rating + inflation/100 *
     rounds_processed`` (not accumulated) so it is exactly reproducible.
     ``params`` and ``last_round_id`` are the parameters and the (non-empty)
-    id of the last round applied (None when unknown: a state loaded from a
-    version 1 snapshot, or one never rated).  Round counts are integers in
-    [0, MAX_ROUNDS]; a state that breaks any of this is an ``InputError``.
+    id of the last round applied (None when unknown: a state never rated,
+    or built without them).  Round counts are integers in [0, MAX_ROUNDS];
+    a state that breaks any of this is an ``InputError``.
     """
 
     ids: list[str] = field(default_factory=list)
@@ -191,17 +197,19 @@ class EngineState:
         if not all(issubclass(t, str) for t in set(map(type, self.ids))):
             bad = next(p for p in self.ids if not isinstance(p, str))
             raise InputError(f"player id {bad!r} is not a string")
-        self.rating = np.array(self.rating, dtype=np.float64)
-        counts = np.asarray(self.num_rounds)
-        if not self.rating.size == counts.size == len(self.ids):
+        ratings, counts = np.asarray(self.rating), np.asarray(self.num_rounds)
+        if not ratings.size == counts.size == len(self.ids):
             raise InputError("ids must be distinct and match the rating and "
                              "num_rounds columns in length")
+        _check_real(ratings, lambda k, v: f"rating {v} for player {self.ids[k]!r}")
+        self.rating = ratings.astype(np.float64)
         _check_counts(np.asarray(self.rounds_processed), lambda _, n: f"rounds_processed {n}")
         _check_counts(counts, lambda k, n: f"round count {n} for player {self.ids[k]!r}")
         self.rounds_processed = int(self.rounds_processed)
         self.num_rounds = counts.astype(np.int64)
         if self.last_round_id == "":
             raise InputError("last_round_id must be None or non-empty")
+        _check_real(np.asarray(self.r1), lambda _, v: f"new-player rating {v}")
         if not math.isfinite(self.r1):
             raise InputError(f"non-finite new-player rating {self.r1!r}")
         bad = np.flatnonzero(~np.isfinite(self.rating))

@@ -6,11 +6,10 @@ Records of one round must be contiguous; scores are stored as 64-bit floats
 after a canonical decimal parse, so equally written scores (``250.00`` vs
 ``250.0``) compare equal and tie.
 
-Snapshots are binary, columnar (version 2: id offsets, an id blob, a
-rating column and a round-count column) with a version byte and a trailing
+Snapshots are binary and columnar (id offsets, an id blob, a rating
+column and a round-count column) with a version byte and a trailing
 64-bit checksum; reloading one and continuing a replay is bit-identical to
-never having stopped.  Version 1 snapshots (one record per player) still
-load.
+never having stopped.  Only version 2 is read.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import re
 import struct
 from contextlib import contextmanager
@@ -38,11 +38,10 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 _SNAPSHOT_MAGIC = b"RSNP"
 _SNAPSHOT_VERSION = 2
-# After the magic and the version byte: rounds_processed, r1, player count.
-_HEADER = struct.Struct("<QdQ")
-# Version 2 only, next: the seven RatingParams fields in declaration order
-# (all NaN when unknown) and the byte length of the last round id (0: none).
-_V2_HEADER = struct.Struct("<7dI")
+# After the magic and the version byte: rounds_processed, r1, the player
+# count, the seven RatingParams fields in declaration order (all NaN when
+# unknown) and the byte length of the last round id (0: none).
+_HEADER = struct.Struct("<QdQ7dI")
 
 
 @contextmanager
@@ -232,8 +231,30 @@ def parse_timeline(source) -> dict[tuple[str, str], float]:
     return timeline
 
 
+def _replace_file(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a new sibling file that then replaces
+    the destination, so a failed write leaves the old file (and removes the
+    sibling).  A destination that exists and is not a regular file (a FIFO,
+    ``/dev/stdout``) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        Path(path).write_bytes(data)
+        return
+    target = Path(os.path.realpath(path))   # through a symlink, not over it
+    temporary = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    stream = open(temporary, "xb")   # not mkstemp's 0600: the mode a plain write gives
+    try:
+        with stream:
+            stream.write(data)
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def save_snapshot(state: EngineState, path) -> None:
-    """Write the engine state as a checksummed, columnar (version 2) snapshot."""
+    """Write the engine state as a checksummed, columnar (version 2) snapshot.
+
+    A write that fails leaves the file at ``path`` as it was."""
     try:
         raw = [player_id.encode("utf-8") for player_id in state.ids]
         last = (state.last_round_id or "").encode("utf-8")
@@ -243,12 +264,11 @@ def save_snapshot(state: EngineState, path) -> None:
     params = (math.nan,) * 7 if state.params is None else astuple(state.params)
     payload = b"".join((
         _SNAPSHOT_MAGIC, bytes([_SNAPSHOT_VERSION]),
-        _HEADER.pack(state.rounds_processed, state.r1, len(raw)),
-        _V2_HEADER.pack(*params, len(last)), last,
-        ends.tobytes(), b"".join(raw),
+        _HEADER.pack(state.rounds_processed, state.r1, len(raw), *params, len(last)),
+        last, ends.tobytes(), b"".join(raw),
         state.rating.astype("<f8").tobytes(), state.num_rounds.astype("<u8").tobytes()))
     digest = hashlib.blake2b(payload, digest_size=8).digest()
-    Path(path).write_bytes(payload + digest)
+    _replace_file(path, payload + digest)
 
 
 def _truncated_unless(ok: bool) -> None:
@@ -256,40 +276,30 @@ def _truncated_unless(ok: bool) -> None:
         raise SnapshotError("snapshot truncated")
 
 
-def _decode_ids(payload: bytes, starts: list[int], ends: list[int]) -> list[str]:
-    try:
-        return [payload[start:end].decode("utf-8") for start, end in zip(starts, ends)]
-    except UnicodeDecodeError:
-        raise SnapshotError("player id is not valid UTF-8") from None
+def load_snapshot(path) -> EngineState:
+    """Load a snapshot written by ``save_snapshot``.
 
+    The body after the header holds u64 id end-offsets, the UTF-8 id blob,
+    ``<f8`` ratings and ``<u8`` counts.  Verifies the version, the checksum,
+    the layout and that every id is UTF-8; any failure, or a state
+    ``EngineState`` refuses (a round count above ``MAX_ROUNDS``, say), is a
+    ``SnapshotError``.
+    """
+    data = Path(path).read_bytes()
+    _truncated_unless(len(data) >= 5)
+    if data[:4] != _SNAPSHOT_MAGIC:
+        raise SnapshotError("not a snapshot file")
+    if data[4] != _SNAPSHOT_VERSION:
+        raise SnapshotError(f"unsupported snapshot version {data[4]}: only version "
+                            f"{_SNAPSHOT_VERSION} is read; re-rate the rounds to write "
+                            f"a new snapshot")
+    payload, digest = data[:-8], data[-8:]
+    offset = 5 + _HEADER.size   # past the magic, the version byte and the header
+    _truncated_unless(len(payload) >= offset)
+    if hashlib.blake2b(payload, digest_size=8).digest() != digest:
+        raise SnapshotError("checksum mismatch (corrupt or truncated snapshot)")
 
-def _v1_columns(payload: bytes, offset: int, count: int):
-    """Version 1 body: per player, a u32 id length, the id, a rating and a count."""
-    starts, ends, ratings, rounds = [], [], [], []
-    for _ in range(count):
-        _truncated_unless(offset + 4 <= len(payload))
-        id_len, = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        _truncated_unless(offset + id_len + 16 <= len(payload))
-        starts.append(offset)
-        offset += id_len
-        ends.append(offset)
-        rating, num_rounds = struct.unpack_from("<dQ", payload, offset)
-        ratings.append(rating)
-        rounds.append(num_rounds)
-        offset += 16
-    if offset != len(payload):
-        raise SnapshotError("trailing data after player records")
-    return (_decode_ids(payload, starts, ends), np.array(ratings, dtype=np.float64),
-            np.array(rounds, dtype=np.uint64), None, None)
-
-
-def _v2_columns(payload: bytes, offset: int, count: int):
-    """Version 2 body: the run's parameters and last round id, then columns:
-    u64 id end-offsets, the UTF-8 id blob, ``<f8`` ratings, ``<u8`` counts."""
-    _truncated_unless(offset + _V2_HEADER.size <= len(payload))
-    *values, id_len = _V2_HEADER.unpack_from(payload, offset)
-    offset += _V2_HEADER.size
+    rounds_processed, r1, count, *values, id_len = _HEADER.unpack_from(payload, 5)
     params = None
     if not all(map(math.isnan, values)):   # all NaN: parameters unknown
         try:
@@ -311,40 +321,16 @@ def _v2_columns(payload: bytes, offset: int, count: int):
     if blob_end + 16 * count != len(payload):
         raise SnapshotError("trailing data after player records")
     bounds = (ends + offset).tolist()
-    return (_decode_ids(payload, [offset] + bounds[:-1], bounds),
-            np.frombuffer(payload, "<f8", count, blob_end),
-            np.frombuffer(payload, "<u8", count, blob_end + 8 * count),
-            params, last_round_id)
-
-
-def load_snapshot(path) -> EngineState:
-    """Load a snapshot written by ``save_snapshot``, of version 2 or 1.
-
-    Verifies the checksum, the layout and that every id is UTF-8; any
-    failure, or a state ``EngineState`` refuses (a round count above
-    ``MAX_ROUNDS``, say), is a ``SnapshotError``.
-    A version 1 snapshot does not record the parameters or the last round
-    id, which load as None.
-    """
-    data = Path(path).read_bytes()
-    if len(data) < len(_SNAPSHOT_MAGIC) + 1 + _HEADER.size + 8:
-        raise SnapshotError("snapshot truncated")
-    payload, digest = data[:-8], data[-8:]
-    if payload[:4] != _SNAPSHOT_MAGIC:
-        raise SnapshotError("not a snapshot file")
-    version = payload[4]
-    if version not in (1, 2):
-        raise SnapshotError(f"unsupported snapshot version {version}")
-    if hashlib.blake2b(payload, digest_size=8).digest() != digest:
-        raise SnapshotError("checksum mismatch (corrupt or truncated snapshot)")
-
-    rounds_processed, r1, count = _HEADER.unpack_from(payload, 5)
-    read = _v1_columns if version == 1 else _v2_columns
-    ids, rating, num_rounds, params, last_round_id = read(
-        payload, 5 + _HEADER.size, count)
     try:
-        return EngineState(ids=ids, rating=rating, num_rounds=num_rounds, r1=r1,
-                           rounds_processed=rounds_processed, params=params,
+        ids = [payload[start:end].decode("utf-8")
+               for start, end in zip([offset] + bounds[:-1], bounds)]
+    except UnicodeDecodeError:
+        raise SnapshotError("player id is not valid UTF-8") from None
+    try:
+        return EngineState(ids=ids, rating=np.frombuffer(payload, "<f8", count, blob_end),
+                           num_rounds=np.frombuffer(payload, "<u8", count,
+                                                    blob_end + 8 * count),
+                           r1=r1, rounds_processed=rounds_processed, params=params,
                            last_round_id=last_round_id)
     except InputError as exc:   # a state no engine could hold
         raise SnapshotError(str(exc)) from None

@@ -393,6 +393,19 @@ class TestEngineState:
                         rounds_processed=rounds_processed)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("rating,r1,message", [
+        (["x"], 1200.0, "rating 'x' for player 'a' is not a real number"),
+        ([None], 1200.0, "rating None for player 'a' is not a real number"),
+        (["1.5"], 1200.0, "rating '1.5' for player 'a' is not a real number"),
+        ([1.5], "x", "new-player rating 'x' is not a real number"),
+        ([1.5], None, "new-player rating None is not a real number"),
+    ], ids=["text", "none", "digits", "r1_text", "r1_none"])
+    def test_non_numeric_rating_refused(self, rating, r1, message):
+        """A rating or ``r1`` that is no number is refused as such, not cast."""
+        with pytest.raises(InputError) as exc:
+            EngineState(ids=["a"], rating=rating, num_rounds=[0], r1=r1)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("ids,message", [
         ([1, 2], "player id 1 is not a string"),
         (["a", None], "player id None is not a string"),

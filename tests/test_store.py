@@ -3,12 +3,19 @@
 import hashlib
 import io
 import math
+import os
+import stat
 import struct
+import subprocess
+import sys
+import threading
 from copy import deepcopy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rankelo
 from rankelo import (
     DivisionResult,
     EngineState,
@@ -275,17 +282,6 @@ def states_equal(a: EngineState, b: EngineState) -> bool:
             and a.num_rounds.tobytes() == b.num_rounds.tobytes())
 
 
-def v1_snapshot(state: EngineState) -> bytes:
-    """``state`` in the version 1 layout: a record per player, then the checksum."""
-    payload = (b"RSNP" + bytes([1])
-               + struct.pack("<QdQ", state.rounds_processed, state.r1, len(state.ids)))
-    for player_id, rating, num_rounds in zip(state.ids, state.rating.tolist(),
-                                             state.num_rounds.tolist()):
-        raw = player_id.encode("utf-8")
-        payload += struct.pack("<I", len(raw)) + raw + struct.pack("<dQ", rating, num_rounds)
-    return payload + hashlib.blake2b(payload, digest_size=8).digest()
-
-
 def one_player(rating=1300.0, num_rounds=2, player_id="pa"):
     return EngineState(ids=[player_id], rating=[rating], num_rounds=[num_rounds])
 
@@ -347,8 +343,10 @@ class TestSnapshots:
         payload = bytes(raw[:-8])
         digest = hashlib.blake2b(payload, digest_size=8).digest()
         path.write_bytes(payload + digest)
-        with pytest.raises(SnapshotError, match="version 99"):
+        with pytest.raises(SnapshotError) as exc:
             load_snapshot(path)
+        assert str(exc.value) == ("unsupported snapshot version 99: only version 2 is "
+                                  "read; re-rate the rounds to write a new snapshot")
 
     def test_trailing_data(self, tmp_path):
         path = tmp_path / "x.snap"
@@ -358,17 +356,6 @@ class TestSnapshots:
         digest = hashlib.blake2b(payload, digest_size=8).digest()
         path.write_bytes(payload + digest)
         with pytest.raises(SnapshotError, match="trailing data"):
-            load_snapshot(path)
-
-    def test_duplicate_player_record(self, tmp_path):
-        record = struct.pack("<I", 1) + b"a" + struct.pack("<dQ", 1200.0, 3)
-        payload = (b"RSNP" + bytes([1]) + struct.pack("<Q", 5)
-                   + struct.pack("<d", 1200.0) + struct.pack("<Q", 2)
-                   + record + record)
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        path = tmp_path / "dup.snap"
-        path.write_bytes(payload + digest)
-        with pytest.raises(SnapshotError, match="duplicate player 'a'"):
             load_snapshot(path)
 
     def test_empty_file(self, tmp_path):
@@ -574,26 +561,6 @@ class TestSnapshotVersions:
         loaded = load_snapshot(path)
         assert (loaded.params, loaded.last_round_id) == (ELO2, rounds[-1].round_id)
 
-    def test_v1_snapshot_loads_to_the_same_columns(self, tmp_path):
-        state = replay(replay_history(), ELO2).state
-        path = tmp_path / "v1.snap"
-        path.write_bytes(v1_snapshot(state))
-        loaded = load_snapshot(path)
-        assert states_equal(loaded, state)
-        assert (loaded.params, loaded.last_round_id) == (None, None)
-
-    @pytest.mark.parametrize("count", [0, 1, 3])
-    def test_v1_truncated_or_trailing(self, tmp_path, count):
-        state = EngineState(ids=["a", "b", "c"][:count], rating=[1.0, 2.0, 3.0][:count],
-                            num_rounds=[0, 1, 2][:count])
-        payload = v1_snapshot(state)[:-8]
-        path = tmp_path / "v1.snap"
-        for bad, message in ((payload[:-1], "truncated"),
-                             (payload + b"\x00", "trailing data")):
-            path.write_bytes(bad + hashlib.blake2b(bad, digest_size=8).digest())
-            with pytest.raises(SnapshotError, match=message):
-                load_snapshot(path)
-
     def test_v2_duplicate_player(self, tmp_path):
         path = tmp_path / "d.snap"
         save_snapshot(EngineState(ids=["pa", "pb"], rating=[1.0, 2.0],
@@ -651,6 +618,10 @@ class TestSnapshotVersions:
 
 
 class TestResumeFromV1:
+    """A version 1 snapshot recorded neither the parameters nor a round id,
+    so a resume from one could check neither: it is refused, and the resume
+    it stood for runs from a snapshot that records both."""
+
     def write_history(self, tmp_path):
         rounds = replay_history(seed=9, rounds=16)
         paths = {}
@@ -666,11 +637,11 @@ class TestResumeFromV1:
                     "--output", str(logs["whole"]),
                     "--snapshot-out", str(tmp_path / "whole.snap")]) == 0
         assert run(["rate", "--profile", "elo2", "--input", str(paths["head"]),
-                    "--output", str(logs["head"])]) == 0
-        v1 = tmp_path / "v1.snap"
-        v1.write_bytes(v1_snapshot(replay(rounds[:7], ELO2).state))
+                    "--output", str(logs["head"]),
+                    "--snapshot-out", str(tmp_path / "head.snap")]) == 0
         assert run(["rate", "--profile", "elo2", "--input", str(paths["tail"]),
-                    "--snapshot-in", str(v1), "--output", str(logs["tail"]),
+                    "--snapshot-in", str(tmp_path / "head.snap"),
+                    "--output", str(logs["tail"]),
                     "--snapshot-out", str(tmp_path / "resumed.snap")]) == 0
         capsys.readouterr()
         head_log = logs["head"].read_bytes()
@@ -685,11 +656,81 @@ class TestResumeFromV1:
             (tmp_path / "whole.snap").read_bytes()
 
     def test_v1_records_neither_parameters_nor_rounds(self, tmp_path, capsys):
-        rounds, paths = self.write_history(tmp_path)
+        """Resuming an ``elo2`` history under ``--profile elo`` from a version 1
+        file, which would re-rate every round it applied, exits 1 and writes
+        nothing."""
+        _, paths = self.write_history(tmp_path)
+        payload = b"RSNP\x01" + struct.pack("<QdQ", 7, 1200.0, 0)   # no players
         v1 = tmp_path / "v1.snap"
-        v1.write_bytes(v1_snapshot(replay(rounds[:7], ELO2).state))
+        v1.write_bytes(payload + hashlib.blake2b(payload, digest_size=8).digest())
+        log, out = tmp_path / "out.log", tmp_path / "out.snap"
         assert run(["rate", "--profile", "elo", "--input", str(paths["whole"]),
-                    "--snapshot-in", str(v1)]) == 0
+                    "--snapshot-in", str(v1), "--output", str(log),
+                    "--snapshot-out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: unsupported snapshot version 1: only version 2 is read; "
+            "re-rate the rounds to write a new snapshot\n")
+        assert not log.exists() and not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX files and rlimits")
+class TestSnapshotWrite:
+    """``save_snapshot`` replaces a regular file only once the new bytes are
+    written, so a failed ``--snapshot-out`` keeps the state it resumed from."""
+
+    def test_failed_write_keeps_the_snapshot(self, tmp_path):
+        rounds = replay_history(seed=9, rounds=16)
+        write_rounds(rounds[7:], tmp_path / "tail.csv")
+        snap = tmp_path / "s.snap"
+        save_snapshot(replay(rounds[:7], ELO2).state, snap)
+        before = snap.read_bytes()
+        limit = len(before) // 2   # the child may write no file past this size
+        code = "\n".join([
+            "import resource, sys",
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))",
+            "from rankelo.cli import run",
+            "sys.exit(run(sys.argv[1:]))",
+        ])
+        src = str(Path(rankelo.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", code, "rate", "--profile", "elo2",
+             "--input", str(tmp_path / "tail.csv"),
+             "--snapshot-in", str(snap), "--snapshot-out", str(snap)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: [Errno 27] File too large")
+        assert snap.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.snap", "tail.csv"]
+
+    def test_new_file_and_symlink(self, tmp_path):
+        """A new snapshot gets the mode of a plain write, and a save through a
+        symlink replaces the file it points to and keeps the link."""
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        save_snapshot(one_player(), tmp_path / "new.snap")
+        assert (tmp_path / "new.snap").stat().st_mode == plain.stat().st_mode
+        link = tmp_path / "link.snap"
+        link.symlink_to(tmp_path / "new.snap")
+        save_snapshot(one_player(rating=1400.0), link)
+        assert link.is_symlink()
+        assert load_snapshot(tmp_path / "new.snap").rating.tolist() == [1400.0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.snap", "new.snap",
+                                                             "plain"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        save_snapshot(one_player(), fifo)
+        reader.join(timeout=60)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        save_snapshot(one_player(), tmp_path / "file.snap")
+        assert got == [(tmp_path / "file.snap").read_bytes()]
 
 
 @st.composite
@@ -724,17 +765,16 @@ class TestSnapshotFuzz:
         state = replay(rounds[:2], ELO2).state
         save_snapshot(state, root / "v2.snap")
         return {"tail": root / "tail.csv", "snap": root / "damaged.snap",
-                1: v1_snapshot(state), 2: (root / "v2.snap").read_bytes()}
+                "good": (root / "v2.snap").read_bytes()}
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_exit_code_is_0_or_1(self, files, version):
+    def test_exit_code_is_0_or_1(self, files):
         argv = ["rate", "--profile", "elo2", "--input", str(files["tail"]),
                 "--snapshot-in", str(files["snap"])]
-        files["snap"].write_bytes(files[version])
+        files["snap"].write_bytes(files["good"])
         assert run(argv) == 0
 
         @settings(max_examples=300, deadline=None, database=None)
-        @given(data=damaged(files[version]))
+        @given(data=damaged(files["good"]))
         def check(data):
             files["snap"].write_bytes(data)
             assert run(argv) in (0, 1)
