@@ -62,15 +62,6 @@ SIZE_BUCKETS: tuple[tuple[str, int, int | None], ...] = (
 )
 
 
-def _dense_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks from 0 in which equal values share one rank (each NaN its own)."""
-    order = np.argsort(values)
-    ordered = values[order]
-    ranks = np.empty(values.size, dtype=np.int64)
-    ranks[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
-    return ranks
-
-
 def _runs(steps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Starts and lengths of the runs of ``n`` equal sorted keys, where
     ``steps[i]`` marks a new key between sorted positions ``i`` and ``i + 1``
@@ -152,8 +143,9 @@ def _correlations(ratings: np.ndarray, scores: np.ndarray, bounds: Sequence[int]
     bounds = np.asarray(bounds, dtype=np.int64)
     n, sizes = x.size, np.diff(bounds)
     division = np.repeat(np.arange(sizes.size), sizes)
-    y_ranks = _dense_ranks(y)
-    x_keys = division * n + _dense_ranks(x)
+    # Dense ranks from 0: equal values share one, each NaN has its own.
+    y_ranks = np.unique(y, return_inverse=True, equal_nan=False)[1]
+    x_keys = division * n + np.unique(x, return_inverse=True, equal_nan=False)[1]
     y_keys = division * n + y_ranks
     by_y = np.argsort(y_keys)
     by_xy = by_y[np.argsort(x_keys[by_y], kind="stable")]
@@ -344,15 +336,6 @@ def _bucket_masks(values: np.ndarray, buckets):
         yield label, mask
 
 
-def _division_positions(numbers: Sequence[int]) -> tuple[list[int], np.ndarray]:
-    """The distinct division numbers in ascending order, and each entry's
-    position among them.  Division numbers are unbounded ints, so the
-    groups are keyed by position, never by an int64 of the number."""
-    distinct = sorted(set(numbers))
-    index = {number: k for k, number in enumerate(distinct)}
-    return distinct, np.array([index[number] for number in numbers], dtype=np.int64)
-
-
 def aggregate_error(
         rounds: Iterable[tuple[CompiledRound, PerformanceBreakdown]]) -> Report:
     """Bucketed means over a stream of ``(compiled, breakdown)`` rounds, as
@@ -377,8 +360,10 @@ def aggregate_error(
         for name in ("delta_r", "perf", "nr", "actual_rank"))
     top = actual_rank <= np.repeat(sizes, sizes) / 2
     seasoned = nr >= 2
-    numbers, position = _division_positions(
-        [number for compiled, _ in records for number in compiled.numbers])
+    # Division numbers are unbounded ints: an object array keeps them exact.
+    numbers, position = np.unique(np.array(
+        [number for compiled, _ in records for number in compiled.numbers],
+        dtype=object), return_inverse=True)
     position = np.repeat(position, sizes)
 
     masks = [("All", np.ones(nr.size, dtype=bool)),
@@ -446,7 +431,8 @@ def compare_systems(metrics_a: Sequence[RoundMetrics],
     # NaN compares false, so an undefined pair scores 0 and is not counted.
     # Scores are 0, 0.5 and 1, so every sum below is exact in any order.
     score = np.where(a == b, 0.5, a > b)
-    numbers, position = _division_positions([m.division for m in metrics_a])
+    numbers, position = np.unique(np.array([m.division for m in metrics_a], dtype=object),
+                                  return_inverse=True)
     sizes = np.array([m.n for m in metrics_a], dtype=np.int64)
 
     masks = [("All", np.ones(len(metrics_a), dtype=bool))]

@@ -403,18 +403,23 @@ def compile_history(rounds: Iterable[RoundInput]) -> CompiledHistory:
     """Every step of replaying ``rounds`` that no parameter or state affects.
 
     Each entry gets its player's number in order of first appearance; each
-    round is checked for an empty round id, a repeated player and non-finite
-    scores, so a bad round raises before any round is rated; and one
-    ``lexsort`` over the history gives every division's canonical order.
+    round is checked for empty or repeated round and player ids and for
+    non-finite scores, so a bad round raises before any round is rated; and
+    one ``lexsort`` over the history gives every division's canonical order.
     """
     known = {}   # id -> number, in order of first appearance
-    shapes, everyone, scores = [], [], []
+    shapes, everyone, scores, seen = [], [], [], set()
     for round_input in rounds:
         if not round_input.round_id:
             raise InputError("round ids must be non-empty")
+        if round_input.round_id in seen:
+            raise InputError(f"round {round_input.round_id!r} appears twice")
+        seen.add(round_input.round_id)
         divisions = tuple((d.division, *(tuple(zip(*d.entries)) or ((), ())))
                           for d in round_input.divisions)
         round_ids = tuple(p for _, ids, _ in divisions for p in ids)
+        if "" in round_ids:
+            raise InputError("player ids must be non-empty")
         if len(set(round_ids)) < len(round_ids):   # name the earliest repeat
             repeated = next(p for k, p in enumerate(round_ids) if p in round_ids[:k])
             raise InputError(f"player {repeated!r} appears twice "

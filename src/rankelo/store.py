@@ -82,51 +82,44 @@ def _parse_float(text: str, what: str, line: int) -> float:
     return value
 
 
-def _read_csv(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
-    """``(line, cells)`` for each row of ``stream``, ``line`` being where the
-    row starts (a quoted cell may span lines); a row ``csv`` cannot read (a
-    cell past ``csv.field_size_limit()``, say) is a ``ParseError``."""
-    reader = csv.reader(stream)
-    line = 1
-    try:
-        for row in reader:
-            yield line, row
-            line = reader.line_num + 1
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=line) from None
-
-
 def _csv_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line, stripped cells)`` for each non-blank row of a CSV file
-    (a path or an open text stream) whose first row is ``header``.
+    (a path or an open text stream) whose first row is ``header``; ``line``
+    is where the row starts (a quoted cell may span lines).
 
     A wrong header or field count, an empty ``round_id`` or ``player_id``,
-    a row ``csv`` cannot read, or text that is not UTF-8 is a ``ParseError``.
+    a row ``csv`` cannot read (a cell past ``csv.field_size_limit()``, say),
+    or text that is not UTF-8 is a ``ParseError``.
     """
     with open_text(source) as stream:
-        reader = _read_csv(stream)
-        _, first = next(reader, (1, header))   # empty: no rows
-        got = tuple(cell.strip() for cell in first)
-        if got != header:
-            unknown = [cell for cell in got if cell not in header]
-            if unknown:
-                raise ParseError(f"unknown field {unknown[0]!r} in header", line=1)
-            raise ParseError(
-                f"header must be {','.join(header)!r}, got {','.join(got)!r}", line=1)
-        width = len(header)
-        player_column = header.index("player_id")
-        for line, row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(f"expected {width} fields, got {len(row)}", line=line)
-            cells = [cell.strip() for cell in row]
-            round_id, player_id = cells[0], cells[player_column]
-            if not round_id or not player_id:
-                raise ParseError("round_id and player_id must be non-empty", line=line)
-            if not (round_id.isascii() and player_id.isascii()):
-                _require_utf8(line, round_id, player_id)
-            yield line, cells
+        reader = csv.reader(stream)
+        line = 1
+        try:
+            got = tuple(cell.strip() for cell in next(reader, header))   # empty: no rows
+            line = reader.line_num + 1
+            if got != header:
+                unknown = [cell for cell in got if cell not in header]
+                if unknown:
+                    raise ParseError(f"unknown field {unknown[0]!r} in header", line=1)
+                raise ParseError(
+                    f"header must be {','.join(header)!r}, got {','.join(got)!r}", line=1)
+            width = len(header)
+            player_column = header.index("player_id")
+            for row in reader:
+                start, line = line, reader.line_num + 1
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ParseError(f"expected {width} fields, got {len(row)}", line=start)
+                cells = [cell.strip() for cell in row]
+                round_id, player_id = cells[0], cells[player_column]
+                if not round_id or not player_id:
+                    raise ParseError("round_id and player_id must be non-empty", line=start)
+                if not (round_id.isascii() and player_id.isascii()):
+                    _require_utf8(start, round_id, player_id)
+                yield start, cells
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=line) from None
 
 
 def parse_rounds(source) -> list[RoundInput]:

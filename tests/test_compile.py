@@ -341,7 +341,9 @@ class TestRefusals:
         ([("a", 1.0), ("a", 2.0)], "player 'a' appears twice in round 'r2'"),
         ([("a", 1.0), ("new", math.nan)], "non-finite score in division 4"),
         ([("a", 1.0), ("new", -math.inf)], "non-finite score in division 4"),
-    ], ids=["repeated_player", "nan_score", "inf_score"])
+        ([("", 1.0)], "player ids must be non-empty"),
+        ([("a", 1.0), ("", 2.0), ("", 3.0)], "player ids must be non-empty"),
+    ], ids=["repeated_player", "nan_score", "inf_score", "empty_player", "empty_twice"])
     def test_bad_round_raises_before_any_round_is_rated(self, entries, message):
         state = EngineState(ids=["b"], rating=[1300.0], num_rounds=[2], r1=1250.0)
         before = EngineState(ids=["b"], rating=[1300.0], num_rounds=[2], r1=1250.0)
@@ -352,6 +354,21 @@ class TestRefusals:
         with pytest.raises(InputError, match=message):
             rate_round(rounds[-1], state, ELO2)
         assert state == before and state.index == {"b": 0}
+
+    def test_repeated_round_id_raises_before_any_round_is_rated(self):
+        rounds = [RoundInput("r1", [DivisionResult(1, [("a", 2.0), ("b", 1.0)])]),
+                  RoundInput("r1", [DivisionResult(1, [("c", 2.0), ("d", 1.0)])])]
+        message = "round 'r1' appears twice"
+        with pytest.raises(InputError, match=message):
+            compile_history(rounds)
+        state = EngineState.fresh(ELO2)
+        with pytest.raises(InputError, match=message):
+            replay(rounds, ELO2, state)
+        assert state == EngineState.fresh(ELO2) and state.index == {}
+        # rate_round compiles one round per call, so successive calls may reuse an id
+        for round_input in rounds:
+            rate_round(round_input, state, ELO2)
+        assert state.rounds_processed == 2 and state.ids == ["a", "b", "c", "d"]
 
     def test_non_finite_rating_names_its_division(self):
         # EngineState refuses a non-finite rating, so the replay's own check
