@@ -52,7 +52,7 @@ def _float_list(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _resolve_params(profile: str | None, overrides: list[str] | None) -> RatingParams:
-    params = PROFILES.get(profile or "elo", RatingParams())
+    params = PROFILES[profile or "elo"]
     if not overrides:
         return params
     values = {}
@@ -176,25 +176,20 @@ def _cmd_eval(args) -> int:
                              "only (per-player breakdowns need a replay)")
         rows = metrics_mod.evaluate_timeline(rounds,
                                              store.parse_timeline(args.timeline))
-        return _emit_round_metrics(args, rows)
-
-    params = _resolve_params(args.profile, args.param)
-    result = replay(rounds, params, state=_resume(args.snapshot_in, params, rounds))
-
-    if args.report == "rounds":
-        return _emit_round_metrics(args, metrics_mod.evaluate_replay(result))
-    if args.report == "stats":
-        stats = metrics_mod.rating_stats(result)
-        rows = list(zip((f.name for f in fields(stats)), astuple(stats)))
-        _emit(args, ("stat", "value"), rows, (None, 4))
-        return 0
-    report = metrics_mod.aggregate_error(result.rounds)
-    _emit(args, ("bucket", "count", "mean_delta_r", "mean_perf", "mean_error"),
-          [astuple(row) for row in report.rows], (None, None, 2, 4, 4))
-    return 0
-
-
-def _emit_round_metrics(args, rows) -> int:
+    else:
+        params = _resolve_params(args.profile, args.param)
+        result = replay(rounds, params, state=_resume(args.snapshot_in, params, rounds))
+        if args.report == "stats":
+            stats = metrics_mod.rating_stats(result)
+            rows = list(zip((f.name for f in fields(stats)), astuple(stats)))
+            _emit(args, ("stat", "value"), rows, (None, 4))
+            return 0
+        if args.report == "buckets":
+            report = metrics_mod.aggregate_error(result.rounds)
+            _emit(args, ("bucket", "count", "mean_delta_r", "mean_perf", "mean_error"),
+                  [astuple(row) for row in report.rows], (None, None, 2, 4, 4))
+            return 0
+        rows = metrics_mod.evaluate_replay(result)
     _emit(args, [f.name for f in fields(metrics_mod.RoundMetrics)],
           [astuple(m) for m in rows], (None, None, None, 4, 4, 4))
     return 0
@@ -269,12 +264,9 @@ def _cmd_export(args) -> int:
 
 
 def _add_profile_flags(parser, prefix: str = "") -> None:
-    flag = f"--{prefix}profile" if prefix else "--profile"
-    parser.add_argument(flag, choices=(*PROFILES, "custom"),
-                        help="parameter profile (default elo; custom = "
-                             "defaults plus overrides)")
-    parser.add_argument(f"--{prefix}param" if prefix else "--param",
-                        action="append", metavar="KEY=VALUE",
+    parser.add_argument(f"--{prefix}profile", choices=PROFILES,
+                        help="parameter profile (default elo)")
+    parser.add_argument(f"--{prefix}param", action="append", metavar="KEY=VALUE",
                         help="override one rating parameter")
 
 
@@ -285,10 +277,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def common(p, formats=True):
+    def common(p):
         p.add_argument("--output", help="write to this path instead of stdout")
-        if formats:
-            p.add_argument("--format", choices=("csv", "table"), default="csv")
+        p.add_argument("--format", choices=("csv", "table"), default="csv")
 
     rate = sub.add_parser("rate", help="replay a rounds file, updating ratings")
     _add_profile_flags(rate)
@@ -344,7 +335,7 @@ def _build_parser() -> _Parser:
         sim.add_argument(f"--{f.name.replace('_', '-')}", type=types[f.name],
                          required=required, default=None if required else f.default)
     sim.add_argument("--skills-out", help="also write final latent skills here")
-    common(sim, formats=False)
+    sim.add_argument("--output", help="write to this path instead of stdout")
     sim.set_defaults(func=_cmd_simulate)
 
     exp = sub.add_parser("export", help="dump a snapshot as CSV or a table")

@@ -150,6 +150,12 @@ def _check_real(values: np.ndarray, name) -> None:
             raise InputError(f"{name(bad, repr(cells[bad]))} is not a real number")
 
 
+def _first_repeat(ids: Sequence[str]) -> str:
+    """The earliest id of ``ids`` that repeats one before it, in one pass."""
+    first: dict[str, int] = {}
+    return next(p for k, p in enumerate(ids) if first.setdefault(p, k) < k)
+
+
 def _check_counts(counts: np.ndarray, name) -> None:
     """Refuse the first entry of ``counts`` that is not an integer in [0, MAX_ROUNDS],
     named ``name(position, value)``.  ``counts`` is uncast, so a uint64 count past
@@ -216,10 +222,9 @@ class EngineState:
         if bad.size:
             raise InputError(f"non-finite rating for player {self.ids[bad[0]]!r}")
         self.index = dict(zip(self.ids, range(len(self.ids))))
-        if len(self.index) < len(self.ids):   # name the earliest repeat
-            first: dict[str, int] = {}
-            repeated = next(p for k, p in enumerate(self.ids) if first.setdefault(p, k) < k)
-            raise InputError(f"ids must be distinct: duplicate player {repeated!r}")
+        if len(self.index) < len(self.ids):
+            raise InputError(f"ids must be distinct: duplicate player "
+                             f"{_first_repeat(self.ids)!r}")
 
     def __eq__(self, other):
         """The same players in the same order, with equal columns and bookkeeping."""
@@ -420,9 +425,8 @@ def compile_history(rounds: Iterable[RoundInput]) -> CompiledHistory:
         round_ids = tuple(p for _, ids, _ in divisions for p in ids)
         if "" in round_ids:
             raise InputError("player ids must be non-empty")
-        if len(set(round_ids)) < len(round_ids):   # name the earliest repeat
-            repeated = next(p for k, p in enumerate(round_ids) if p in round_ids[:k])
-            raise InputError(f"player {repeated!r} appears twice "
+        if len(set(round_ids)) < len(round_ids):
+            raise InputError(f"player {_first_repeat(round_ids)!r} appears twice "
                              f"in round {round_input.round_id!r}")
         for number, _, values in divisions:
             _require_finite(values, "score", number)

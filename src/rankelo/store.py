@@ -62,14 +62,14 @@ def open_text(target, mode: str = "r") -> Iterator[IO[str]]:
                          f"{exc.reason})") from None
 
 
-def _require_utf8(line: int, *cells: str) -> None:
-    """Reject the lone surrogates that ``surrogateescape`` decoding (stdin
-    under a C locale) makes of bytes that are not UTF-8."""
-    for cell in cells:
-        try:
-            cell.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ParseError(f"{cell!r} is not valid UTF-8", line=line) from None
+def _is_utf8(text: str) -> bool:
+    """False for text holding the lone surrogates that ``surrogateescape``
+    decoding (stdin under a C locale) makes of bytes that are not UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _parse_float(text: str, what: str, line: int) -> float:
@@ -116,7 +116,9 @@ def _csv_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]
                 if not round_id or not player_id:
                     raise ParseError("round_id and player_id must be non-empty", line=start)
                 if not (round_id.isascii() and player_id.isascii()):
-                    _require_utf8(start, round_id, player_id)
+                    for cell in (round_id, player_id):
+                        if not _is_utf8(cell):
+                            raise ParseError(f"{cell!r} is not valid UTF-8", line=start)
                 yield start, cells
         except csv.Error as exc:
             raise ParseError(str(exc), line=line) from None
@@ -198,7 +200,15 @@ def write_divisions(stream: IO[str], header: Sequence[str],
 
 
 def write_rounds(rounds: Iterable[RoundInput], dest) -> None:
-    """Serialize rounds back to the CSV format accepted by ``parse_rounds``."""
+    """Serialize rounds back to the CSV format accepted by ``parse_rounds``, after
+    refusing any id it would not read back (empty, outer whitespace, not UTF-8)."""
+    rounds = tuple(rounds)
+    for round_input in rounds:
+        for value in chain([round_input.round_id],
+                           (p for d in round_input.divisions for p, _ in d.entries)):
+            if not value or value != value.strip() or not (value.isascii() or _is_utf8(value)):
+                raise InputError(f"id {value!r} would not read back from a rounds file: "
+                                 f"it is empty, has outer whitespace or is not UTF-8")
     with open_text(dest, "w") as stream:
         write_divisions(stream, ROUNDS_HEADER, (
             (round_input.round_id, division.division, [p for p, _ in division.entries],

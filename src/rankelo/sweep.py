@@ -124,13 +124,6 @@ def grid_points(start: float, stop: float, step: float,
     return tuple(start + i * step for i in range(int(steps) + 1))
 
 
-def _grid_scan(f: _Cached, lo: float, hi: float, step: float) -> None:
-    for k in grid_points(lo, hi, step, f"the error-vs-K curve is not unimodal, "
-                         f"and a grid scan of [{lo!r}, {hi!r}] at --k-step {step!r}"):
-        f(min(k, hi))
-    f(hi)
-
-
 def _optimize_k(f: Callable[[float], float], k_min: float, k_max: float,
                 k_step: float) -> tuple[float, float]:
     """Minimize an error-vs-K curve; returns (best K, its error).
@@ -151,7 +144,11 @@ def _optimize_k(f: Callable[[float], float], k_min: float, k_max: float,
     unimodal = all(values[i] >= values[i + 1] for i in range(low)) and \
         all(values[i] <= values[i + 1] for i in range(low, 4))
     if not unimodal:
-        _grid_scan(cached, k_min, k_max, k_step)
+        for k in grid_points(k_min, k_max, k_step, f"the error-vs-K curve is not "
+                             f"unimodal, and a grid scan of [{k_min!r}, {k_max!r}] "
+                             f"at --k-step {k_step!r}"):
+            cached(min(k, k_max))
+        cached(k_max)
         return cached.best()
 
     a = probes[max(low - 1, 0)]
@@ -169,12 +166,9 @@ def _optimize_k(f: Callable[[float], float], k_min: float, k_max: float,
 
 
 def _sweep_point(spec: SweepSpec, value: float, objective: Objective) -> SweepPoint:
-    if spec.target == "k_factor":
-        params = replace(spec.base, k_factor=value)
-        return SweepPoint(value=value, best_k=value,
-                          mean_error=objective(params))
     base = replace(spec.base, **{spec.target: value})
-    k_min, k_max = spec.k_range
+    # sweeping K itself leaves no K to optimize: its range is the one point
+    k_min, k_max = (value, value) if spec.target == "k_factor" else spec.k_range
     best_k, error = _optimize_k(
         lambda k: objective(replace(base, k_factor=k)), k_min, k_max,
         spec.k_step)

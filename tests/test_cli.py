@@ -131,6 +131,13 @@ class TestExitCodes:
                     "--target", "bonus", "--grid", ""]) == 1
         assert "--grid expects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["rate", "--profile"], ["compare", "--vs-profile"]],
+                             ids=["profile", "vs_profile"])
+    def test_unnamed_profile_is_refused(self, history_file, capsys, argv):
+        assert run([*argv, "custom", "--input", str(history_file)]) == 1
+        assert "invalid choice: 'custom' (choose from 'elo', 'elo2')" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ["--target", "bonus", "--grid"],
         ["--target", "joint", "--bonus-grid", "0", "--inflation-grid"],
@@ -425,7 +432,7 @@ class TestResume:
                                "uses bonus=0.0"),
         (["--profile", "elo2", "--param", "k_factor=500"],
          "snapshot was rated with k_factor=600.0, this run uses k_factor=500.0"),
-        (["--profile", "custom", "--param", "bonus=27", "--param", "inflation=63",
+        (["--profile", "elo", "--param", "bonus=27", "--param", "inflation=63",
           "--param", "weight_exponent=0.25"], "weight_exponent=0.5"),
     ], ids=["profile", "param", "last_field"])
     def test_other_parameters_are_refused(self, head_snapshot, tmp_path, capsys,
@@ -453,7 +460,7 @@ class TestResume:
     def test_same_parameters_after_the_last_round_resume(self, head_snapshot,
                                                          tmp_path, capsys):
         _, tail, snap = head_snapshot
-        assert run(["eval", "--profile", "custom", "--param", "bonus=27",
+        assert run(["eval", "--profile", "elo", "--param", "bonus=27",
                     "--param", "inflation=63", "--input", str(tail),
                     "--snapshot-in", str(snap), "--report", "stats",
                     "--output", str(tmp_path / "stats.csv")]) == 0
@@ -908,7 +915,8 @@ def test_parser_defaults_are_the_dataclass_defaults():
     sweep = parser.parse_args(["sweep"])
     spec = SweepSpec(target="k_factor", grid=(1.0,))
     assert ((sweep.k_min, sweep.k_max), sweep.k_step) == (spec.k_range, spec.k_step)
-    assert parser.parse_args(["rate", "--profile", "custom"]).profile == "custom"
+    with pytest.raises(InputError, match="invalid choice: 'custom'"):
+        parser.parse_args(["rate", "--profile", "custom"])
     for name in PROFILES:
         assert parser.parse_args(["rate", "--profile", name]).profile == name
 

@@ -5,6 +5,7 @@ import io
 import math
 import random
 import sys
+import time
 from dataclasses import fields
 from itertools import count
 
@@ -369,6 +370,16 @@ class TestRefusals:
         for round_input in rounds:
             rate_round(round_input, state, ELO2)
         assert state.rounds_processed == 2 and state.ids == ["a", "b", "c", "d"]
+
+    def test_late_repeat_in_a_large_division_is_named_quickly(self):
+        entries = [(f"p{k}", float(k)) for k in range(39_999)] + [("p7", 0.0)]
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="player 'p7' appears twice in round 'big'"):
+            compile_history([RoundInput("big", [DivisionResult(1, entries)])])
+        assert time.perf_counter() - start < 2.0
+        with pytest.raises(InputError, match="player 'b' appears twice"):
+            compile_history([RoundInput("r", [DivisionResult(1, [
+                ("a", 1.0), ("b", 2.0), ("b", 3.0), ("a", 4.0)])])])
 
     def test_non_finite_rating_names_its_division(self):
         # EngineState refuses a non-finite rating, so the replay's own check

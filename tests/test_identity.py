@@ -9,7 +9,9 @@ commit ``810aa43``, before the correlations became one pass per history,
 and its ``rate``, ``rate_summary`` and ``sweep`` from commit ``b14ef0e``,
 before divisions of equal ratings skipped the pairwise pass.
 ``LOG_FROZEN``'s ``rate_negzero_log`` is from commit ``f64db40``, before
-the replay log formatted each distinct value of a division once.  A
+the replay log formatted each distinct value of a division once, and
+``FROZEN``'s ``sweep_k_factor`` from commit ``b3adb8d``, before a ``k_factor``
+sweep became ``_optimize_k`` over a one-point K range.  A
 refactor that keeps the maths must keep every one of them; a change that
 moves output bits on purpose updates the digest here and declares the
 change.  Snapshot bytes are not pinned: their layout is versioned
@@ -47,6 +49,8 @@ COMMANDS = (
     ("sweep", ["sweep", "--profile", "elo2", "--target", "bonus",
                "--grid", "0,27", "--k-min", "100", "--k-max", "900",
                "--input", "{h}"]),
+    ("sweep_k_factor", ["sweep", "--profile", "elo2", "--target", "k_factor",
+                        "--grid", "300:900:150", "--input", "{h}"]),
     ("export_csv", ["export", "--snapshot-in", "{s}"]),
     ("export_table", ["export", "--snapshot-in", "{s}", "--format", "table"]),
 )
@@ -61,6 +65,7 @@ FROZEN = {
     "eval_stats": "9e35c45b4f83940213b9dd0e895c58bcb65d75fa6367d8fb82d2bbb1037e4bce",
     "compare": "973b3dea8ce15c50ed23841c8c247ceac073f78281e3ce75090cdc295e5f19ac",
     "sweep": "09d43daae5aec7e4a98bb919601be0958c2c239693ddb687d4ec2c947dda16f7",
+    "sweep_k_factor": "490e829f27e1c93fec20f97dda81b945a74e5514550a6021a88a02c00e489d0d",
     "export_csv": "3679cad7dabd3cd63fa13b22c864cd8e0f383efd224b8d15c57a12a3864220f3",
     "export_table": "c43e17765699055a83c80006f45fe3fb421080f6305dae3963977d433bdf6858",
 }

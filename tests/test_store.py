@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -208,6 +209,21 @@ class TestWriteRounds:
         write_rounds(history.rounds, first)
         write_rounds(history.rounds, second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("round_id,player_id,named", [
+        ("r1", " a", "' a'"),
+        ("r1 ", "a", "'r1 '"),
+        ("r1", "a\udcff", "'a\\udcff'"),
+        ("r1", "", "''"),
+    ], ids=["player_space", "round_space", "player_not_utf8", "player_empty"])
+    def test_id_that_would_not_read_back_is_refused(self, tmp_path, round_id,
+                                                     player_id, named):
+        rounds = [RoundInput("r0", [DivisionResult(1, [("b", 1.0)])]),
+                  RoundInput(round_id, [DivisionResult(1, [("b", 1.0), (player_id, 2.0)])])]
+        path = tmp_path / "rounds.csv"
+        with pytest.raises(InputError, match=re.escape(f"id {named} would not read back")):
+            write_rounds(rounds, path)
+        assert not path.exists()
 
 
 class TestParseTimeline:
