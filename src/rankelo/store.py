@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import numbers
 import os
 import re
 import struct
@@ -201,19 +202,40 @@ def write_divisions(stream: IO[str], header: Sequence[str],
 
 def write_rounds(rounds: Iterable[RoundInput], dest) -> None:
     """Serialize rounds back to the CSV format accepted by ``parse_rounds``, after
-    refusing any id it would not read back (empty, outer whitespace, not UTF-8)."""
+    refusing any id it would not read back (not a string, empty, outer
+    whitespace, not UTF-8) and any score that is not a finite real number."""
     rounds = tuple(rounds)
     for round_input in rounds:
-        for value in chain([round_input.round_id],
-                           (p for d in round_input.divisions for p, _ in d.entries)):
-            if not value or value != value.strip() or not (value.isascii() or _is_utf8(value)):
-                raise InputError(f"id {value!r} would not read back from a rounds file: "
-                                 f"it is empty, has outer whitespace or is not UTF-8")
+        round_id = round_input.round_id
+        _check_written_id(round_id)
+        for division in round_input.divisions:
+            for player_id, score in division.entries:
+                _check_written_id(player_id)
+                if not _is_finite_real(score):
+                    raise InputError(f"score {score!r} of player {player_id!r} in round "
+                                     f"{round_id!r} is not a finite real number")
     with open_text(dest, "w") as stream:
         write_divisions(stream, ROUNDS_HEADER, (
             (round_input.round_id, division.division, [p for p, _ in division.entries],
-             [repr(score) for _, score in division.entries])
+             [repr(float(score)) for _, score in division.entries])
             for round_input in rounds for division in round_input.divisions))
+
+
+def _check_written_id(value) -> None:
+    """Refuse an id that a rounds file would not give back."""
+    if not isinstance(value, str):
+        raise InputError(f"id {value!r} is not a string")
+    if not value or value != value.strip() or not (value.isascii() or _is_utf8(value)):
+        raise InputError(f"id {value!r} would not read back from a rounds file: "
+                         f"it is empty, has outer whitespace or is not UTF-8")
+
+
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is a real number that a float holds finitely."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:   # an int past the float range
+        return False
 
 
 def parse_timeline(source) -> dict[tuple[str, str], float]:

@@ -16,9 +16,11 @@ import pytest
 
 import rankelo
 from rankelo import (
+    DivisionResult,
     EngineState,
     InputError,
     PROFILES,
+    RoundInput,
     SimConfig,
     SweepSpec,
     load_snapshot,
@@ -981,3 +983,35 @@ def test_evaluation_does_not_import_scipy(history_file, tmp_path):
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_two_thread_kernel_imports_no_executor(tmp_path):
+    """A division past ``rating._SPLIT_ROWS`` is ranked on a plain helper
+    thread: ``concurrent.futures`` would pull in ``logging`` and several MB
+    of peak memory with it."""
+    n = rankelo.rating._SPLIT_ROWS + 100
+    history = tmp_path / "large.csv"
+    write_rounds([RoundInput(f"r{k}", [DivisionResult(1, [
+        (f"p{i}", float((i * (k + 7)) % n)) for i in range(n)])]) for k in range(2)],
+        history)
+    code = "\n".join([
+        "import sys, threading",
+        "import rankelo.rating as rating",
+        "from rankelo.cli import run",
+        "rating._cpu_count = lambda: 2",
+        "rank_rows, threads = rating._rank_rows, set()",
+        "def recording(*args):",
+        "    threads.add(threading.get_ident())",
+        "    rank_rows(*args)",
+        "rating._rank_rows = recording",
+        f"assert run(['rate', '--input', {str(history)!r}, "
+        f"'--output', {str(tmp_path / 'log.csv')!r}]) == 0",
+        "print(len(threads), 'concurrent.futures' in sys.modules, 'logging' in sys.modules)",
+    ])
+    src = str(Path(rankelo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["2", "False", "False"]

@@ -1,6 +1,8 @@
 """Agreement between the engine and the brute-force reference implementations."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -164,10 +166,101 @@ def test_block_size_is_invisible_in_the_output(monkeypatch, kind):
             assert np.array_equal(got_column, want_column)
 
 
+SPLIT = rating._SPLIT_ROWS
+
+
+@pytest.mark.parametrize("n", [SPLIT - 1, SPLIT, SPLIT + 1, 1680, 4000])
+@pytest.mark.parametrize("kind", ["tie_free", "tie_heavy", "clipped"])
+def test_split_is_invisible_in_the_output(monkeypatch, kind, n):
+    """Ranking the upper half of the rows on a helper thread changes no bit."""
+    scores, ratings = block_test_division(kind, n)
+    monkeypatch.setattr(rating, "_cpu_count", lambda: 2)
+    results = []
+    for split_rows in (n + 1, n):   # one thread, then two
+        monkeypatch.setattr(rating, "_SPLIT_ROWS", split_rows)
+        results.append(division_ranks(scores, ratings))
+    assert_same_bits(*results)
+
+
+def recording_rank_rows(monkeypatch, threads, fail_from=None):
+    """Replace ``_rank_rows`` with one that records the ident of each thread
+    that runs it and raises for a range starting at ``fail_from`` or later."""
+    rank_rows = rating._rank_rows
+
+    def recording(first, *args):
+        threads.append(threading.get_ident())
+        if fail_from is not None and first >= fail_from:
+            raise RuntimeError(f"rows from {first}")
+        rank_rows(first, *args)
+
+    monkeypatch.setattr(rating, "_rank_rows", recording)
+
+
+@pytest.mark.parametrize("n,cpus,idents", [(SPLIT - 1, 2, 1), (SPLIT, 2, 2), (SPLIT, 1, 1)])
+def test_a_division_past_the_split_is_ranked_on_two_threads(monkeypatch, n, cpus,
+                                                            idents):
+    scores, ratings = block_test_division("tie_free", n)
+    monkeypatch.setattr(rating, "_cpu_count", lambda: cpus)
+    threads = []
+    recording_rank_rows(monkeypatch, threads)
+    division_ranks(scores, ratings)
+    assert len(threads) == idents == len(set(threads))
+    assert threading.get_ident() in threads
+
+
+@pytest.mark.parametrize("fail_from", [500, 0], ids=["helper", "both"])
+def test_an_error_in_either_half_reaches_the_caller(monkeypatch, fail_from):
+    """The caller joins the helper before it raises: the helper's error, or
+    its own when both halves fail."""
+    scores, ratings = block_test_division("tie_free", 1000)
+    monkeypatch.setattr(rating, "_cpu_count", lambda: 2)
+    before = threading.active_count()
+    threads = []
+    recording_rank_rows(monkeypatch, threads, fail_from=fail_from)
+    with pytest.raises(RuntimeError, match=f"^rows from {fail_from}$"):
+        division_ranks(scores, ratings)
+    assert len(set(threads)) == 2
+    assert threading.active_count() == before
+
+
+def test_concurrent_callers_each_get_their_own_bits(monkeypatch):
+    """Four callers on their own threads, each splitting its division, so
+    eight threads share the cores under a short switch interval: every call
+    gives the bits of its division ranked on one thread."""
+    divisions = [block_test_division(kind, SPLIT + 37 * k) for k, kind in
+                 enumerate(["tie_free", "tie_heavy", "clipped", "tie_free"])]
+    monkeypatch.setattr(rating, "_cpu_count", lambda: 1)
+    want = [division_ranks(*division) for division in divisions]
+    monkeypatch.setattr(rating, "_cpu_count", lambda: 2)
+    got = [[] for _ in divisions]
+
+    def rank(k):
+        for _ in range(5):
+            got[k].append(division_ranks(*divisions[k]))
+
+    callers = [threading.Thread(target=rank, args=(k,)) for k in range(len(divisions))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for results, expected in zip(got, want, strict=True):
+        assert len(results) == 5
+        for result in results:
+            assert_same_bits(result, expected)
+
+
 @pytest.mark.parametrize("tie_heavy", [False, True])
-def test_kernel_working_memory_is_bounded(tie_heavy):
+def test_kernel_working_memory_is_bounded(monkeypatch, tie_heavy):
     """No n x n or 512 x n temporary: at n = 4,000 one 512-row float64
-    block alone is 15.6 MiB."""
+    block alone is 15.6 MiB.  The bound holds with the rows split between
+    two threads, each with its own two blocks (tracemalloc counts both)."""
+    monkeypatch.setattr(rating, "_cpu_count", lambda: 2)
     rng = np.random.default_rng(71)
     n = 4000
     ratings = rng.uniform(0.0, 3000.0, n)

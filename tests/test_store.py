@@ -13,6 +13,7 @@ import threading
 from copy import deepcopy
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -224,6 +225,38 @@ class TestWriteRounds:
         with pytest.raises(InputError, match=re.escape(f"id {named} would not read back")):
             write_rounds(rounds, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("round_id,player_id", [("r1", 7), (5, "a")],
+                             ids=["player_int", "round_int"])
+    def test_id_that_is_not_a_string_is_refused(self, tmp_path, round_id, player_id):
+        rounds = [RoundInput(round_id, [DivisionResult(1, [("b", 1.0), (player_id, 2.0)])])]
+        path = tmp_path / "rounds.csv"
+        bad = player_id if round_id == "r1" else round_id
+        with pytest.raises(InputError, match=f"^id {bad} is not a string$"):
+            write_rounds(rounds, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, "1.0", None,
+                                       10 ** 400],
+                             ids=["nan", "inf", "minus_inf", "text", "none", "huge_int"])
+    def test_score_that_is_not_a_finite_real_is_refused(self, tmp_path, score):
+        path = tmp_path / "rounds.csv"
+        path.write_text("kept")
+        rounds = [RoundInput("r0", [DivisionResult(1, [("b", 1.0)])]),
+                  RoundInput("r1", [DivisionResult(1, [("b", 1.0), ("a", score)])])]
+        with pytest.raises(InputError, match=re.escape(
+                f"score {score!r} of player 'a' in round 'r1' is not a finite real number")):
+            write_rounds(rounds, path)
+        assert path.read_text() == "kept"
+
+    def test_real_scores_of_other_types_read_back_as_floats(self):
+        rounds = [RoundInput("r1", [DivisionResult(1, [
+            ("a", np.float64(2.5)), ("b", 3), ("c", np.int64(-4))])])]
+        buf = io.StringIO()
+        write_rounds(rounds, buf)
+        assert buf.getvalue().splitlines()[1:] == ["r1,1,a,2.5", "r1,1,b,3.0", "r1,1,c,-4.0"]
+        assert parse_rounds(io.StringIO(buf.getvalue()))[0].divisions[0].entries == [
+            ("a", 2.5), ("b", 3.0), ("c", -4.0)]
 
 
 class TestParseTimeline:
