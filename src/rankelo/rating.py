@@ -23,13 +23,14 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, compress, count
+from dataclasses import dataclass, replace
+from itertools import accumulate, chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError
+from .registry import Registry, first_repeat
 
 # Rating units per bit of performance: a 1-bit surplus corresponds to
 # outperforming a 400 * log10(2) ~= 120.41 point rating gap.
@@ -159,12 +160,6 @@ def _check_real(values: np.ndarray, name) -> None:
             raise InputError(f"{name(bad, repr(cells[bad]))} is not a real number")
 
 
-def _first_repeat(ids: Sequence[str]) -> str:
-    """The earliest id of ``ids`` that repeats one before it, in one pass."""
-    first: dict[str, int] = {}
-    return next(p for k, p in enumerate(ids) if first.setdefault(p, k) < k)
-
-
 def _check_counts(counts: np.ndarray, name) -> None:
     """Refuse the first entry of ``counts`` that is not an integer in [0, MAX_ROUNDS],
     named ``name(position, value)``.  ``counts`` is uncast, so a uint64 count past
@@ -182,58 +177,53 @@ def _check_counts(counts: np.ndarray, name) -> None:
         raise InputError(f"{name(bad[0], value)} is {why}")
 
 
-@dataclass(eq=False)
 class EngineState:
     """Player registry, as columns, plus round-level bookkeeping.
 
-    Player ``i`` is ``ids[i]`` (registration order; distinct strings), with
-    finite real rating ``rating[i]`` and ``num_rounds[i]`` completed rated
-    rounds; ``index`` maps each id back to ``i``.  ``r1`` is the finite real,
-    inflation-adjusted rating assigned to newly registered players,
-    recomputed after every round as ``initial_rating + inflation/100 *
-    rounds_processed`` (not accumulated) so it is exactly reproducible.
-    ``params`` and ``last_round_id`` are the parameters and the (non-empty)
-    id of the last round applied (None when unknown: a state never rated,
-    or built without them).  Round counts are integers in [0, MAX_ROUNDS];
-    a state that breaks any of this is an ``InputError``.
+    Player ``i`` is the ``i``-th id of ``registry`` (registration order;
+    distinct strings), with finite real rating ``rating[i]`` and
+    ``num_rounds[i]`` completed rated rounds.  ``ids`` may be any strings, or
+    the ``Registry`` that ``load_snapshot`` reads, which keeps the file's id
+    blob undecoded; the ``ids`` attribute decodes every id on each read.
+    ``r1`` is the finite real, inflation-adjusted rating assigned to newly
+    registered players, recomputed after every round as ``initial_rating +
+    inflation/100 * rounds_processed`` (not accumulated) so it is exactly
+    reproducible.  ``params`` and ``last_round_id`` are the parameters and the
+    (non-empty) id of the last round applied (None when unknown: a state
+    never rated, or built without them).  Round counts are integers in [0,
+    MAX_ROUNDS]; a state that breaks any of this is an ``InputError``.
     """
 
-    ids: list[str] = field(default_factory=list)
-    rating: np.ndarray = field(default_factory=lambda: np.empty(0))
-    num_rounds: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    r1: float = 1200.0
-    rounds_processed: int = 0
-    params: RatingParams | None = None
-    last_round_id: str | None = None
-    index: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.ids = list(self.ids)
-        if not all(issubclass(t, str) for t in set(map(type, self.ids))):
-            bad = next(p for p in self.ids if not isinstance(p, str))
-            raise InputError(f"player id {bad!r} is not a string")
-        ratings, counts = np.asarray(self.rating), np.asarray(self.num_rounds)
-        if not ratings.size == counts.size == len(self.ids):
-            raise InputError("ids must be distinct and match the rating and "
-                             "num_rounds columns in length")
-        _check_real(ratings, lambda k, v: f"rating {v} for player {self.ids[k]!r}")
+    def __init__(self, ids: Iterable[str] | Registry = (), rating=(), num_rounds=(),
+                 r1: float = 1200.0, rounds_processed: int = 0,
+                 params: RatingParams | None = None, last_round_id: str | None = None):
+        self.registry = ids if isinstance(ids, Registry) else Registry(ids)
+        ratings, counts = np.asarray(rating), np.asarray(num_rounds)
+        if not ratings.size == counts.size == len(self.registry):
+            raise InputError(f"ids, rating and num_rounds must have one entry per player: "
+                             f"got {len(self.registry)}, {ratings.size} and {counts.size}")
+        name = self.registry.__getitem__
+        _check_real(ratings, lambda k, v: f"rating {v} for player {name(k)!r}")
         self.rating = ratings.astype(np.float64)
-        _check_counts(np.asarray(self.rounds_processed), lambda _, n: f"rounds_processed {n}")
-        _check_counts(counts, lambda k, n: f"round count {n} for player {self.ids[k]!r}")
-        self.rounds_processed = int(self.rounds_processed)
+        _check_counts(np.asarray(rounds_processed), lambda _, n: f"rounds_processed {n}")
+        _check_counts(counts, lambda k, n: f"round count {n} for player {name(k)!r}")
+        self.rounds_processed = int(rounds_processed)
         self.num_rounds = counts.astype(np.int64)
-        if self.last_round_id == "":
+        if last_round_id == "":
             raise InputError("last_round_id must be None or non-empty")
-        _check_real(np.asarray(self.r1), lambda _, v: f"new-player rating {v}")
-        if not math.isfinite(self.r1):
-            raise InputError(f"non-finite new-player rating {self.r1!r}")
+        _check_real(np.asarray(r1), lambda _, v: f"new-player rating {v}")
+        if not math.isfinite(r1):
+            raise InputError(f"non-finite new-player rating {r1!r}")
         bad = np.flatnonzero(~np.isfinite(self.rating))
         if bad.size:
-            raise InputError(f"non-finite rating for player {self.ids[bad[0]]!r}")
-        self.index = dict(zip(self.ids, range(len(self.ids))))
-        if len(self.index) < len(self.ids):
-            raise InputError(f"ids must be distinct: duplicate player "
-                             f"{_first_repeat(self.ids)!r}")
+            raise InputError(f"non-finite rating for player {name(bad[0])!r}")
+        self.registry.check()
+        self.r1, self.params, self.last_round_id = r1, params, last_round_id
+
+    @property
+    def ids(self) -> list[str]:
+        """Every player id, in registration order: a new list on each read."""
+        return self.registry.tolist()
 
     def __eq__(self, other):
         """The same players in the same order, with equal columns and bookkeeping."""
@@ -284,11 +274,10 @@ class PerformanceBreakdown:
 
 
 def _register(state: EngineState, new_ids: Sequence[str]) -> None:
-    """Append ``new_ids`` (none already in ``state``) to the registry: their
-    ids, their index entries, a rating of ``r1`` and no completed rounds."""
-    start, new = len(state.ids), len(new_ids)
-    state.ids.extend(new_ids)
-    state.index.update(zip(new_ids, range(start, start + new)))
+    """Append ``new_ids`` (none already in ``state``) to the registry, with a
+    rating of ``r1`` and no completed rounds."""
+    new = len(new_ids)
+    state.registry.append(new_ids)
     state.rating = np.concatenate((state.rating, np.full(new, state.r1)))
     state.num_rounds = np.concatenate((state.num_rounds, np.zeros(new, np.int64)))
 
@@ -296,9 +285,11 @@ def _register(state: EngineState, new_ids: Sequence[str]) -> None:
 def get_or_create_player(state: EngineState, player_id: str) -> int:
     """Return ``player_id``'s index in ``state``, registering the id at the
     current ``r1`` if it is new."""
-    if player_id not in state.index:
+    found = int(state.registry.find((player_id,))[0])
+    if found < 0:
+        found = len(state.registry)
         _register(state, (player_id,))
-    return state.index[player_id]
+    return found
 
 
 def _win_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -483,7 +474,7 @@ def compile_history(rounds: Iterable[RoundInput]) -> CompiledHistory:
         if "" in round_ids:
             raise InputError("player ids must be non-empty")
         if len(set(round_ids)) < len(round_ids):
-            raise InputError(f"player {_first_repeat(round_ids)!r} appears twice "
+            raise InputError(f"player {first_repeat(round_ids)!r} appears twice "
                              f"in round {round_input.round_id!r}")
         for number, _, values in divisions:
             _require_finite(values, "score", number)
@@ -520,12 +511,13 @@ def bind(history: CompiledHistory, state: EngineState) -> tuple[CompiledRound, .
     more = len(history.rounds)
     _check_counts(np.asarray(state.rounds_processed + more),
                   lambda _, n: f"after {more} more round(s), rounds_processed {n}")
-    if not state.ids:
+    size = len(state.registry)
+    if not size:
         return history.rounds
-    new = count(len(state.ids))
-    index = np.fromiter((state.index[p] if p in state.index else next(new)
-                         for p in history.players), np.int64, len(history.players))
-    known = np.flatnonzero(index < len(state.ids))
+    index = state.registry.find(history.players)
+    new = np.flatnonzero(index < 0)
+    index[new] = np.arange(size, size + new.size)
+    known = np.flatnonzero(index < size)
     _check_counts(state.num_rounds[index[known]] + more, lambda k, n: f"after {more} more "
                   f"round(s), round count {n} for player {history.players[known[k]]!r}")
     return tuple(replace(compiled, players=index[compiled.players])
@@ -586,7 +578,7 @@ def rate_division(division: DivisionResult, state: EngineState,
     columns.
     """
     compiled, = bind(compile_history([RoundInput("division", [division])]), state)
-    new = np.flatnonzero(compiled.players >= len(state.ids))   # past the registry
+    new = np.flatnonzero(compiled.players >= len(state.registry))   # past the registry
     if new.size:
         raise InputError(f"no state registered for player {compiled.ids[new[0]]!r}")
     return _breakdown(compiled, state, params)
@@ -603,7 +595,7 @@ def rate_compiled_round(compiled: CompiledRound, state: EngineState,
     ``inflation / 100``.
     """
     # new players: numbered past the registry, in entry (first appearance) order
-    new = (compiled.players >= len(state.ids)).tolist()
+    new = (compiled.players >= len(state.registry)).tolist()
     if any(new):
         _register(state, list(compress(compiled.ids, new)))
     breakdown = _breakdown(compiled, state, params)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import InputError, ParseError, SnapshotError
 from .rating import DivisionResult, EngineState, RatingParams, RoundInput
+from .registry import Registry
 
 ROUNDS_HEADER = ("round_id", "division", "player_id", "score")
 TIMELINE_HEADER = ("round_id", "player_id", "rating_before")
@@ -281,16 +282,15 @@ def save_snapshot(state: EngineState, path) -> None:
 
     A write that fails leaves the file at ``path`` as it was."""
     try:
-        raw = [player_id.encode("utf-8") for player_id in state.ids]
+        ends, blob = state.registry.encoded()
         last = (state.last_round_id or "").encode("utf-8")
     except UnicodeEncodeError as exc:
         raise InputError(f"{exc.object!r} is not valid UTF-8") from None
-    ends = np.cumsum(np.fromiter(map(len, raw), np.uint64, len(raw)), dtype="<u8")
     params = (math.nan,) * 7 if state.params is None else astuple(state.params)
     payload = b"".join((
         _SNAPSHOT_MAGIC, bytes([_SNAPSHOT_VERSION]),
-        _HEADER.pack(state.rounds_processed, state.r1, len(raw), *params, len(last)),
-        last, ends.tobytes(), b"".join(raw),
+        _HEADER.pack(state.rounds_processed, state.r1, ends.size, *params, len(last)),
+        last, ends.astype("<u8").tobytes(), blob,
         state.rating.astype("<f8").tobytes(), state.num_rounds.astype("<u8").tobytes()))
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     _replace_file(path, payload + digest)
@@ -308,7 +308,8 @@ def load_snapshot(path) -> EngineState:
     ``<f8`` ratings and ``<u8`` counts.  Verifies the version, the checksum,
     the layout and that every id is UTF-8; any failure, or a state
     ``EngineState`` refuses (a round count above ``MAX_ROUNDS``, say), is a
-    ``SnapshotError``.
+    ``SnapshotError``.  The ids stay undecoded, as the file's blob (see
+    ``registry.Registry``).
     """
     data = Path(path).read_bytes()
     _truncated_unless(len(data) >= 5)
@@ -345,14 +346,9 @@ def load_snapshot(path) -> EngineState:
     _truncated_unless(blob_end + 16 * count <= len(payload))
     if blob_end + 16 * count != len(payload):
         raise SnapshotError("trailing data after player records")
-    bounds = (ends + offset).tolist()
     try:
-        ids = [payload[start:end].decode("utf-8")
-               for start, end in zip([offset] + bounds[:-1], bounds)]
-    except UnicodeDecodeError:
-        raise SnapshotError("player id is not valid UTF-8") from None
-    try:
-        return EngineState(ids=ids, rating=np.frombuffer(payload, "<f8", count, blob_end),
+        return EngineState(ids=Registry.from_blob(payload[offset:blob_end], ends),
+                           rating=np.frombuffer(payload, "<f8", count, blob_end),
                            num_rounds=np.frombuffer(payload, "<u8", count,
                                                     blob_end + 8 * count),
                            r1=r1, rounds_processed=rounds_processed, params=params,
@@ -365,8 +361,9 @@ def export_snapshot(state: EngineState, dest, fmt: str = "csv") -> None:
     """Write a human-readable view of a snapshot (players sorted by id)."""
     if fmt not in ("csv", "table"):
         raise InputError(f"unknown export format {fmt!r}")
-    order = sorted(range(len(state.ids)), key=state.ids.__getitem__)
-    rows = list(zip([state.ids[i] for i in order], state.rating[order].tolist(),
+    ids = state.ids
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rows = list(zip([ids[i] for i in order], state.rating[order].tolist(),
                     state.num_rounds[order].tolist()))
     with open_text(dest, "w") as stream:
         if fmt == "csv":

@@ -71,7 +71,7 @@ def shuffled_history(seed, rounds=12):
 
 def assert_same_replay(got: ReplayResult, want: ReplayResult):
     assert got.state == want.state
-    assert got.state.index == want.state.index
+    assert got.state.registry.find(want.state.ids).tolist() == list(range(len(want.state.ids)))
     for name in ("round_errors", "count", "mean_error"):
         assert getattr(got, name) == getattr(want, name), name
     assert rating_stats(got) == rating_stats(want)
@@ -135,7 +135,7 @@ class TestCompiledReplay:
                 got = next(records)
                 for f in fields(want):
                     assert np.array_equal(got[f.name], getattr(want, f.name))
-                index = [state.index[pid] for pid, _ in division.entries]
+                index = state.registry.find([pid for pid, _ in division.entries])
                 rating[index] += want.delta_r
                 num_rounds[index] += 1
         assert next(records, None) is None
@@ -156,8 +156,9 @@ class TestCompiledReplay:
         head = replay(rounds[:5], ELO2).state
         compiled = compile_history(rounds[5:])
         # known ids at their registry index, new ids past it by first appearance
-        new = [p for p in compiled.players if p not in head.index]
-        number = {**head.index, **dict(zip(new, count(len(head.ids))))}
+        known = dict(zip(head.ids, count()))
+        new = [p for p in compiled.players if p not in known]
+        number = {**known, **dict(zip(new, count(len(known))))}
         assert new and len(new) < len(compiled.players)   # both kinds
         for compiled_round in bind(compiled, head):
             assert compiled_round.players.tolist() == \
@@ -351,10 +352,10 @@ class TestRefusals:
         rounds = self.rounds() + [RoundInput("r2", [DivisionResult(4, entries)])]
         with pytest.raises(InputError, match=message):
             replay(rounds, ELO2, state)
-        assert state == before and state.index == {"b": 0}
+        assert state == before and state.registry.find(["b", "a"]).tolist() == [0, -1]
         with pytest.raises(InputError, match=message):
             rate_round(rounds[-1], state, ELO2)
-        assert state == before and state.index == {"b": 0}
+        assert state == before and state.registry.find(["b", "a"]).tolist() == [0, -1]
 
     def test_repeated_round_id_raises_before_any_round_is_rated(self):
         rounds = [RoundInput("r1", [DivisionResult(1, [("a", 2.0), ("b", 1.0)])]),
@@ -365,7 +366,7 @@ class TestRefusals:
         state = EngineState.fresh(ELO2)
         with pytest.raises(InputError, match=message):
             replay(rounds, ELO2, state)
-        assert state == EngineState.fresh(ELO2) and state.index == {}
+        assert state == EngineState.fresh(ELO2) and len(state.registry) == 0
         # rate_round compiles one round per call, so successive calls may reuse an id
         for round_input in rounds:
             rate_round(round_input, state, ELO2)

@@ -343,14 +343,17 @@ class TestRateDivision:
 
 
 class TestEngineState:
-    @pytest.mark.parametrize("ids,rating,num_rounds", [
-        (["a", "a"], [1.0, 2.0], [0, 0]),
-        (["a", "b"], [1.0], [0, 0]),
-        (["a"], [1.0], [0, 1]),
+    @pytest.mark.parametrize("ids,rating,num_rounds,message", [
+        (["a", "a"], [1.0, 2.0], [0, 0], "ids must be distinct: duplicate player 'a'"),
+        (["a", "b"], [1.0], [0, 0], "ids, rating and num_rounds must have one entry "
+                                    "per player: got 2, 1 and 2"),
+        (["a"], [1.0], [0, 1], "ids, rating and num_rounds must have one entry "
+                               "per player: got 1, 1 and 2"),
     ], ids=["repeated_id", "short_rating", "long_num_rounds"])
-    def test_columns_must_match_distinct_ids(self, ids, rating, num_rounds):
-        with pytest.raises(InputError, match="ids must be distinct"):
+    def test_columns_must_match_distinct_ids(self, ids, rating, num_rounds, message):
+        with pytest.raises(InputError) as exc:
             EngineState(ids=ids, rating=rating, num_rounds=num_rounds)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("num_rounds,rounds_processed,message", [
         ([-1, 3], 0, "round count -1 for player 'a' is not a non-negative integer"),
@@ -421,7 +424,8 @@ class TestEngineState:
             pass
 
         state = EngineState(ids=[Handle("a"), "b"], rating=[1.0, 2.0], num_rounds=[0, 0])
-        assert state.index == {"a": 0, "b": 1}
+        assert state.ids == ["a", "b"]
+        assert state.registry.find(["a", "b", "c"]).tolist() == [0, 1, -1]
 
     def test_empty_last_round_id_refused(self):
         with pytest.raises(InputError, match="last_round_id must be None or non-empty"):
@@ -634,7 +638,7 @@ class TestGetOrCreatePlayer:
     def test_new_player_at_base_rating(self):
         state = EngineState.fresh(ELO)
         assert get_or_create_player(state, "x") == 0
-        assert (state.ids, state.index) == (["x"], {"x": 0})
+        assert state.ids == ["x"] and state.registry.find(["x"]).tolist() == [0]
         _, breakdown = rate_round(RoundInput("r0", [DivisionResult(1, [("x", 1.0)])]),
                                   state, ELO)
         assert breakdown.rating_before.tolist() == [1200.0]
@@ -675,7 +679,7 @@ class TestGetOrCreatePlayer:
         assert entries == [["a", "b"], ["b", "c", "a"]]
         result = replay(compiled, ELO2)
         assert result.state.ids == registered
-        assert result.state.index == {"a": 0, "b": 1, "c": 2}
+        assert result.state.registry.find(["a", "b", "c"]).tolist() == [0, 1, 2]
         # a player first seen in round two starts at that round's r1
         compiled_round, breakdown = result.rounds[1]
         a, b = compiled_round.bounds[:2]

@@ -504,8 +504,10 @@ def small_rounds(draw, ids: list[str]) -> RoundInput:
 
 def test_every_accepted_state_round_trips(tmp_path):
     """Every drawn state is refused by ``EngineState``, or saves and loads
-    back ``==`` after one round that it rates or refuses untouched."""
-    path = tmp_path / "s.snap"
+    back ``==`` after one round that it rates or refuses untouched; then the
+    loaded copy, which keeps the file's id blob, registers one more id, rates
+    one more round and saves the same bytes as the state it was loaded from."""
+    path, other = tmp_path / "s.snap", tmp_path / "t.snap"
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(drawn=engine_states(), data=st.data())
@@ -524,7 +526,18 @@ def test_every_accepted_state_round_trips(tmp_path):
         loaded = load_snapshot(path)
         assert loaded == state and states_equal(loaded, state)
         assert struct.pack("<d", loaded.r1) == struct.pack("<d", state.r1)
-        assert loaded.index == state.index
+        assert loaded.registry.find(state.ids).tolist() == list(range(len(state.ids)))
+        more = data.draw(small_rounds(state.ids))
+        extra = data.draw(st.sampled_from(["", "\0", "ä", "名前"]) | utf8_text)
+        for copy, out in ((state, path), (loaded, other)):
+            get_or_create_player(copy, extra)
+            try:
+                rate_round(more, copy, params)
+            except InputError:
+                pass
+            save_snapshot(copy, out)
+        assert loaded == state
+        assert other.read_bytes() == path.read_bytes()
 
     check()
 
@@ -565,6 +578,82 @@ class TestRegistration:
         assert registered == plain
         for name in ("rating_before", "nr", "delta_r"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def constant_hash(codes, bounds):
+    return np.zeros(len(bounds) - 1, np.uint64)
+
+
+def length_hash(codes, bounds):
+    return np.diff(bounds).astype(np.uint64)
+
+
+class TestKeptRegistry:
+    """A loaded state keeps the file's id blob and hashes it for lookups; a
+    hash that collides costs time, never a wrong lookup, and a one-round
+    resume decodes none of the blob's ids."""
+
+    IDS = ["", "a", "a\0", "ab", "pa", "é"]
+
+    def resume(self, tmp_path) -> tuple[EngineState, bytes]:
+        """Save a state holding ``IDS``, load it, rate a round of known and new
+        ids from the loaded copy and from the state itself, and save both."""
+        state = EngineState(ids=self.IDS, rating=[1200.0 + k for k in range(6)],
+                            num_rounds=[1, 2, 3, 4, 5, 6])
+        save_snapshot(state, tmp_path / "s.snap")
+        loaded = load_snapshot(tmp_path / "s.snap")
+        assert loaded == state
+        known, new = self.IDS[1:], ["b", "a\0\0", "", "名前"]
+        assert loaded.registry.find(known + new).tolist() == [1, 2, 3, 4, 5, -1, -1, 0, -1]
+        entries = [("a\0", 5.0), ("b", 4.0), ("ab", 4.0), ("a\0\0", 3.0), ("é", 1.0)]
+        round_input = RoundInput("r", [DivisionResult(1, entries)])
+        for copy, name in ((state, "s.snap"), (loaded, "t.snap")):
+            rate_round(round_input, copy, ELO2)
+            save_snapshot(copy, tmp_path / name)
+        assert loaded == state and loaded.ids == self.IDS + ["b", "a\0\0"]
+        data = (tmp_path / "t.snap").read_bytes()
+        assert data == (tmp_path / "s.snap").read_bytes()
+        return load_snapshot(tmp_path / "t.snap"), data
+
+    @pytest.mark.parametrize("hashed", [constant_hash, length_hash],
+                             ids=["constant", "length"])
+    def test_colliding_hashes_find_the_same_players(self, tmp_path, monkeypatch, hashed):
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "collided").mkdir()
+        want, want_bytes = self.resume(tmp_path / "plain")
+        monkeypatch.setattr("rankelo.registry._hash_ids", hashed)
+        got, got_bytes = self.resume(tmp_path / "collided")
+        assert got == want and got_bytes == want_bytes
+        path = tmp_path / "d.snap"
+        save_snapshot(EngineState(ids=["pa", "pb"], rating=[1.0, 2.0],
+                                  num_rounds=[0, 0]), path)
+        resign(path, b"papb", b"papa")
+        with pytest.raises(SnapshotError, match="duplicate player 'pa'"):
+            load_snapshot(path)
+
+    def test_a_one_round_resume_decodes_no_registry(self, tmp_path, monkeypatch, capsys):
+        rounds = replay_history(rounds=6)
+        write_rounds(rounds[:5], tmp_path / "head.csv")
+        assert run(["rate", "--profile", "elo2", "--input", str(tmp_path / "head.csv"),
+                    "--snapshot-out", str(tmp_path / "base.snap")]) == 0
+        known = [p for p, _ in rounds[0].divisions[0].entries[:3]]
+        entries = [(known[0], 3.0), ("new", 2.5), (known[1], 2.0), ("é", 1.0), (known[2], 0.0)]
+        write_rounds([RoundInput("next", [DivisionResult(1, entries)])], tmp_path / "next.csv")
+        capsys.readouterr()
+        outputs = []
+        for guarded in (False, True):
+            if guarded:
+                def decode_all(registry):
+                    raise AssertionError("the whole registry was decoded")
+
+                monkeypatch.setattr("rankelo.registry.Registry.tolist", decode_all)
+            path = tmp_path / f"{guarded}.snap"
+            path.write_bytes((tmp_path / "base.snap").read_bytes())
+            assert run(["rate", "--profile", "elo2", "--input", str(tmp_path / "next.csv"),
+                        "--snapshot-in", str(path), "--snapshot-out", str(path)]) == 0
+            outputs.append((path.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][1].out.startswith("rated 1 rounds, 14 players")
 
 
 class TestSnapshotVersions:
@@ -616,6 +705,14 @@ class TestSnapshotVersions:
                                   num_rounds=[0, 0]), path)
         resign(path, b"papb", b"papa")
         with pytest.raises(SnapshotError, match="duplicate player 'pa'"):
+            load_snapshot(path)
+
+    def test_v2_offset_inside_a_character(self, tmp_path):
+        # the blob "\xc3\xa9" is "é", but neither of its one-byte ids is UTF-8
+        path = tmp_path / "s.snap"
+        save_snapshot(EngineState(ids=["x", "y"], rating=[1.0, 2.0], num_rounds=[0, 0]), path)
+        resign(path, b"xy", "é".encode("utf-8"))
+        with pytest.raises(SnapshotError, match="player id is not valid UTF-8"):
             load_snapshot(path)
 
     def test_v2_offsets_must_ascend(self, tmp_path):
